@@ -5,37 +5,3 @@ designs a gradient-ascent optimizer would reach, then search the design space
 against it. Includes naive and ensemble gradient-ascent baselines, synthetic
 benchmark oracles, and a reproducible evaluation harness.
 """
-
-from .baselines import (Ensemble, ensemble_forward, ensemble_input_gradient,
-                        train_ensemble, train_naive)
-from .harness import (EvaluationReport, StabilityCurve, TrialEvaluation,
-                      budget_sweep, evaluate_budget, normalized_score,
-                      run_experiment, stability_sweep, tau_sweep)
-from .net import (AdamState, DenseLayer, GradientError, ObjectiveModel,
-                  adam_step, build_model, forward, forward_batch, init_adam,
-                  input_gradient, input_gradient_batch, leaky_relu,
-                  param_gradients)
-from .optimizer import (AscentTrajectory, CandidateSet, decode_discrete,
-                        encode_discrete, optimize_one, produce_candidates,
-                        select_initializations)
-from .tasks import (CurationConfig, TaskSpec, curate_dataset, get_task,
-                    oracle_eval, read_dataset, write_dataset)
-from .trainer import (LagrangeState, NormalizationStats, OfflineDataset,
-                      TrainerConfig, com_loss, dual_update, fit_normalization,
-                      mine_adversarial, train)
-
-__all__ = [
-    "AdamState", "AscentTrajectory", "CandidateSet", "CurationConfig",
-    "DenseLayer", "Ensemble", "EvaluationReport", "GradientError",
-    "LagrangeState", "NormalizationStats", "ObjectiveModel", "OfflineDataset",
-    "StabilityCurve", "TaskSpec", "TrainerConfig", "TrialEvaluation",
-    "adam_step", "budget_sweep", "build_model", "com_loss", "curate_dataset",
-    "decode_discrete", "dual_update", "encode_discrete", "ensemble_forward",
-    "ensemble_input_gradient", "evaluate_budget", "fit_normalization",
-    "forward", "forward_batch", "get_task", "init_adam", "input_gradient",
-    "input_gradient_batch", "leaky_relu", "mine_adversarial",
-    "normalized_score", "optimize_one", "oracle_eval", "param_gradients",
-    "produce_candidates", "read_dataset", "run_experiment",
-    "select_initializations", "stability_sweep", "tau_sweep", "train",
-    "train_ensemble", "train_naive", "write_dataset",
-]

@@ -1,5 +1,7 @@
-"""The acceptance suite: nine end-to-end checks, each printed as one
-PASS/FAIL line and collected into acceptance.json.
+"""The acceptance suite: eight end-to-end checks, each printed as one
+PASS/FAIL line and collected into acceptance.json. The test suite adds a
+ninth, in tests/test_acceptance.py: `comopt reproduce` exits 0 within its
+runtime bound.
 
 These are deliberately heavier than unit tests: they train real surrogates
 on the synthetic tasks and verify the protocol-level claims (gradient
@@ -18,6 +20,7 @@ import numpy as np
 
 from . import net
 from .baselines import train_naive
+from .fileio import write_rows
 from .harness import budget_sweep, evaluate_budget, normalized_score, \
     run_experiment, stability_sweep, tau_sweep
 from .optimizer import produce_candidates, select_initializations
@@ -458,26 +461,21 @@ def _write_curves(ctx, out_dir):
     curves_dir = os.path.join(out_dir, "curves")
     os.makedirs(curves_dir, exist_ok=True)
     for name, curves in ctx.get("stability_curves", {}).items():
-        path = os.path.join(curves_dir, f"{name}_stability.csv")
-        with open(path, "w") as fh:
-            fh.write("trial,method,step,true_score\n")
-            for trial, coms_curve, naive_curve in curves:
-                for method, curve in (("coms", coms_curve),
-                                      ("grad-naive", naive_curve)):
-                    for step, score in enumerate(curve.true_scores):
-                        fh.write(f"{trial},{method},{step},{float(score)!r}\n")
+        write_rows(os.path.join(curves_dir, f"{name}_stability.csv"),
+                   ["trial", "method", "step", "true_score"],
+                   ([trial, method, step, score]
+                    for trial, coms_curve, naive_curve in curves
+                    for method, curve in (("coms", coms_curve),
+                                          ("grad-naive", naive_curve))
+                    for step, score in enumerate(curve.true_scores)))
     if "budget_curve" in ctx:
-        budgets, mean_curve = ctx["budget_curve"]
-        with open(os.path.join(curves_dir, "pwm_budget.csv"), "w") as fh:
-            fh.write("budget,mean_normalized_p100\n")
-            for b, v in zip(budgets, mean_curve):
-                fh.write(f"{b},{float(v)!r}\n")
+        write_rows(os.path.join(curves_dir, "pwm_budget.csv"),
+                   ["budget", "mean_normalized_p100"], zip(*ctx["budget_curve"]))
     if "tau_finals" in ctx:
-        with open(os.path.join(curves_dir, "cliff_tau_finals.csv"), "w") as fh:
-            fh.write("tau,trial,final_true_score\n")
-            for tau, values in ctx["tau_finals"].items():
-                for trial, v in enumerate(values):
-                    fh.write(f"{tau},{trial},{float(v)!r}\n")
+        write_rows(os.path.join(curves_dir, "cliff_tau_finals.csv"),
+                   ["tau", "trial", "final_true_score"],
+                   ([tau, trial, v] for tau, values in ctx["tau_finals"].items()
+                    for trial, v in enumerate(values)))
 
 
 CRITERIA = (

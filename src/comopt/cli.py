@@ -8,90 +8,51 @@ command exits 0 only if its invariant checks pass.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
-import numpy as np
-
-from . import acceptance, net
-from .baselines import Ensemble, train_ensemble, train_naive
-from .harness import (InvariantViolation, budget_sweep, evaluate_budget,
-                      normalized_score, run_experiment, stability_sweep,
-                      tau_sweep)
+from . import acceptance
+from .fileio import load_surrogate, save_surrogate, write_rows
+from .harness import (DEFAULT_CONFIG, METHODS, InvariantViolation,
+                      budget_sweep, config_from, curation_config_from,
+                      evaluate_budget, normalized_score, run_experiment,
+                      stability_sweep, tau_sweep, trainer_config_from)
 from .optimizer import (produce_candidates, read_candidates,
                         select_initializations, write_candidates)
-from .tasks import (CurationConfig, curate_dataset, get_task, read_dataset,
-                    task_names, write_dataset)
-from .trainer import TrainerConfig, train, write_training_log
+from .tasks import (curate_dataset, get_task, read_dataset, task_names,
+                    write_dataset)
+from .trainer import write_training_log
 
 
 def _add_trainer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--mining-steps", type=int, default=50,
+    d = DEFAULT_CONFIG
+    p.add_argument("--epochs", type=int, default=d["epochs"])
+    p.add_argument("--batch-size", type=int, default=d["batch_size"])
+    p.add_argument("--mining-steps", type=int, default=d["mining_steps"],
                    help="ascent steps T shared by mining and optimization")
-    p.add_argument("--ascent-rate", default="auto",
+    p.add_argument("--ascent-rate", default=d["ascent_rate"],
                    help="eta; 'auto' uses 0.05*sqrt(d) cont., 2.0*sqrt(d) disc.")
-    p.add_argument("--adam-lr", type=float, default=1e-3)
-    p.add_argument("--tau", default="auto",
+    p.add_argument("--adam-lr", type=float, default=d["adam_lr"])
+    p.add_argument("--tau", default=d["tau"],
                    help="conservatism threshold; 'auto' is 0.5 cont., 2.0 disc.")
-    p.add_argument("--alpha-lr", type=float, default=0.01)
-    p.add_argument("--alpha-init", type=float, default=0.0)
-    p.add_argument("--hidden", default="64,64")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha-lr", type=float, default=d["alpha_lr"])
+    p.add_argument("--alpha-init", type=float, default=d["alpha_init"])
+    p.add_argument("--hidden", default=d["hidden"])
+    p.add_argument("--seed", type=int, default=d["base_seed"])
 
 
-def _trainer_config(args) -> TrainerConfig:
-    return TrainerConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        mining_steps=args.mining_steps,
-        ascent_rate=None if args.ascent_rate == "auto" else float(args.ascent_rate),
-        adam_lr=args.adam_lr,
-        seed=args.seed,
-        tau=None if args.tau == "auto" else float(args.tau),
-        alpha_lr=args.alpha_lr,
-        alpha_init=args.alpha_init,
-        hidden=tuple(int(h) for h in args.hidden.split(",") if h.strip()),
-    )
-
-
-def _load_surrogate(path):
-    data = np.load(path)
-    if "n_members" in data:
-        members = []
-        for m in range(int(data["n_members"])):
-            n_layers = int(data[f"m{m}_n_layers"])
-            layers = [net.DenseLayer(data[f"m{m}_w{k}"], data[f"m{m}_b{k}"])
-                      for k in range(n_layers)]
-            members.append(net.ObjectiveModel(layers, float(data["leak"])))
-        return Ensemble(members, str(data["aggregate"]))
-    return net.load_model(path)
-
-
-def _save_surrogate(model, path) -> None:
-    if isinstance(model, Ensemble):
-        arrays = {
-            "n_members": np.array(len(model.members)),
-            "aggregate": np.array(model.aggregate),
-            "leak": np.array(model.members[0].leak),
-        }
-        for m, member in enumerate(model.members):
-            arrays[f"m{m}_n_layers"] = np.array(len(member.layers))
-            for k, lyr in enumerate(member.layers):
-                arrays[f"m{m}_w{k}"] = lyr.weights
-                arrays[f"m{m}_b{k}"] = lyr.bias
-        np.savez(path, **arrays)
-    else:
-        net.save_model(model, path)
+def _config(args) -> dict:
+    """The flags named after config keys, checked and typed by the same
+    mapping as a `comopt run` config file."""
+    return config_from({key: value for key, value in vars(args).items()
+                        if key in DEFAULT_CONFIG})
 
 
 def cmd_curate(args) -> int:
     task = get_task(args.task)
-    config = CurationConfig(args.n_raw, args.keep_percentile, args.seed)
-    dataset = curate_dataset(task, config)
+    dataset = curate_dataset(task, curation_config_from(_config(args), args.seed))
     dataset.validate()
     if dataset.raw_scores().max() >= task.y_max:
         raise InvariantViolation("curated dataset should leave headroom")
@@ -104,20 +65,12 @@ def cmd_curate(args) -> int:
 
 def cmd_train(args) -> int:
     dataset = read_dataset(args.data)
-    config = _trainer_config(args)
-    if args.method == "coms":
-        model, log = train(dataset, config)
-        logs = [log]
-    elif args.method == "grad-naive":
-        model, log = train_naive(dataset, config)
-        logs = [log]
-    else:
-        aggregate = args.method.split("-", 1)[1]
-        model, logs = train_ensemble(dataset, config, args.ensemble_size,
-                                     aggregate)
-    _save_surrogate(model, args.out_model)
+    cfg = _config(args)
+    config = trainer_config_from(cfg, args.seed)
+    model, logs = METHODS[cfg["method"]](dataset, config, cfg["ensemble_size"])
+    save_surrogate(model, args.out_model)
     if args.log:
-        write_training_log(logs[0], args.log)
+        write_training_log(args.log, logs[:1])
     final = logs[0][-1]
     print(f"trained {args.method}: final mse {final['mse']:.4f}, "
           f"gap {final['gap']:.4f}, alpha {final['alpha']:.4f}")
@@ -126,8 +79,8 @@ def cmd_train(args) -> int:
 
 def cmd_optimize(args) -> int:
     dataset = read_dataset(args.data)
-    model = _load_surrogate(args.model)
-    config = _trainer_config(args)
+    model = load_surrogate(args.model)
+    config = trainer_config_from(_config(args), args.seed)
     eta = config.resolved_eta(dataset)
     candidates = produce_candidates(model, dataset, args.budget, eta,
                                     config.mining_steps)
@@ -144,15 +97,7 @@ def cmd_evaluate(args) -> int:
     n = args.budget or len(candidates)
     ev = evaluate_budget(candidates, task, n)
     ev.validate()
-    result = {
-        "task": args.task,
-        "budget": n,
-        "score_p100": ev.score_p100,
-        "score_p50": ev.score_p50,
-        "normalized_p100": ev.normalized_p100,
-        "normalized_p50": ev.normalized_p50,
-    }
-    text = json.dumps(result, indent=2)
+    text = json.dumps({"task": args.task, "budget": n, **asdict(ev)}, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -163,39 +108,30 @@ def cmd_evaluate(args) -> int:
 def cmd_stability(args) -> int:
     task = get_task(args.task)
     dataset = read_dataset(args.data)
-    model = _load_surrogate(args.model)
-    config = _trainer_config(args)
+    model = load_surrogate(args.model)
+    config = trainer_config_from(_config(args), args.seed)
     eta = config.resolved_eta(dataset)
     seed_design = select_initializations(dataset, 1).designs[0]
     curve = stability_sweep(model, task, seed_design, eta, args.t_max,
                             dataset.stats)
     if len(curve) != args.t_max + 1:
         raise InvariantViolation("stability curve length must be t_max + 1")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "true_score"])
-        for step, score in enumerate(curve.true_scores):
-            writer.writerow([step, repr(float(score))])
+    write_rows(args.out, ["step", "true_score"], enumerate(curve.true_scores))
     print(f"wrote stability curve ({args.t_max + 1} steps) to {args.out}")
     return 0
 
 
 def cmd_sweep_tau(args) -> int:
     task = get_task(args.task)
-    dataset = curate_dataset(task, CurationConfig(args.n_raw,
-                                                  args.keep_percentile,
-                                                  args.seed))
+    cfg = _config(args)
+    dataset = curate_dataset(task, curation_config_from(cfg, args.seed))
     taus = [float(t) for t in args.taus.split(",")]
-    config = _trainer_config(args)
+    config = trainer_config_from(cfg, args.seed)
     curves = tau_sweep(dataset, task, taus, config, args.t_max)
     os.makedirs(args.out_dir, exist_ok=True)
     for tau, curve in curves.items():
-        path = os.path.join(args.out_dir, f"stability_tau_{tau}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "true_score"])
-            for step, score in enumerate(curve.true_scores):
-                writer.writerow([step, repr(float(score))])
+        write_rows(os.path.join(args.out_dir, f"stability_tau_{tau}.csv"),
+                   ["step", "true_score"], enumerate(curve.true_scores))
     print(f"wrote {len(curves)} tau curves to {args.out_dir}")
     return 0
 
@@ -207,12 +143,8 @@ def cmd_sweep_budget(args) -> int:
     sweep = budget_sweep(candidates, task, budgets)
     if any(a > b + 1e-12 for a, b in zip(sweep, sweep[1:])):
         raise InvariantViolation("budget sweep must be monotone non-decreasing")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["budget", "p100", "normalized_p100"])
-        for b, p in zip(budgets, sweep):
-            writer.writerow([b, repr(float(p)),
-                             repr(float(normalized_score(task, p)))])
+    write_rows(args.out, ["budget", "p100", "normalized_p100"],
+               ([b, p, normalized_score(task, p)] for b, p in zip(budgets, sweep)))
     print(f"wrote budget sweep to {args.out}")
     return 0
 
@@ -241,19 +173,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    d = DEFAULT_CONFIG
     p = sub.add_parser("curate", help="build an offline dataset from a task")
     p.add_argument("--task", required=True, choices=task_names())
-    p.add_argument("--n-raw", type=int, default=2000)
-    p.add_argument("--keep-percentile", type=float, default=50.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-raw", type=int, default=d["n_raw"])
+    p.add_argument("--keep-percentile", type=float, default=d["keep_percentile"])
+    p.add_argument("--seed", type=int, default=d["base_seed"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curate)
 
     p = sub.add_parser("train", help="train a surrogate on a dataset CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--method", default="coms",
-                   choices=["coms", "grad-naive", "grad-min", "grad-mean"])
-    p.add_argument("--ensemble-size", type=int, default=5)
+    p.add_argument("--method", default=d["method"], choices=list(METHODS))
+    p.add_argument("--ensemble-size", type=int, default=d["ensemble_size"])
     p.add_argument("--out-model", required=True)
     p.add_argument("--log")
     _add_trainer_flags(p)
@@ -262,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="produce budget-N candidates")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--budget", type=int, default=16)
+    p.add_argument("--budget", type=int, default=d["budget"])
     p.add_argument("--out", required=True)
     _add_trainer_flags(p)
     p.set_defaults(func=cmd_optimize)
@@ -286,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-tau", help="stability curves across tau values")
     p.add_argument("--task", required=True, choices=task_names())
     p.add_argument("--taus", required=True, help="comma-separated tau values")
-    p.add_argument("--n-raw", type=int, default=2000)
-    p.add_argument("--keep-percentile", type=float, default=50.0)
+    p.add_argument("--n-raw", type=int, default=d["n_raw"])
+    p.add_argument("--keep-percentile", type=float, default=d["keep_percentile"])
     p.add_argument("--t-max", type=int, default=200)
     p.add_argument("--out-dir", required=True)
     _add_trainer_flags(p)

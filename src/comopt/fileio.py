@@ -1,0 +1,88 @@
+"""File formats shared by every stage: the one CSV writer and reader, and
+surrogate save/load for a single net or an ensemble.
+
+CSVs use `csv.writer`'s default dialect (comma-separated, CRLF line ends)
+and write every float as `repr(float(v))`, so values read back bitwise.
+"""
+from __future__ import annotations
+
+import csv
+
+import numpy as np
+
+from .net import DenseLayer, ObjectiveModel
+
+
+def write_rows(path, header, rows) -> None:
+    """Write a header row and data rows; floats are written with repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v
+             for v in row]
+            for row in rows)
+
+
+def read_rows(path) -> tuple[list, np.ndarray]:
+    """Header and float body of a numeric CSV. A file without data rows,
+    a row whose width differs from the header's and a non-finite cell are
+    each an error."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if len(rows) < 2:
+        raise ValueError(f"{path}: no data rows")
+    header = rows[0]
+    values = []
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {line} has {len(row)} cells, "
+                             f"the header has {len(header)}")
+        cells = [float(v) for v in row]
+        if not np.all(np.isfinite(cells)):
+            raise ValueError(f"{path}: line {line} has a non-finite value")
+        values.append(cells)
+    return header, np.array(values)
+
+
+def _layer_arrays(model: ObjectiveModel, prefix: str = "") -> dict:
+    arrays = {f"{prefix}n_layers": np.array(len(model.layers))}
+    for k, lyr in enumerate(model.layers):
+        arrays[f"{prefix}w{k}"] = lyr.weights
+        arrays[f"{prefix}b{k}"] = lyr.bias
+    return arrays
+
+
+def save_surrogate(model, path) -> None:
+    """Save an ObjectiveModel or an Ensemble of them as an .npz archive."""
+    if isinstance(model, ObjectiveModel):
+        arrays = {"leak": np.array(model.leak), **_layer_arrays(model)}
+    else:
+        arrays = {
+            "n_members": np.array(len(model.members)),
+            "aggregate": np.array(model.aggregate),
+            "leak": np.array(model.members[0].leak),
+        }
+        for m, member in enumerate(model.members):
+            arrays.update(_layer_arrays(member, f"m{m}_"))
+    np.savez(path, **arrays)
+
+
+def load_surrogate(path):
+    """Load what `save_surrogate` wrote: an ObjectiveModel, or an Ensemble
+    when the archive holds members."""
+    from .baselines import Ensemble
+
+    with np.load(path) as data:
+        leak = float(data["leak"])
+
+        def member(prefix=""):
+            n_layers = int(data[f"{prefix}n_layers"])
+            return ObjectiveModel(
+                [DenseLayer(data[f"{prefix}w{k}"], data[f"{prefix}b{k}"])
+                 for k in range(n_layers)], leak)
+
+        if "n_members" not in data:
+            return member()
+        return Ensemble([member(f"m{m}_") for m in range(int(data["n_members"]))],
+                        str(data["aggregate"]))

@@ -10,22 +10,37 @@ directory.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .baselines import train_ensemble, train_naive
-from .optimizer import (CandidateSet, optimize_one, produce_candidates,
-                        select_initializations)
+from .fileio import write_rows
+from .optimizer import (CandidateSet, candidate_table, optimize_one,
+                        produce_candidates, select_initializations)
 from .tasks import (CurationConfig, TaskSpec, curate_dataset, get_task,
-                    oracle_eval_batch)
+                    oracle_eval_batch, task_names)
 from .trainer import (NormalizationStats, OfflineDataset, TrainerConfig,
-                      append_training_log, train)
+                      train, write_training_log)
 
-METHODS = ("coms", "grad-naive", "grad-min", "grad-mean")
+
+def _one(result):
+    model, log = result
+    return model, [log]
+
+
+# Every method's trainer, called as (dataset, config, ensemble_size); each
+# returns the surrogate with one training log per network it trained.
+METHODS = {
+    "coms": lambda data, config, size: _one(train(data, config)),
+    "grad-naive": lambda data, config, size: _one(train_naive(data, config)),
+    "grad-min": lambda data, config, size: train_ensemble(data, config, size,
+                                                          "min"),
+    "grad-mean": lambda data, config, size: train_ensemble(data, config, size,
+                                                           "mean"),
+}
 
 
 class InvariantViolation(AssertionError):
@@ -133,9 +148,9 @@ class EvaluationReport:
 
     def aggregates(self) -> dict:
         out = {}
-        for key in ("score_p100", "score_p50", "normalized_p100", "normalized_p50"):
-            vals = np.array([getattr(t, key) for t in self.trials])
-            out[key] = {"mean": float(vals.mean()), "std": float(vals.std())}
+        for f in fields(TrialEvaluation):
+            vals = np.array([getattr(t, f.name) for t in self.trials])
+            out[f.name] = {"mean": float(vals.mean()), "std": float(vals.std())}
         return out
 
     def to_json_dict(self) -> dict:
@@ -144,15 +159,7 @@ class EvaluationReport:
             "task": self.task,
             "budget": self.budget,
             "n_trials": len(self.trials),
-            "per_trial": [
-                {
-                    "score_p100": t.score_p100,
-                    "score_p50": t.score_p50,
-                    "normalized_p100": t.normalized_p100,
-                    "normalized_p50": t.normalized_p50,
-                }
-                for t in self.trials
-            ],
+            "per_trial": [asdict(t) for t in self.trials],
             "aggregates": self.aggregates(),
         }
 
@@ -180,12 +187,6 @@ DEFAULT_CONFIG = {
     "budgets": "",
 }
 
-_INT_KEYS = {"trials", "base_seed", "n_raw", "budget", "epochs", "batch_size",
-             "mining_steps", "ensemble_size", "stability_steps"}
-_FLOAT_KEYS = {"keep_percentile", "adam_lr", "alpha_lr", "alpha_init", "leak"}
-_AUTO_FLOAT_KEYS = {"ascent_rate", "tau"}
-
-
 def parse_config(text: str) -> dict:
     """Parse a flat key=value config file; unknown keys are an error."""
     values = {}
@@ -206,25 +207,53 @@ def parse_config(text: str) -> dict:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     cfg = dict(DEFAULT_CONFIG)
     cfg.update(values)
-    for key in _INT_KEYS:
-        cfg[key] = int(cfg[key])
-    for key in _FLOAT_KEYS:
-        cfg[key] = float(cfg[key])
-    for key in _AUTO_FLOAT_KEYS:
-        if cfg[key] != "auto":
+    # Each key takes the type of its default; "auto" keys hold a float or "auto".
+    for key, default in DEFAULT_CONFIG.items():
+        if isinstance(default, (int, float)):
+            cfg[key] = type(default)(cfg[key])
+        elif default == "auto" and cfg[key] != "auto":
             cfg[key] = float(cfg[key])
     if cfg["method"] not in METHODS:
-        raise ValueError(f"unknown method {cfg['method']!r}; choose from {METHODS}")
+        raise ValueError(f"unknown method {cfg['method']!r}; "
+                         f"choose from {tuple(METHODS)}")
+    if cfg["task"] not in task_names():
+        raise ValueError(f"unknown task {cfg['task']!r}; choose from {task_names()}")
+    for key in ("trials", "budget"):
+        if cfg[key] < 1:
+            raise ValueError(f"{key} must be >= 1")
+    if cfg["stability_steps"] < 0:
+        raise ValueError("stability_steps must be >= 0")
+    if any(b < 1 or b > cfg["budget"] for b in int_list(cfg, "budgets")):
+        raise ValueError("budgets must lie in [1, budget]")
+    curation_config_from(cfg, cfg["base_seed"]).validate()
+    trainer_config_from(cfg, cfg["base_seed"]).validate()
     return cfg
 
 
+def int_list(cfg: dict, key: str) -> list:
+    """The comma-separated integers of a list-valued config key."""
+    try:
+        return [int(v) for v in str(cfg[key]).split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"{key} must be comma-separated integers, "
+                         f"got {cfg[key]!r}") from None
+
+
+def config_from(values: dict) -> dict:
+    """A config dict checked and typed exactly as a config file would be."""
+    return parse_config(dump_config(values))
+
+
 def dump_config(cfg: dict) -> str:
-    lines = [f"{key} = {cfg[key]}" for key in DEFAULT_CONFIG]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {value}\n" for key, value in cfg.items())
+
+
+def curation_config_from(cfg: dict, seed: int) -> CurationConfig:
+    return CurationConfig(n_raw_samples=cfg["n_raw"],
+                          keep_percentile=cfg["keep_percentile"], seed=seed)
 
 
 def trainer_config_from(cfg: dict, seed: int) -> TrainerConfig:
-    hidden = tuple(int(h) for h in str(cfg["hidden"]).split(",") if h.strip())
     return TrainerConfig(
         epochs=cfg["epochs"],
         batch_size=cfg["batch_size"],
@@ -235,85 +264,55 @@ def trainer_config_from(cfg: dict, seed: int) -> TrainerConfig:
         tau=None if cfg["tau"] == "auto" else cfg["tau"],
         alpha_lr=cfg["alpha_lr"],
         alpha_init=cfg["alpha_init"],
-        hidden=hidden,
+        hidden=tuple(int_list(cfg, "hidden")),
         leak=cfg["leak"],
     )
-
-
-def train_method(method: str, dataset: OfflineDataset, config: TrainerConfig,
-                 ensemble_size: int = 5):
-    """Dispatch to the right trainer; returns (model-or-ensemble, logs)."""
-    if method == "coms":
-        model, log = train(dataset, config)
-        return model, [log]
-    if method == "grad-naive":
-        model, log = train_naive(dataset, config)
-        return model, [log]
-    if method in ("grad-min", "grad-mean"):
-        aggregate = method.split("-", 1)[1]
-        return train_ensemble(dataset, config, ensemble_size, aggregate)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def run_experiment(config, out_dir) -> EvaluationReport:
     """Curate, train, optimize, and evaluate for each trial; write the run
     directory (config copy, report.json, training_log.csv, candidates.csv,
     curves/*.csv). Fully reproducible from config + base seed."""
-    if isinstance(config, dict):
-        cfg = parse_config(dump_config({**DEFAULT_CONFIG, **config}))
-    else:
-        cfg = parse_config(str(config))
+    cfg = config_from(config) if isinstance(config, dict) else parse_config(str(config))
     os.makedirs(out_dir, exist_ok=True)
     task = get_task(cfg["task"])
-    budgets = [int(b) for b in str(cfg["budgets"]).split(",") if str(b).strip()]
+    budgets = int_list(cfg, "budgets")
 
     trials = []
+    logs_all, log_trials = [], []
+    candidate_rows = []
     stability_rows = []
     budget_rows = []
-    log_path = os.path.join(out_dir, "training_log.csv")
-    cand_path = os.path.join(out_dir, "candidates.csv")
-    with open(log_path, "w", newline="") as log_fh, \
-            open(cand_path, "w", newline="") as cand_fh:
-        cand_writer = csv.writer(cand_fh)
-        for trial in range(cfg["trials"]):
-            seed = cfg["base_seed"] + trial
-            dataset = curate_dataset(task, CurationConfig(
-                n_raw_samples=cfg["n_raw"],
-                keep_percentile=cfg["keep_percentile"],
-                seed=seed,
-            ))
-            tcfg = trainer_config_from(cfg, seed)
-            model, logs = train_method(cfg["method"], dataset, tcfg,
-                                       cfg["ensemble_size"])
-            for i, log in enumerate(logs):
-                append_training_log(log, log_fh, trial,
-                                    write_header=(trial == 0 and i == 0))
-            eta = tcfg.resolved_eta(dataset)
-            candidates = produce_candidates(model, dataset, cfg["budget"],
-                                            eta, tcfg.mining_steps)
-            if trial == 0:
-                cand_writer.writerow(["trial"]
-                                     + [f"x{i}" for i in range(task.input_dim)]
-                                     + ["provenance", "surrogate_value"])
-            for row, prov, val in zip(candidates.raw_designs(),
-                                      candidates.provenance,
-                                      candidates.surrogate_values):
-                cand_writer.writerow([trial] + [repr(float(v)) for v in row]
-                                     + [int(prov), repr(float(val))])
-            trials.append(evaluate_budget(candidates, task, cfg["budget"]))
-            if cfg["stability_steps"] > 0:
-                seed_design = select_initializations(dataset, 1).designs[0]
-                curve = stability_sweep(model, task, seed_design, eta,
-                                        cfg["stability_steps"], dataset.stats)
-                stability_rows.extend(
-                    (trial, step, score)
-                    for step, score in enumerate(curve.true_scores))
-            if budgets:
-                sweep = budget_sweep(candidates, task, budgets)
-                budget_rows.extend(
-                    (trial, b, p, normalized_score(task, p))
-                    for b, p in zip(budgets, sweep))
+    for trial in range(cfg["trials"]):
+        seed = cfg["base_seed"] + trial
+        dataset = curate_dataset(task, curation_config_from(cfg, seed))
+        tcfg = trainer_config_from(cfg, seed)
+        model, logs = METHODS[cfg["method"]](dataset, tcfg, cfg["ensemble_size"])
+        logs_all.extend(logs)
+        log_trials.extend([trial] * len(logs))
+        eta = tcfg.resolved_eta(dataset)
+        candidates = produce_candidates(model, dataset, cfg["budget"],
+                                        eta, tcfg.mining_steps)
+        candidate_header, rows = candidate_table(candidates)
+        candidate_rows.extend([trial, *row] for row in rows)
+        trials.append(evaluate_budget(candidates, task, cfg["budget"]))
+        if cfg["stability_steps"] > 0:
+            seed_design = select_initializations(dataset, 1).designs[0]
+            curve = stability_sweep(model, task, seed_design, eta,
+                                    cfg["stability_steps"], dataset.stats)
+            stability_rows.extend(
+                (trial, step, score)
+                for step, score in enumerate(curve.true_scores))
+        if budgets:
+            sweep = budget_sweep(candidates, task, budgets)
+            budget_rows.extend(
+                (trial, b, p, normalized_score(task, p))
+                for b, p in zip(budgets, sweep))
 
+    write_training_log(os.path.join(out_dir, "training_log.csv"), logs_all,
+                       log_trials)
+    write_rows(os.path.join(out_dir, "candidates.csv"),
+               ["trial"] + candidate_header, candidate_rows)
     report = EvaluationReport(cfg["method"], cfg["task"], cfg["budget"], trials)
     report.validate()
     with open(os.path.join(out_dir, "config.txt"), "w") as fh:
@@ -321,21 +320,12 @@ def run_experiment(config, out_dir) -> EvaluationReport:
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2)
         fh.write("\n")
-    if stability_rows or budget_rows:
-        curves_dir = os.path.join(out_dir, "curves")
-        os.makedirs(curves_dir, exist_ok=True)
-        if stability_rows:
-            with open(os.path.join(curves_dir, "stability.csv"), "w",
-                      newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["trial", "step", "true_score"])
-                for trial, step, score in stability_rows:
-                    writer.writerow([trial, step, repr(float(score))])
-        if budget_rows:
-            with open(os.path.join(curves_dir, "budget.csv"), "w",
-                      newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["trial", "budget", "p100", "normalized_p100"])
-                for trial, b, p, pn in budget_rows:
-                    writer.writerow([trial, b, repr(float(p)), repr(float(pn))])
+    curves_dir = os.path.join(out_dir, "curves")
+    for name, header, rows in (
+            ("stability.csv", ["trial", "step", "true_score"], stability_rows),
+            ("budget.csv", ["trial", "budget", "p100", "normalized_p100"],
+             budget_rows)):
+        if rows:
+            os.makedirs(curves_dir, exist_ok=True)
+            write_rows(os.path.join(curves_dir, name), header, rows)
     return report

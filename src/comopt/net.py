@@ -82,9 +82,6 @@ class ObjectiveModel:
     def copy(self) -> "ObjectiveModel":
         return ObjectiveModel([lyr.copy() for lyr in self.layers], self.leak)
 
-    def parameter_count(self) -> int:
-        return sum(lyr.weights.size + lyr.bias.size for lyr in self.layers)
-
 
 def build_model(input_dim: int, hidden=(64, 64), leak: float = 0.3,
                 rng: np.random.Generator | None = None) -> ObjectiveModel:
@@ -248,18 +245,3 @@ def adam_step(state: AdamState, model: ObjectiveModel, grads: list) -> None:
             v *= state.beta2
             v += (1.0 - state.beta2) * grad * grad
             param -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
-
-
-def save_model(model: ObjectiveModel, path) -> None:
-    arrays = {"leak": np.array(model.leak), "n_layers": np.array(len(model.layers))}
-    for k, lyr in enumerate(model.layers):
-        arrays[f"w{k}"] = lyr.weights
-        arrays[f"b{k}"] = lyr.bias
-    np.savez(path, **arrays)
-
-
-def load_model(path) -> ObjectiveModel:
-    data = np.load(path)
-    n = int(data["n_layers"])
-    layers = [DenseLayer(data[f"w{k}"], data[f"b{k}"]) for k in range(n)]
-    return ObjectiveModel(layers, float(data["leak"]))

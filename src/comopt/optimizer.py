@@ -9,13 +9,13 @@ trained to be conservative on.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import net
+from .fileio import read_rows, write_rows
 from .net import ObjectiveModel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -181,20 +181,20 @@ def decode_discrete(x, L: int, K: int) -> np.ndarray:
     return out
 
 
-def write_candidates(candidates: CandidateSet, path) -> None:
-    """CSV with denormalized design coordinates, provenance, and the
-    surrogate's value for each candidate."""
+def candidate_table(candidates: CandidateSet) -> tuple[list, list]:
+    """Header and rows of a candidate CSV: denormalized design coordinates,
+    provenance, and the surrogate's value for each candidate."""
+    if candidates.surrogate_values is None:
+        raise ValueError("candidates carry no surrogate values to write")
     raw = candidates.raw_designs()
-    values = candidates.surrogate_values
-    if values is None:
-        values = np.full(len(candidates), np.nan)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(raw.shape[1])]
-                        + ["provenance", "surrogate_value"])
-        for row, prov, val in zip(raw, candidates.provenance, values):
-            writer.writerow([repr(float(v)) for v in row]
-                            + [int(prov), repr(float(val))])
+    header = [f"x{i}" for i in range(raw.shape[1])] + ["provenance",
+                                                       "surrogate_value"]
+    return header, [[*row, int(prov), val] for row, prov, val in
+                    zip(raw, candidates.provenance, candidates.surrogate_values)]
+
+
+def write_candidates(candidates: CandidateSet, path) -> None:
+    write_rows(path, *candidate_table(candidates))
 
 
 def read_candidates(path) -> CandidateSet:
@@ -202,12 +202,8 @@ def read_candidates(path) -> CandidateSet:
     identity normalization stats attached."""
     from .trainer import NormalizationStats
 
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
+    header, values = read_rows(path)
     d = len(header) - 2
-    designs = np.array([[float(v) for v in row[:d]] for row in body])
-    provenance = np.array([int(row[d]) for row in body])
-    values = np.array([float(row[d + 1]) for row in body])
     stats = NormalizationStats(np.zeros(d), np.ones(d), 0.0, 1.0)
-    return CandidateSet(designs, provenance, stats, values)
+    return CandidateSet(values[:, :d], values[:, d].astype(int), stats,
+                        values[:, d + 1])

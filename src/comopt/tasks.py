@@ -20,13 +20,13 @@ and standardizes the kept designs and scores.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .fileio import read_rows, write_rows
 from .optimizer import decode_discrete
 from .trainer import NormalizationStats, OfflineDataset, fit_normalization
 
@@ -234,12 +234,8 @@ def write_dataset(dataset: OfflineDataset, path) -> None:
     """Raw-coordinate CSV (final column y) plus a JSON sidecar holding the
     normalization stats and the withheld oracle score range."""
     raw_x = dataset.raw_designs()
-    raw_y = dataset.raw_scores()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(raw_x.shape[1])] + ["y"])
-        for row, yv in zip(raw_x, raw_y):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(yv))])
+    write_rows(path, [f"x{i}" for i in range(raw_x.shape[1])] + ["y"],
+               ([*row, yv] for row, yv in zip(raw_x, dataset.raw_scores())))
     meta = {
         "x_mean": [float(v) for v in dataset.stats.x_mean],
         "x_std": [float(v) for v in dataset.stats.x_std],
@@ -256,12 +252,16 @@ def write_dataset(dataset: OfflineDataset, path) -> None:
 
 
 def read_dataset(path) -> OfflineDataset:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    body = rows[1:]
-    raw = np.array([[float(v) for v in row] for row in body])
+    """Read what `write_dataset` wrote. Ragged rows, non-finite cells and
+    sidecar stats whose length differs from the design columns are errors."""
+    header, raw = read_rows(path)
     with open(_sidecar_path(path)) as fh:
         meta = json.load(fh)
+    d = len(header) - 1
+    for key in ("x_mean", "x_std"):
+        if len(meta[key]) != d:
+            raise ValueError(f"{_sidecar_path(path)}: {key} has "
+                             f"{len(meta[key])} entries for {d} design columns")
     stats = NormalizationStats(
         x_mean=np.array(meta["x_mean"]),
         x_std=np.array(meta["x_std"]),

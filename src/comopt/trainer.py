@@ -13,13 +13,13 @@ uses.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import net
+from .fileio import write_rows
 from .net import GradientError, ObjectiveModel
 from .optimizer import AscentTrajectory, ascend, predict_batch
 
@@ -291,27 +291,14 @@ def train(dataset: OfflineDataset, config: TrainerConfig):
     return model, log
 
 
-def write_training_log(log, path, trial: int | None = None) -> None:
-    """Training log as CSV; an optional leading trial column lets multiple
-    trials share one file."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        cols = list(TRAINING_LOG_COLUMNS)
-        if trial is not None:
-            cols = ["trial"] + cols
-        writer.writerow(cols)
-        for row in log:
-            out = [row[c] if c == "epoch" else repr(float(row[c]))
-                   for c in TRAINING_LOG_COLUMNS]
-            if trial is not None:
-                out = [trial] + out
-            writer.writerow(out)
-
-
-def append_training_log(log, fh, trial: int, write_header: bool) -> None:
-    writer = csv.writer(fh)
-    if write_header:
-        writer.writerow(["trial"] + list(TRAINING_LOG_COLUMNS))
-    for row in log:
-        writer.writerow([trial] + [row[c] if c == "epoch" else repr(float(row[c]))
-                                   for c in TRAINING_LOG_COLUMNS])
+def write_training_log(path, logs, trials=None) -> None:
+    """Per-epoch training logs as one CSV. `trials`, one label per log, adds
+    a leading trial column so several trials and ensemble members can share
+    the file."""
+    header = list(TRAINING_LOG_COLUMNS)
+    rows = []
+    for i, log in enumerate(logs):
+        lead = [] if trials is None else [trials[i]]
+        rows.extend(lead + [row["epoch"]] + [float(row[c]) for c in header[1:]]
+                    for row in log)
+    write_rows(path, header if trials is None else ["trial"] + header, rows)

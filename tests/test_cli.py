@@ -1,8 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from comopt import cli
+from comopt.harness import parse_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TRAIN_FLAGS = ["--epochs", "2", "--batch-size", "64", "--mining-steps", "3",
                "--hidden", "8"]
@@ -117,6 +122,36 @@ def test_unknown_config_key_fails_with_message(tmp_path, capsys):
     assert cli.main(["run", "--config", str(config),
                      "--out", str(tmp_path / "o")]) == 1
     assert "unknown config keys: widget" in capsys.readouterr().err
+
+
+def test_invalid_config_fails_before_run_directory_exists(tmp_path, capsys):
+    config = tmp_path / "bad.txt"
+    config.write_text("task = bowl\ntrials = 0\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert "trials must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trainer_flags_checked_like_config_keys(tmp_path, curated, capsys):
+    assert cli.main(["train", "--data", str(curated), "--out-model",
+                     str(tmp_path / "m.npz"), "--hidden", "8,x"]) == 1
+    assert "hidden must be comma-separated integers" in capsys.readouterr().err
+
+
+def readme_config_blocks():
+    """Every fenced README block whose lines are all `key = value`."""
+    blocks = re.findall(r"^```\n(.*?)^```", README.read_text(), re.M | re.S)
+    return [b for b in blocks
+            if all(re.fullmatch(r"[a-z_]+ = \S.*", line)
+                   for line in b.splitlines())]
+
+
+def test_readme_configs_parse():
+    blocks = readme_config_blocks()
+    assert len(blocks) >= 4  # the example, two stability configs, one budget
+    for block in blocks:
+        parse_config(block)
 
 
 def test_evaluate_budget_too_large_fails(tmp_path, curated):

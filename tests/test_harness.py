@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from comopt.harness import (EvaluationReport, InvariantViolation,
-                            TrialEvaluation, budget_sweep, evaluate_budget,
-                            normalized_score, parse_config, run_experiment,
-                            stability_sweep, tau_sweep)
+                            TrialEvaluation, budget_sweep, config_from,
+                            evaluate_budget, normalized_score, parse_config,
+                            run_experiment, stability_sweep, tau_sweep)
 from comopt.net import build_model
 from comopt.optimizer import CandidateSet
 from comopt.tasks import (CurationConfig, bowl_task, cliff_task,
@@ -218,6 +218,27 @@ class TestParseConfig:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
             parse_config("task bowl\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("trials = 0\n", "trials must be >= 1"),
+        ("budget = 0\n", "budget must be >= 1"),
+        ("stability_steps = -1\n", "stability_steps must be >= 0"),
+        ("hidden = 64,x\n", "hidden must be comma-separated integers"),
+        ("budgets = 1,x\n", "budgets must be comma-separated integers"),
+        ("budget = 4\nbudgets = 1,8\n", r"budgets must lie in \[1, budget\]"),
+        ("task = nowhere\n", "unknown task 'nowhere'"),
+        ("epochs = 0\n", "epochs must be >= 1"),
+        ("keep_percentile = 0\n", "keep_percentile must lie in"),
+    ], ids=["trials", "budget", "stability_steps", "hidden", "budgets",
+            "budgets_range", "task", "epochs", "keep_percentile"])
+    def test_invalid_values_rejected_at_parse_time(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
+
+    def test_dict_config_checked_like_a_file(self):
+        assert config_from({"trials": 3}) == parse_config("trials = 3\n")
+        with pytest.raises(ValueError, match="unknown config keys: widget"):
+            config_from({"widget": 3})
 
 
 FAST_RUN = """

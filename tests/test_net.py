@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from comopt import net
+from comopt.fileio import load_surrogate, save_surrogate
 from comopt.net import (DenseLayer, GradientError, ObjectiveModel, adam_step,
                         build_model, forward, forward_batch, init_adam,
                         input_gradient, leaky_relu, param_gradients)
@@ -299,8 +300,8 @@ class TestSaveLoad:
         rng = np.random.default_rng(9)
         model = build_model(5, (8, 4), leak=0.2, rng=rng)
         path = tmp_path / "model.npz"
-        net.save_model(model, path)
-        loaded = net.load_model(path)
+        save_surrogate(model, path)
+        loaded = load_surrogate(path)
         assert loaded.leak == 0.2
         x = rng.normal(size=5)
         assert forward(loaded, x) == forward(model, x)

@@ -203,3 +203,28 @@ class TestCandidateCSV:
         write_candidates(cands, path)
         header = path.read_text().splitlines()[0]
         assert header == "x0,x1,provenance,surrogate_value"
+
+    def test_missing_surrogate_values_rejected(self, tmp_path):
+        ds = dataset_from(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="no surrogate values"):
+            write_candidates(CandidateSet(ds.designs, np.array([0, 1]), ds.stats),
+                             tmp_path / "c.csv")
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("x0,x1,provenance,surrogate_value\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            read_candidates(path)
+
+    def test_ragged_row_rejected(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("x0,x1,provenance,surrogate_value\n0.5,1,0.25\n")
+        with pytest.raises(ValueError, match="line 2 has 3 cells, the header has 4"):
+            read_candidates(path)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("x0,x1,provenance,surrogate_value\n"
+                        "0.5,1.5,0,0.25\ninf,1.5,1,0.5\n")
+        with pytest.raises(ValueError, match="line 3 has a non-finite value"):
+            read_candidates(path)

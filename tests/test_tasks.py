@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import numpy.testing as npt
@@ -225,3 +226,35 @@ class TestDatasetCSV:
         header = path.read_text().splitlines()[0].split(",")
         assert header[-1] == "y"
         assert header[0] == "x0"
+
+
+class TestReadDatasetRejects:
+    @pytest.fixture()
+    def written(self, tmp_path):
+        ds = curate_dataset(cliff_task(), CurationConfig(100, 50.0, seed=5))
+        path = tmp_path / "data.csv"
+        write_dataset(ds, path)
+        return path
+
+    def test_sidecar_length_mismatch(self, written):
+        sidecar = written.with_name(written.name + ".meta.json")
+        meta = json.loads(sidecar.read_text())
+        meta["x_mean"] = meta["x_mean"][:1]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError,
+                           match="x_mean has 1 entries for 8 design columns"):
+            read_dataset(written)
+
+    def test_ragged_row(self, written):
+        lines = written.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        written.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 3 has 8 cells, the header has 9"):
+            read_dataset(written)
+
+    def test_non_finite_cell(self, written):
+        lines = written.read_text().splitlines()
+        lines[1] = "nan," + lines[1].split(",", 1)[1]
+        written.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 2 has a non-finite value"):
+            read_dataset(written)
