@@ -113,14 +113,14 @@ def criterion_1_gradients(ctx, fast=False):
         for _ in range(pairs):
             model, x = _smooth_case(rng, input_dim, hidden)
             target = float(rng.normal())
+            # (dloss/dprediction, loss) for a linear and a squared-error loss
             cases = [
-                ("linear", [(x, 0.0, 1.0)],
-                 lambda m: net.forward(m, x)),
-                ("squared_error", [(x, target, 1.0)],
+                ([1.0], lambda m: net.forward(m, x)),
+                ([net.forward(model, x) - target],
                  lambda m: 0.5 * (net.forward(m, x) - target) ** 2),
             ]
-            for loss_spec, batch, loss_fn in cases:
-                got = net.param_gradients(model, batch, loss_spec)
+            for g, loss_fn in cases:
+                got = net.loss_gradients(model, x[None, :], g)
                 want = _fd_param_gradients(loss_fn, model)
                 for (gw, gb), (fw, fb) in zip(got, want):
                     worst = max(worst, _rel_err(gw, fw).max(),
@@ -148,7 +148,7 @@ def _task_epochs(name, fast):
 def criterion_2_conservatism(ctx, fast=False):
     """Fixed large alpha must push the mined-vs-data prediction gap to at
     most 0.1; the dual variant must end with gap <= tau + 0.25."""
-    tasks = ["cliff"] if fast else ["bowl", "cliff", "pwm"]
+    tasks = ["cliff"] if fast else ["cliff", "pwm"]
     details = []
     passed = True
     for name in tasks:

@@ -51,18 +51,6 @@ class Ensemble:
         return grads[active, np.arange(X.shape[0])]
 
 
-def ensemble_forward(ensemble: Ensemble, x) -> float:
-    """Aggregated prediction for a single design."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(ensemble.predict_batch(x[None, :])[0])
-
-
-def ensemble_input_gradient(ensemble: Ensemble, x) -> np.ndarray:
-    """Aggregated input gradient for a single design."""
-    x = np.asarray(x, dtype=np.float64)
-    return ensemble.input_grad_batch(x[None, :])[0]
-
-
 def naive_config(config: TrainerConfig) -> TrainerConfig:
     return replace(config, alpha_init=0.0, alpha_lr=0.0)
 

@@ -94,7 +94,7 @@ def cmd_optimize(args) -> int:
 def cmd_evaluate(args) -> int:
     task = get_task(args.task)
     candidates = read_candidates(args.candidates)
-    n = args.budget or len(candidates)
+    n = len(candidates) if args.budget is None else args.budget
     ev = evaluate_budget(candidates, task, n)
     ev.validate()
     text = json.dumps({"task": args.task, "budget": n, **asdict(ev)}, indent=2)

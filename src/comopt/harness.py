@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import train_ensemble, train_naive
 from .fileio import write_rows
-from .optimizer import (CandidateSet, candidate_table, optimize_one,
+from .optimizer import (CandidateSet, ascend, candidate_table,
                         produce_candidates, select_initializations)
 from .tasks import (CurationConfig, TaskSpec, curate_dataset, get_task,
                     oracle_eval_batch, task_names)
@@ -98,9 +98,8 @@ def stability_sweep(model, task: TaskSpec, seed_design, eta: float,
                     t_max: int, stats: NormalizationStats) -> StabilityCurve:
     """Ascend for t_max steps (deliberately past the trained horizon) and
     score every iterate with the withheld oracle."""
-    traj = optimize_one(model, seed_design, eta, t_max)
-    raw_points = stats.denormalize_x(traj.points)
-    return StabilityCurve(oracle_eval_batch(task, raw_points))
+    path = ascend(model, seed_design[None, :], eta, t_max, record=True)[:, 0]
+    return StabilityCurve(oracle_eval_batch(task, stats.denormalize_x(path)))
 
 
 def budget_sweep(candidates: CandidateSet, task: TaskSpec, budgets) -> np.ndarray:

@@ -171,28 +171,6 @@ def loss_gradients(model: ObjectiveModel, X, dloss_dpred) -> list:
     return grads
 
 
-def param_gradients(model: ObjectiveModel, batch, loss_spec: str) -> list:
-    """Gradient of a batch-mean loss w.r.t. every parameter.
-
-    `batch` is a list of (design, target, weight) triples. `loss_spec` picks
-    the per-point term: "squared_error" gives mean_i w_i * (f(x_i)-t_i)^2 / 2,
-    "linear" gives mean_i w_i * f(x_i) (sign carried by the weight).
-    """
-    if len(batch) == 0:
-        raise ValueError("param_gradients requires a nonempty batch")
-    X = np.stack([np.asarray(x, dtype=np.float64) for x, _, _ in batch])
-    targets = np.array([t for _, t, _ in batch], dtype=np.float64)
-    weights = np.array([w for _, _, w in batch], dtype=np.float64)
-    n = len(batch)
-    if loss_spec == "squared_error":
-        g = weights * (forward_batch(model, X) - targets) / n
-    elif loss_spec == "linear":
-        g = weights / n
-    else:
-        raise ValueError(f"unknown loss_spec {loss_spec!r}")
-    return loss_gradients(model, X, g)
-
-
 def zero_gradients(model: ObjectiveModel) -> list:
     return [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
 

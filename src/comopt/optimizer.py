@@ -2,10 +2,11 @@
 
 Fixed-step gradient ascent from high-scoring dataset points, budget-N
 candidate production, and the logit relaxation for discrete sequence
-designs. The ascent loop is shared with the trainer's adversarial mining:
-both run the same recurrence x_{t+1} = x_t + eta * grad(x_t) for the same
-number of steps, so the optimizer only visits regions the surrogate was
-trained to be conservative on.
+designs. `ascend` is the one ascent loop: the trainer's adversarial mining,
+candidate search and the stability sweeps all run its recurrence
+x_{t+1} = x_t + eta * grad(x_t), mining and search for the same number of
+steps, so the optimizer only visits regions the surrogate was trained to be
+conservative on.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import net
 from .fileio import read_rows, write_rows
-from .net import ObjectiveModel
+from .net import GradientError, ObjectiveModel
 
 if TYPE_CHECKING:  # pragma: no cover
     from .trainer import NormalizationStats, OfflineDataset
@@ -36,63 +37,25 @@ def input_grad_batch(model, X) -> np.ndarray:
     return model.input_grad_batch(X)
 
 
-@dataclass
-class AscentTrajectory:
-    """Iterates of fixed-step gradient ascent with their surrogate values.
-
-    `points` has one row per iterate (step_count + 1 rows); `truncated` is
-    set when a non-finite gradient stopped the ascent early.
-    """
-
-    points: np.ndarray
-    surrogate_values: np.ndarray
-    step_size: float
-    step_count: int
-    truncated: bool = False
-
-    def __post_init__(self):
-        if len(self.points) != self.step_count + 1:
-            raise ValueError("trajectory must hold step_count + 1 points")
-        if len(self.surrogate_values) != len(self.points):
-            raise ValueError("one surrogate value per point required")
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.points[-1]
-
-
-def ascend(model, x0, eta: float, steps: int) -> AscentTrajectory:
-    """Run x_{t+1} = x_t + eta * grad(x_t) for `steps` steps, recording the
-    surrogate value at every iterate. Truncates at a non-finite gradient."""
+def ascend(model, X0, eta: float, steps: int, record: bool = False) -> np.ndarray:
+    """Run x_{t+1} = x_t + eta * grad(x_t) for `steps` steps on every row of
+    the (n, d) batch X0 at once. Returns the (n, d) endpoints, or with
+    `record` every iterate as (steps + 1, n, d). A non-finite gradient
+    raises GradientError."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if eta <= 0.0:
         raise ValueError("step size must be positive")
-    x = np.asarray(x0, dtype=np.float64).copy()
-    points = [x]
-    values = [float(predict_batch(model, x[None, :])[0])]
-    truncated = False
+    X = np.asarray(X0, dtype=np.float64)
+    path = [X]
     for _ in range(steps):
-        g = input_grad_batch(model, x[None, :])[0]
-        if not np.all(np.isfinite(g)):
-            truncated = True
-            break
-        x = x + eta * g
-        points.append(x)
-        values.append(float(predict_batch(model, x[None, :])[0]))
-    return AscentTrajectory(
-        points=np.stack(points),
-        surrogate_values=np.array(values),
-        step_size=float(eta),
-        step_count=len(points) - 1,
-        truncated=truncated,
-    )
-
-
-def optimize_one(model, x_init, eta: float, steps: int) -> AscentTrajectory:
-    """Gradient-ascent search from a single initialization; the returned
-    endpoint is the optimized design x* = x_T."""
-    return ascend(model, x_init, eta, steps)
+        G = input_grad_batch(model, X)
+        if not np.all(np.isfinite(G)):
+            raise GradientError("non-finite gradient during gradient ascent")
+        X = X + eta * G
+        if record:
+            path.append(X)
+    return np.stack(path) if record else X
 
 
 @dataclass
@@ -135,17 +98,12 @@ def produce_candidates(model, dataset: "OfflineDataset", n: int,
     """Budget-n protocol: ascend from each of the top-n dataset designs and
     return the n endpoints with provenance and surrogate values."""
     seeds = select_initializations(dataset, n)
-    endpoints = []
-    values = []
-    for x0 in seeds.designs:
-        traj = optimize_one(model, x0, eta, steps)
-        endpoints.append(traj.endpoint)
-        values.append(traj.surrogate_values[-1])
+    endpoints = ascend(model, seeds.designs, eta, steps)
     return CandidateSet(
-        designs=np.stack(endpoints),
+        designs=endpoints,
         provenance=seeds.provenance,
         stats=dataset.stats,
-        surrogate_values=np.array(values),
+        surrogate_values=predict_batch(model, endpoints),
     )
 
 

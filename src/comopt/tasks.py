@@ -44,7 +44,6 @@ class TaskSpec:
     oracle: Callable[[np.ndarray], float]
     lower: np.ndarray
     upper: np.ndarray
-    known_optimum: float
     y_min: float
     y_max: float
     raw_shape: tuple[int, int] | None = None
@@ -73,7 +72,6 @@ def bowl_task(dim: int = 8, bound: float = 2.0) -> TaskSpec:
         oracle=oracle,
         lower=np.full(dim, -bound),
         upper=np.full(dim, bound),
-        known_optimum=0.0,
         y_min=-dim * bound * bound,
         y_max=0.0,
     )
@@ -100,7 +98,6 @@ def cliff_task(dim: int = 8, bound: float = 2.0, edge: float = 2.0,
         oracle=oracle,
         lower=np.full(dim, -bound),
         upper=np.full(dim, bound),
-        known_optimum=0.0,
         y_min=-dim * far * far,
         y_max=0.0,
     )
@@ -132,7 +129,6 @@ def pwm_task(length: int = 6, alphabet: int = 4, seed: int = PWM_WEIGHT_SEED,
         oracle=oracle,
         lower=np.full(d, lo),
         upper=np.full(d, hi),
-        known_optimum=float(W.max(axis=1).sum()),
         y_min=float(W.min(axis=1).sum()),
         y_max=float(W.max(axis=1).sum()),
         raw_shape=(length, alphabet),

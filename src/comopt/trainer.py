@@ -20,8 +20,8 @@ import numpy as np
 
 from . import net
 from .fileio import write_rows
-from .net import GradientError, ObjectiveModel
-from .optimizer import AscentTrajectory, ascend, predict_batch
+from .net import ObjectiveModel
+from .optimizer import ascend
 
 CONTINUOUS_ETA_SCALE = 0.05
 DISCRETE_ETA_SCALE = 2.0
@@ -181,44 +181,34 @@ class TrainerConfig:
         return DISCRETE_TAU if dataset.is_discrete else CONTINUOUS_TAU
 
 
-def mine_adversarial(model, x0, eta: float, steps: int) -> AscentTrajectory:
-    """Gradient-ascent mining of one adversarial endpoint starting from a
-    training design. A non-finite gradient aborts with an error."""
-    traj = ascend(model, x0, eta, steps)
-    if traj.truncated:
-        raise GradientError("non-finite gradient during adversarial mining")
-    return traj
-
-
 def _mine_endpoints(model: ObjectiveModel, X0: np.ndarray,
                     eta: float, steps: int) -> np.ndarray:
-    """Batched mining: endpoints of `steps` ascent steps from each row of X0."""
-    Xt = X0
-    for _ in range(steps):
-        G = net.input_gradient_batch(model, Xt)
-        if not np.all(np.isfinite(G)):
-            raise GradientError("non-finite gradient during adversarial mining")
-        Xt = Xt + eta * G
-    return Xt
+    """Adversarial mining: endpoints of `steps` ascent steps from each row of X0."""
+    return ascend(model, X0, eta, steps)
 
 
-def com_loss(model, batch, mined_batch, alpha: float):
-    """Returns (mse, gap, total) where mse = 0.5 * mean squared error on the
-    data batch, gap = mean prediction on mined endpoints minus mean
-    prediction on the data batch, total = mse + alpha * gap."""
+def com_loss(preds, y, preds_mined, alpha: float):
+    """The per-batch loss `train` minimizes, from the model's predictions.
+
+    The loss is 0.5 * mean((f(x_i) - y_i)^2) + alpha * gap, where gap is the
+    mean prediction on the mined endpoints minus the mean prediction on the
+    data batch. Returns (mse, gap, g_data, g_mined): g_data and g_mined are
+    the dloss/dprediction vectors that `net.loss_gradients` backpropagates.
+    Without mined predictions (`preds_mined` None) the loss is the plain MSE,
+    gap is NaN and g_mined is None.
+    """
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
-    X, y = batch
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    X_mined = np.asarray(mined_batch, dtype=np.float64)
-    if len(X) != len(y) or len(X) != len(X_mined):
-        raise ValueError("data batch and mined batch lengths must match")
-    preds = predict_batch(model, X)
-    preds_mined = predict_batch(model, X_mined)
+    nb = len(preds)
+    if nb == 0 or len(y) != nb or (preds_mined is not None
+                                   and len(preds_mined) != nb):
+        raise ValueError("data and mined batches must be nonempty and of "
+                         "equal length")
     mse = 0.5 * float(np.mean((preds - y) ** 2))
+    if preds_mined is None:
+        return mse, math.nan, (preds - y) / nb, None
     gap = float(preds_mined.mean() - preds.mean())
-    return mse, gap, mse + alpha * gap
+    return mse, gap, (preds - y) / nb - alpha / nb, np.full(nb, alpha / nb)
 
 
 def train(dataset: OfflineDataset, config: TrainerConfig):
@@ -251,26 +241,19 @@ def train(dataset: OfflineDataset, config: TrainerConfig):
             Xb, yb = X[idx], y[idx]
             nb = len(idx)
             preds = net.forward_batch(model, Xb)
-            mse = 0.5 * float(np.mean((preds - yb) ** 2))
+            preds_mined = None
             if conservative:
                 X_mined = _mine_endpoints(model, Xb, eta, config.mining_steps)
                 preds_mined = net.forward_batch(model, X_mined)
-                gap = float(preds_mined.mean() - preds.mean())
-                if not (np.isfinite(mse) and np.isfinite(gap)):
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch} (mse={mse}, gap={gap})")
-                g_data = (preds - yb) / nb - lagrange.alpha / nb
-                grads = net.loss_gradients(model, Xb, g_data)
+            mse, gap, g_data, g_mined = com_loss(preds, yb, preds_mined,
+                                                 lagrange.alpha)
+            if not np.isfinite(mse) or (conservative and not np.isfinite(gap)):
+                raise TrainingError(
+                    f"non-finite loss at epoch {epoch} (mse={mse}, gap={gap})")
+            grads = net.loss_gradients(model, Xb, g_data)
+            if conservative:
                 grads = net.add_gradients(
-                    grads,
-                    net.loss_gradients(model, X_mined,
-                                       np.full(nb, lagrange.alpha / nb)))
-            else:
-                gap = math.nan
-                preds_mined = None
-                if not np.isfinite(mse):
-                    raise TrainingError(f"non-finite loss at epoch {epoch} (mse={mse})")
-                grads = net.loss_gradients(model, Xb, (preds - yb) / nb)
+                    grads, net.loss_gradients(model, X_mined, g_mined))
             net.adam_step(adam, model, grads)
             if conservative:
                 lagrange = dual_update(lagrange, gap)

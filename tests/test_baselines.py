@@ -3,9 +3,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from comopt.baselines import (Ensemble, ensemble_forward,
-                              ensemble_input_gradient, train_ensemble,
-                              train_naive)
+from comopt.baselines import Ensemble, train_ensemble, train_naive
 from comopt.net import (DenseLayer, ObjectiveModel, build_model, forward,
                         input_gradient)
 from comopt.trainer import OfflineDataset, TrainerConfig, fit_normalization, train
@@ -14,6 +12,14 @@ from comopt.trainer import OfflineDataset, TrainerConfig, fit_normalization, tra
 def linear_member(weights, bias=0.0):
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     return ObjectiveModel([DenseLayer(w, np.array([bias]))])
+
+
+def predict_one(ensemble, x):
+    return float(ensemble.predict_batch(x[None, :])[0])
+
+
+def gradient_one(ensemble, x):
+    return ensemble.input_grad_batch(x[None, :])[0]
 
 
 def toy_dataset(n=24, dim=2, seed=0):
@@ -29,28 +35,28 @@ class TestEnsembleForward:
         member = linear_member([2.0], bias=1.0)
         ens = Ensemble([member], "mean")
         x = np.array([3.0])
-        assert ensemble_forward(ens, x) == forward(member, x)
+        assert predict_one(ens, x) == forward(member, x)
 
     def test_min_and_mean_of_constant_members(self):
         members = [linear_member([0.0], bias=1.0), linear_member([0.0], bias=3.0)]
         x = np.array([0.0])
-        assert ensemble_forward(Ensemble(members, "min"), x) == 1.0
-        assert ensemble_forward(Ensemble(members, "mean"), x) == 2.0
+        assert predict_one(Ensemble(members, "min"), x) == 1.0
+        assert predict_one(Ensemble(members, "mean"), x) == 2.0
 
     def test_min_never_exceeds_mean(self):
         rng = np.random.default_rng(1)
         members = [build_model(3, (6,), rng=rng) for _ in range(4)]
         for _ in range(20):
             x = rng.normal(size=3)
-            assert (ensemble_forward(Ensemble(members, "min"), x)
-                    <= ensemble_forward(Ensemble(members, "mean"), x))
+            assert (predict_one(Ensemble(members, "min"), x)
+                    <= predict_one(Ensemble(members, "mean"), x))
 
     def test_mean_is_arithmetic_mean(self):
         rng = np.random.default_rng(2)
         members = [build_model(2, (4,), rng=rng) for _ in range(3)]
         x = rng.normal(size=2)
         expect = np.mean([forward(m, x) for m in members])
-        assert ensemble_forward(Ensemble(members, "mean"), x) == pytest.approx(
+        assert predict_one(Ensemble(members, "mean"), x) == pytest.approx(
             expect, rel=1e-15)
 
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -58,8 +64,8 @@ class TestEnsembleForward:
         rng = np.random.default_rng(seed)
         members = [build_model(2, (4,), rng=rng) for _ in range(size)]
         x = rng.normal(size=2)
-        assert (ensemble_forward(Ensemble(members, "min"), x)
-                <= ensemble_forward(Ensemble(members, "mean"), x) + 1e-12)
+        assert (predict_one(Ensemble(members, "min"), x)
+                <= predict_one(Ensemble(members, "mean"), x) + 1e-12)
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
@@ -74,38 +80,38 @@ class TestEnsembleInputGradient:
     def test_single_member_gradient(self):
         member = linear_member([2.0, -3.0])
         ens = Ensemble([member], "min")
-        npt.assert_allclose(ensemble_input_gradient(ens, np.zeros(2)), [2.0, -3.0])
+        npt.assert_allclose(gradient_one(ens, np.zeros(2)), [2.0, -3.0])
 
     def test_mean_mode_averages_linear_members(self):
         ens = Ensemble([linear_member([1.0, 0.0]), linear_member([3.0, 2.0])],
                        "mean")
-        npt.assert_allclose(ensemble_input_gradient(ens, np.zeros(2)), [2.0, 1.0])
+        npt.assert_allclose(gradient_one(ens, np.zeros(2)), [2.0, 1.0])
 
     def test_min_mode_uses_strictly_lowest_member(self):
         low = linear_member([5.0], bias=-10.0)
         high = linear_member([-1.0], bias=10.0)
         ens = Ensemble([high, low], "min")
-        npt.assert_allclose(ensemble_input_gradient(ens, np.zeros(1)), [5.0])
+        npt.assert_allclose(gradient_one(ens, np.zeros(1)), [5.0])
 
     def test_min_mode_tie_goes_to_lowest_index(self):
         a = linear_member([1.0], bias=0.0)
         b = linear_member([-7.0], bias=0.0)
         ens = Ensemble([a, b], "min")
-        npt.assert_allclose(ensemble_input_gradient(ens, np.zeros(1)), [1.0])
+        npt.assert_allclose(gradient_one(ens, np.zeros(1)), [1.0])
 
     def test_mean_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         members = [build_model(3, (8,), rng=rng) for _ in range(3)]
         ens = Ensemble(members, "mean")
         x = rng.normal(size=3)
-        g = ensemble_input_gradient(ens, x)
+        g = gradient_one(ens, x)
         h = 1e-5
         fd = np.zeros(3)
         for i in range(3):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            fd[i] = (ensemble_forward(ens, xp) - ensemble_forward(ens, xm)) / (2 * h)
+            fd[i] = (predict_one(ens, xp) - predict_one(ens, xm)) / (2 * h)
         npt.assert_allclose(g, fd, rtol=1e-4, atol=1e-6)
 
     def test_mean_gradient_is_mean_of_member_gradients(self):
@@ -114,7 +120,21 @@ class TestEnsembleInputGradient:
         ens = Ensemble(members, "mean")
         x = rng.normal(size=2)
         expect = np.mean([input_gradient(m, x) for m in members], axis=0)
-        npt.assert_allclose(ensemble_input_gradient(ens, x), expect, rtol=1e-12)
+        npt.assert_allclose(gradient_one(ens, x), expect, rtol=1e-12)
+
+    def test_min_mode_batch_rows_use_their_own_active_member(self):
+        rng = np.random.default_rng(5)
+        members = [build_model(2, (8,), rng=rng) for _ in range(4)]
+        ens = Ensemble(members, "min")
+        X = rng.normal(size=(40, 2)) * 3.0
+        active = ens.member_predictions(X).argmin(axis=0)
+        assert len(set(active)) > 1
+        G = ens.input_grad_batch(X)
+        for i, x in enumerate(X):
+            npt.assert_allclose(G[i], gradient_one(ens, x),
+                                rtol=1e-12, atol=1e-15)
+            npt.assert_allclose(G[i], input_gradient(members[active[i]], x),
+                                rtol=1e-12, atol=1e-15)
 
 
 class TestTrainNaive:

@@ -165,6 +165,20 @@ def test_evaluate_budget_too_large_fails(tmp_path, curated):
                      "--budget", "99"]) == 1
 
 
+def test_evaluate_budget_zero_fails(tmp_path, curated, capsys):
+    # only a missing --budget means "all candidates"
+    model = tmp_path / "m.npz"
+    cli.main(["train", "--data", str(curated), "--method", "grad-naive",
+              "--out-model", str(model), *TRAIN_FLAGS])
+    cands = tmp_path / "c.csv"
+    cli.main(["optimize", "--model", str(model), "--data", str(curated),
+              "--budget", "2", "--out", str(cands), *TRAIN_FLAGS])
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--candidates", str(cands), "--task", "cliff",
+                     "--budget", "0"]) == 1
+    assert "budget must be >= 1" in capsys.readouterr().err
+
+
 def test_reproduce_fast_smoke(tmp_path):
     # fast mode shrinks every criterion; exit code may be nonzero because
     # its 2-trial counts cannot meet the 7/8 and 6/8 thresholds of criteria

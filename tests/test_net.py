@@ -7,24 +7,17 @@ from comopt import net
 from comopt.fileio import load_surrogate, save_surrogate
 from comopt.net import (DenseLayer, GradientError, ObjectiveModel, adam_step,
                         build_model, forward, forward_batch, init_adam,
-                        input_gradient, leaky_relu, param_gradients)
+                        input_gradient, leaky_relu, loss_gradients)
+from comopt.trainer import com_loss
 
 
 def linear_model(weight=1.0, bias=0.0):
     return ObjectiveModel([DenseLayer(np.array([[weight]]), np.array([bias]))])
 
 
-def fd_param_gradients(model, batch, loss_spec, h=1e-5):
-    """Central finite differences on the batch-mean loss, parameter by
+def fd_param_gradients(loss, model, h=1e-5):
+    """Central finite differences of the scalar loss(model), parameter by
     parameter. Independent of the backprop path it is checking."""
-    def loss(m):
-        preds = np.array([forward(m, x) for x, _, _ in batch])
-        targets = np.array([t for _, t, _ in batch])
-        weights = np.array([w for _, _, w in batch])
-        if loss_spec == "squared_error":
-            return float(np.mean(weights * 0.5 * (preds - targets) ** 2))
-        return float(np.mean(weights * preds))
-
     grads = []
     for k, lyr in enumerate(model.layers):
         dw = np.zeros_like(lyr.weights)
@@ -158,10 +151,13 @@ class TestModelInvariants:
 
 
 class TestParamGradients:
+    """Parameter gradients through `net.loss_gradients`, the backprop path
+    `train` uses, given the dloss/dprediction vector."""
+
     def test_linear_squared_error_chain_rule(self):
         # f(x) = w*x with w=1: d/dw of 0.5*(f-0)^2 at x=2 is (2-0)*2 = 4
-        grads = param_gradients(linear_model(weight=1.0),
-                                [(np.array([2.0]), 0.0, 1.0)], "squared_error")
+        grads = loss_gradients(linear_model(weight=1.0), np.array([[2.0]]),
+                               [2.0 - 0.0])
         npt.assert_allclose(grads[0][0], [[4.0]])
         npt.assert_allclose(grads[0][1], [2.0])
 
@@ -169,31 +165,33 @@ class TestParamGradients:
         rng = np.random.default_rng(5)
         model = build_model(3, (6,), rng=rng)
         x = rng.normal(size=3)
-        grads = param_gradients(model, [(x, 0.0, 1.0)], "linear")
-        fd = fd_param_gradients(model, [(x, 0.0, 1.0)], "linear")
+        grads = loss_gradients(model, x[None, :], [1.0])
+        fd = fd_param_gradients(lambda m: forward(m, x), model)
         for (dw, db), (fw, fb) in zip(grads, fd):
             assert rel_err(dw, fw).max() < 1e-4
             assert rel_err(db, fb).max() < 1e-4
 
     def test_two_layer_matches_finite_differences(self):
+        # dloss/dprediction comes from the trainer's own batch loss
         rng = np.random.default_rng(6)
         model, x0 = sample_smooth_case(rng, 4, (8,))
-        batch = [(x0, float(rng.normal()), 1.0),
-                 (x0 + 0.5, float(rng.normal()), 1.0)]
-        grads = param_gradients(model, batch, "squared_error")
-        fd = fd_param_gradients(model, batch, "squared_error")
+        X = np.stack([x0, x0 + 0.5])
+        y = rng.normal(size=2)
+        _, _, g, _ = com_loss(forward_batch(model, X), y, None, 0.0)
+        grads = loss_gradients(model, X, g)
+        fd = fd_param_gradients(
+            lambda m: 0.5 * float(np.mean((forward_batch(m, X) - y) ** 2)), model)
         for (dw, db), (fw, fb) in zip(grads, fd):
             assert rel_err(dw, fw).max() < 1e-4
             assert rel_err(db, fb).max() < 1e-4
 
     def test_empty_batch_rejected(self):
-        model = linear_model()
         with pytest.raises(ValueError):
-            param_gradients(model, [], "squared_error")
+            com_loss(np.array([]), np.array([]), None, 0.0)
 
-    def test_unknown_loss_spec_rejected(self):
+    def test_dloss_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            param_gradients(linear_model(), [(np.array([1.0]), 0.0, 1.0)], "huber")
+            loss_gradients(linear_model(), np.array([[1.0], [2.0]]), [1.0])
 
 
 class TestInputGradient:

@@ -3,11 +3,13 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from comopt.net import DenseLayer, ObjectiveModel, build_model, forward
-from comopt.optimizer import (CandidateSet, decode_discrete, encode_discrete,
-                              optimize_one, produce_candidates,
-                              read_candidates, select_initializations,
-                              write_candidates)
+from comopt.baselines import Ensemble
+from comopt.net import (DenseLayer, GradientError, ObjectiveModel, build_model,
+                        forward, input_gradient_batch)
+from comopt.optimizer import (CandidateSet, ascend, decode_discrete,
+                              encode_discrete, predict_batch,
+                              produce_candidates, read_candidates,
+                              select_initializations, write_candidates)
 from comopt.trainer import OfflineDataset, fit_normalization
 
 
@@ -22,64 +24,64 @@ def dataset_from(raw_x, raw_y, **kw):
                           stats, **kw)
 
 
+class Quad:
+    """f(x) = -(x - 1)^2 in 1-d; enough of the model protocol for ascent."""
+
+    input_dim = 1
+
+    def predict_batch(self, X):
+        return -(X[:, 0] - 1.0) ** 2
+
+    def input_grad_batch(self, X):
+        return -2.0 * (X - 1.0)
+
+
 class TestOptimizeOne:
+    """Search from a single initialization: `ascend` on a one-row batch."""
+
     def test_zero_gradient_constant_trajectory(self):
         model = build_model(2, (4,), rng=np.random.default_rng(0))
         model.layers[0].weights[:] = 0.0
-        traj = optimize_one(model, np.array([0.3, -0.4]), 0.1, 4)
-        for point in traj.points:
+        path = ascend(model, np.array([[0.3, -0.4]]), 0.1, 4, record=True)
+        for point in path[:, 0]:
             npt.assert_array_equal(point, [0.3, -0.4])
 
     def test_constant_gradient_points(self):
         # f(x) = 3x: eta 0.1, 2 steps from 0 -> [0, 0.3, 0.6]
-        traj = optimize_one(linear_model([3.0]), np.array([0.0]), 0.1, 2)
-        npt.assert_allclose(traj.points[:, 0], [0.0, 0.3, 0.6], atol=1e-12)
+        path = ascend(linear_model([3.0]), np.array([[0.0]]), 0.1, 2, record=True)
+        npt.assert_allclose(path[:, 0, 0], [0.0, 0.3, 0.6], atol=1e-12)
 
     def test_quadratic_final_point(self):
-        class Quad:
-            input_dim = 1
+        endpoint = ascend(Quad(), np.array([[0.0]]), 0.1, 3)
+        assert endpoint[0, 0] == pytest.approx(0.488, abs=1e-12)
 
-            def predict_batch(self, X):
-                return -(X[:, 0] - 1.0) ** 2
-
-            def input_grad_batch(self, X):
-                return -2.0 * (X - 1.0)
-
-        traj = optimize_one(Quad(), np.array([0.0]), 0.1, 3)
-        assert traj.points[-1, 0] == pytest.approx(0.488, abs=1e-12)
-
-    def test_nonfinite_gradient_truncates_with_flag(self):
-        model = linear_model([np.inf])
-        traj = optimize_one(model, np.array([1.0]), 0.1, 5)
-        assert traj.truncated
-        assert traj.step_count == 0
+    def test_nonfinite_gradient_raises(self):
+        with pytest.raises(GradientError):
+            ascend(linear_model([np.inf]), np.array([[1.0]]), 0.1, 5)
 
     def test_step_count_and_lengths(self):
-        traj = optimize_one(linear_model([1.0]), np.array([0.0]), 0.1, 7)
-        assert traj.step_count == 7
-        assert len(traj.points) == 8
-        assert len(traj.surrogate_values) == 8
+        model = linear_model([1.0])
+        assert ascend(model, np.array([[0.0]]), 0.1, 7).shape == (1, 1)
+        assert ascend(model, np.array([[0.0]]), 0.1, 7, record=True).shape == (8, 1, 1)
 
     def test_requires_at_least_one_step(self):
         with pytest.raises(ValueError):
-            optimize_one(linear_model([1.0]), np.array([0.0]), 0.1, 0)
+            ascend(linear_model([1.0]), np.array([[0.0]]), 0.1, 0)
 
-    def test_ascent_consistency_reevaluation_bitwise(self):
-        rng = np.random.default_rng(1)
-        model = build_model(3, (8,), rng=rng)
-        traj = optimize_one(model, rng.normal(size=3), 0.05, 10)
-        for point, value in zip(traj.points, traj.surrogate_values):
-            assert forward(model, point) == value
+    def test_nonpositive_step_size_rejected(self):
+        with pytest.raises(ValueError):
+            ascend(linear_model([1.0]), np.array([[0.0]]), 0.0, 3)
 
     def test_points_reconstructable_from_recurrence(self):
-        from comopt.net import input_gradient
-
         rng = np.random.default_rng(2)
         model = build_model(3, (8,), rng=rng)
-        traj = optimize_one(model, rng.normal(size=3), 0.05, 6)
-        for t in range(traj.step_count):
-            expect = traj.points[t] + 0.05 * input_gradient(model, traj.points[t])
-            npt.assert_array_equal(traj.points[t + 1], expect)
+        X0 = rng.normal(size=(4, 3))
+        path = ascend(model, X0, 0.05, 6, record=True)
+        npt.assert_array_equal(path[0], X0)
+        for t in range(6):
+            expect = path[t] + 0.05 * input_gradient_batch(model, path[t])
+            npt.assert_array_equal(path[t + 1], expect)
+        npt.assert_array_equal(ascend(model, X0, 0.05, 6), path[-1])
 
 
 class TestSelectInitializations:
@@ -119,10 +121,26 @@ class TestProduceCandidates:
         ds = dataset_from(rng.normal(size=(6, 2)), rng.normal(size=6))
         model = build_model(2, (4,), rng=rng)
         cands = produce_candidates(model, ds, 1, 0.1, 5)
-        seed = select_initializations(ds, 1).designs[0]
-        traj = optimize_one(model, seed, 0.1, 5)
-        npt.assert_array_equal(cands.designs[0], traj.points[-1])
-        assert cands.surrogate_values[0] == traj.surrogate_values[-1]
+        seed = select_initializations(ds, 1).designs
+        endpoint = ascend(model, seed, 0.1, 5)
+        npt.assert_array_equal(cands.designs, endpoint)
+        assert cands.surrogate_values[0] == forward(model, endpoint[0])
+
+    @pytest.mark.parametrize("kind", ["net", "min-ensemble"])
+    def test_batched_search_matches_row_by_row_reference(self, kind):
+        # The reference ascends each seed alone. Batched BLAS calls may round
+        # differently in the last bits, so agreement is to 1e-10 in the
+        # normalized space, fixed before measuring.
+        rng = np.random.default_rng(5)
+        ds = dataset_from(rng.uniform(-2, 2, size=(64, 4)), rng.normal(size=64))
+        members = [build_model(4, (16, 16), rng=rng) for _ in range(3)]
+        model = members[0] if kind == "net" else Ensemble(members, "min")
+        cands = produce_candidates(model, ds, 32, 0.2, 20)
+        seeds = select_initializations(ds, 32).designs
+        ref = np.stack([ascend(model, x0[None, :], 0.2, 20)[0] for x0 in seeds])
+        ref_values = [predict_batch(model, x[None, :])[0] for x in ref]
+        npt.assert_allclose(cands.designs, ref, rtol=0, atol=1e-10)
+        npt.assert_allclose(cands.surrogate_values, ref_values, rtol=0, atol=1e-10)
 
     def test_candidate_count_matches_budget(self):
         rng = np.random.default_rng(4)

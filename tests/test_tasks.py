@@ -97,7 +97,7 @@ class TestPwmOracle:
         best = np.eye(4)[W.argmax(axis=1)]
         assert oracle_eval(task, encode_discrete(best)) == pytest.approx(
             W.max(axis=1).sum())
-        assert task.known_optimum == pytest.approx(W.max(axis=1).sum())
+        assert task.y_max == pytest.approx(W.max(axis=1).sum())
 
     def test_ranks_match_exhaustive_enumeration(self):
         # independent brute force over all 4^6 sequences via itertools

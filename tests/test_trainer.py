@@ -5,11 +5,12 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from comopt import net
+from comopt import net, trainer
 from comopt.net import DenseLayer, ObjectiveModel, build_model
+from comopt.optimizer import ascend
 from comopt.trainer import (LagrangeState, OfflineDataset, TrainerConfig,
-                            com_loss, dual_update, fit_normalization,
-                            mine_adversarial, train)
+                            _mine_endpoints, com_loss, dual_update,
+                            fit_normalization, train)
 
 
 def linear_model(weight=1.0, bias=0.0):
@@ -72,79 +73,108 @@ class TestFitNormalization:
 
 
 class TestMineAdversarial:
+    """Mining is `_mine_endpoints`, one batched call of `optimizer.ascend`."""
+
     def test_zero_gradient_model_is_fixed_point(self):
         model = build_model(3, (4,), rng=np.random.default_rng(0))
         model.layers[0].weights[:] = 0.0
-        traj = mine_adversarial(model, np.array([0.5, -0.5, 1.0]), 0.1, 5)
-        npt.assert_array_equal(traj.points[-1], traj.points[0])
+        X0 = np.array([[0.5, -0.5, 1.0], [2.0, 0.0, -1.0]])
+        npt.assert_array_equal(_mine_endpoints(model, X0, 0.1, 5), X0)
 
     def test_constant_gradient_linear_ascent(self):
         model = ObjectiveModel([DenseLayer(np.array([[1.0, 2.0]]), np.array([0.0]))])
-        traj = mine_adversarial(model, np.zeros(2), 0.1, 3)
-        npt.assert_allclose(traj.points[-1], [0.3, 0.6], atol=1e-12)
+        npt.assert_allclose(_mine_endpoints(model, np.zeros((2, 2)), 0.1, 3),
+                            [[0.3, 0.6], [0.3, 0.6]], atol=1e-12)
 
     def test_quadratic_iterates_hand_computed(self):
         # x + 0.1 * (-2 (x - 1)) from 0: 0.2, 0.36, 0.488
-        traj = mine_adversarial(QuadraticStub(), np.array([0.0]), 0.1, 3)
-        npt.assert_allclose(traj.points[:, 0], [0.0, 0.2, 0.36, 0.488],
-                            atol=1e-12)
+        X0 = np.array([[0.0]])
+        path = ascend(QuadraticStub(), X0, 0.1, 3, record=True)
+        npt.assert_allclose(path[:, 0, 0], [0.0, 0.2, 0.36, 0.488], atol=1e-12)
+        npt.assert_array_equal(_mine_endpoints(QuadraticStub(), X0, 0.1, 3),
+                               path[-1])
 
     def test_nonfinite_gradient_aborts(self):
         model = linear_model()
         model.layers[0].weights[0, 0] = np.inf
         with pytest.raises(net.GradientError):
-            mine_adversarial(model, np.array([1.0]), 0.1, 3)
-
-    def test_records_prediction_per_step(self):
-        traj = mine_adversarial(QuadraticStub(), np.array([0.0]), 0.1, 3)
-        assert len(traj.surrogate_values) == 4
-        npt.assert_allclose(traj.surrogate_values[0], -1.0)
+            _mine_endpoints(model, np.array([[1.0]]), 0.1, 3)
 
 
 class TestComLoss:
+    """`com_loss` is the per-batch loss `train` computes, from predictions."""
+
     def test_alpha_zero_is_pure_mse(self):
-        model = linear_model(weight=2.0)
-        X = np.array([[1.0], [2.0]])
+        preds = np.array([2.0, 4.0])
         y = np.array([1.0, 1.0])
-        mined = np.array([[5.0], [6.0]])
-        mse, gap, total = com_loss(model, (X, y), mined, 0.0)
-        assert total == mse
+        mse, gap, g_data, g_mined = com_loss(preds, y, np.array([10.0, 12.0]), 0.0)
         assert mse == pytest.approx(0.5 * np.mean([(2 - 1) ** 2, (4 - 1) ** 2]))
+        npt.assert_array_equal(g_data, com_loss(preds, y, None, 0.0)[2])
+        npt.assert_array_equal(g_mined, [0.0, 0.0])
 
     def test_constant_model_has_zero_gap(self):
-        model = linear_model(weight=0.0, bias=3.0)
-        X = np.array([[0.0], [1.0]])
-        y = np.array([1.0, 5.0])
-        mse, gap, total = com_loss(model, (X, y), np.array([[9.0], [9.0]]), 2.0)
+        mse, gap, _, _ = com_loss(np.array([3.0, 3.0]), np.array([1.0, 5.0]),
+                                  np.array([3.0, 3.0]), 2.0)
         assert gap == 0.0
-        assert total == pytest.approx(0.5 * np.mean([(3 - 1) ** 2, (3 - 5) ** 2]))
+        assert mse == pytest.approx(0.5 * np.mean([(3 - 1) ** 2, (3 - 5) ** 2]))
 
     def test_direct_substitution(self):
-        # f(x) = x, batch {(0, 0)}, mined {1}, alpha 2: mse 0, gap 1, total 2
-        mse, gap, total = com_loss(linear_model(), (np.array([[0.0]]),
-                                                    np.array([0.0])),
-                                   np.array([[1.0]]), 2.0)
-        assert (mse, gap, total) == (0.0, 1.0, 2.0)
+        # f(x) = x, batch {(0, 0)}, mined {1}, alpha 2: mse 0, gap 1,
+        # dloss/df(x) = (0 - 0) - 2, dloss/df(x_T) = 2
+        mse, gap, g_data, g_mined = com_loss(np.array([0.0]), np.array([0.0]),
+                                             np.array([1.0]), 2.0)
+        assert (mse, gap, list(g_data), list(g_mined)) == (0.0, 1.0, [-2.0], [2.0])
+
+    def test_without_mining_gap_is_nan(self):
+        mse, gap, g_data, g_mined = com_loss(np.array([1.0, 3.0]),
+                                             np.array([0.0, 0.0]), None, 0.0)
+        assert mse == 2.5 and math.isnan(gap) and g_mined is None
+        npt.assert_array_equal(g_data, [0.5, 1.5])
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            com_loss(linear_model(), (np.array([[0.0]]), np.array([0.0])),
-                     np.array([[1.0], [2.0]]), 1.0)
+            com_loss(np.array([0.0]), np.array([0.0]), np.array([1.0, 2.0]), 1.0)
+        with pytest.raises(ValueError):
+            com_loss(np.array([0.0]), np.array([0.0, 1.0]), None, 1.0)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
-            com_loss(linear_model(), (np.array([[0.0]]), np.array([0.0])),
-                     np.array([[1.0]]), -0.5)
+            com_loss(np.array([0.0]), np.array([0.0]), np.array([1.0]), -0.5)
 
     @given(st.floats(0.0, 20.0), st.integers(0, 2**32 - 1))
     def test_total_is_mse_plus_alpha_gap(self, alpha, seed):
+        # the returned vectors are the gradient of mse + alpha * gap with
+        # respect to the data and mined predictions (central differences)
         rng = np.random.default_rng(seed)
-        model = linear_model(weight=float(rng.normal()))
-        X = rng.normal(size=(4, 1))
-        y = rng.normal(size=4)
-        mined = rng.normal(size=(4, 1))
-        mse, gap, total = com_loss(model, (X, y), mined, alpha)
-        assert total == pytest.approx(mse + alpha * gap, rel=1e-12, abs=1e-12)
+        preds, y, mined = rng.normal(size=(3, 4))
+        mse, gap, g_data, g_mined = com_loss(preds, y, mined, alpha)
+
+        def total(p, pm):
+            return 0.5 * np.mean((p - y) ** 2) + alpha * (pm.mean() - p.mean())
+
+        assert mse + alpha * gap == pytest.approx(total(preds, mined),
+                                                  rel=1e-12, abs=1e-12)
+        h = 1e-6
+        for i in range(4):
+            e = np.eye(4)[i] * h
+            fd_data = (total(preds + e, mined) - total(preds - e, mined)) / (2 * h)
+            fd_mined = (total(preds, mined + e) - total(preds, mined - e)) / (2 * h)
+            assert g_data[i] == pytest.approx(fd_data, rel=1e-5, abs=1e-6)
+            assert g_mined[i] == pytest.approx(fd_mined, rel=1e-5, abs=1e-6)
+
+    def test_train_computes_its_loss_here(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return com_loss(*args)
+
+        monkeypatch.setattr(trainer, "com_loss", spy)
+        cfg = TrainerConfig(epochs=2, batch_size=16, mining_steps=2,
+                            hidden=(8,), seed=2)
+        train(toy_dataset(), cfg)
+        assert len(calls) == 2 * 2
+        assert all(preds_mined is not None for _, _, preds_mined, _ in calls)
 
 
 class TestDualUpdate:
@@ -237,11 +267,18 @@ class TestTrain:
         assert all(row["alpha"] == 0.0 for row in log)
         assert all(math.isnan(row["gap"]) for row in log)
 
-    def test_mining_step_count_shared_with_config(self):
-        cfg = TrainerConfig(mining_steps=7)
-        traj = mine_adversarial(QuadraticStub(), np.array([0.0]), 0.1,
-                                cfg.mining_steps)
-        assert traj.step_count == cfg.mining_steps
+    def test_mining_step_count_shared_with_config(self, monkeypatch):
+        steps = []
+
+        def spy(model, X0, eta, n_steps):
+            steps.append(n_steps)
+            return _mine_endpoints(model, X0, eta, n_steps)
+
+        monkeypatch.setattr(trainer, "_mine_endpoints", spy)
+        cfg = TrainerConfig(epochs=1, batch_size=16, mining_steps=7,
+                            hidden=(8,), seed=2)
+        train(toy_dataset(), cfg)
+        assert steps == [cfg.mining_steps] * 2
 
     def test_invalid_config_rejected(self):
         ds = toy_dataset()
