@@ -76,13 +76,14 @@ def _fd_param_gradients(loss_fn, model, h=1e-5):
     return out
 
 
-def _fd_input_gradient(model, x, h=1e-5):
+def _fd_gradient(fn, x, h=1e-5):
+    """Central differences of a scalar function of a vector."""
     g = np.zeros_like(x)
     for i in range(x.size):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        g[i] = (net.forward(model, xp) - net.forward(model, xm)) / (2 * h)
+        g[i] = (fn(xp) - fn(xm)) / (2 * h)
     return g
 
 
@@ -109,15 +110,19 @@ def criterion_1_gradients(ctx, fast=False):
     architectures = [(3, ()), (5, (8,)), (8, (16, 16))]
     pairs = 5 if fast else 20
     worst = 0.0
+
+    def f(m, v):
+        return net.forward_batch(m, v[None])[0]
+
     for input_dim, hidden in architectures:
         for _ in range(pairs):
             model, x = _smooth_case(rng, input_dim, hidden)
             target = float(rng.normal())
             # (dloss/dprediction, loss) for a linear and a squared-error loss
             cases = [
-                ([1.0], lambda m: net.forward(m, x)),
-                ([net.forward(model, x) - target],
-                 lambda m: 0.5 * (net.forward(m, x) - target) ** 2),
+                ([1.0], lambda m: f(m, x)),
+                ([f(model, x) - target],
+                 lambda m: 0.5 * (f(m, x) - target) ** 2),
             ]
             for g, loss_fn in cases:
                 got = net.loss_gradients(model, x[None, :], g)
@@ -125,8 +130,9 @@ def criterion_1_gradients(ctx, fast=False):
                 for (gw, gb), (fw, fb) in zip(got, want):
                     worst = max(worst, _rel_err(gw, fw).max(),
                                 _rel_err(gb, fb).max())
-            gi = net.input_gradient(model, x)
-            worst = max(worst, _rel_err(gi, _fd_input_gradient(model, x)).max())
+            gi = net.input_gradient_batch(model, x[None])[0]
+            fd = _fd_gradient(lambda v: f(model, v), x)
+            worst = max(worst, _rel_err(gi, fd).max())
     elapsed = time.monotonic() - t0
     passed = worst <= GRADIENT_TOL and elapsed < 10.0
     return {
@@ -202,7 +208,7 @@ def criterion_3_baseline_equivalence(ctx, fast=False):
 def _first_crossing(curve):
     """First ascent step whose true score falls below the off-manifold
     penalty level, or None if the curve never does."""
-    below = np.flatnonzero(curve.true_scores < OFF_MANIFOLD_SCORE)
+    below = np.flatnonzero(curve < OFF_MANIFOLD_SCORE)
     return int(below[0]) if below.size else None
 
 
@@ -226,7 +232,7 @@ def _stability_trials(task_name, trials, epochs):
         row = {"trial": trial}
         for method, curve in (("coms", coms_curve), ("naive", naive_curve)):
             step = _first_crossing(curve)
-            row[f"{method}_final"] = float(curve.true_scores[-1])
+            row[f"{method}_final"] = float(curve[-1])
             row[f"{method}_crossed"] = step is not None
             row[f"{method}_first_cross_step"] = step
         rows.append(row)
@@ -398,7 +404,7 @@ def criterion_7_tau_ordering(ctx, fast=False):
         cfg = TrainerConfig(seed=trial, epochs=epochs)
         curves = tau_sweep(dataset, task, taus, cfg, STABILITY_T_MAX)
         for tau, curve in curves.items():
-            finals[tau].append(float(curve.true_scores[-1]))
+            finals[tau].append(float(curve[-1]))
     lo, hi = min(taus), max(taus)
     lo_mean = float(np.mean(finals[lo]))
     hi_mean = float(np.mean(finals[hi]))
@@ -467,7 +473,7 @@ def _write_curves(ctx, out_dir):
                     for trial, coms_curve, naive_curve in curves
                     for method, curve in (("coms", coms_curve),
                                           ("grad-naive", naive_curve))
-                    for step, score in enumerate(curve.true_scores)))
+                    for step, score in enumerate(curve)))
     if "budget_curve" in ctx:
         write_rows(os.path.join(curves_dir, "pwm_budget.csv"),
                    ["budget", "mean_normalized_p100"], zip(*ctx["budget_curve"]))

@@ -116,7 +116,7 @@ def cmd_stability(args) -> int:
                             dataset.stats)
     if len(curve) != args.t_max + 1:
         raise InvariantViolation("stability curve length must be t_max + 1")
-    write_rows(args.out, ["step", "true_score"], enumerate(curve.true_scores))
+    write_rows(args.out, ["step", "true_score"], enumerate(curve))
     print(f"wrote stability curve ({args.t_max + 1} steps) to {args.out}")
     return 0
 
@@ -131,7 +131,7 @@ def cmd_sweep_tau(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     for tau, curve in curves.items():
         write_rows(os.path.join(args.out_dir, f"stability_tau_{tau}.csv"),
-                   ["step", "true_score"], enumerate(curve.true_scores))
+                   ["step", "true_score"], enumerate(curve))
     print(f"wrote {len(curves)} tau curves to {args.out_dir}")
     return 0
 
@@ -141,7 +141,8 @@ def cmd_sweep_budget(args) -> int:
     candidates = read_candidates(args.candidates)
     budgets = [int(b) for b in args.budgets.split(",")]
     sweep = budget_sweep(candidates, task, budgets)
-    if any(a > b + 1e-12 for a, b in zip(sweep, sweep[1:])):
+    ascending = [p for _, p in sorted(zip(budgets, sweep))]
+    if any(a > b + 1e-12 for a, b in zip(ascending, ascending[1:])):
         raise InvariantViolation("budget sweep must be monotone non-decreasing")
     write_rows(args.out, ["budget", "p100", "normalized_p100"],
                ([b, p, normalized_score(task, p)] for b, p in zip(budgets, sweep)))

@@ -70,19 +70,22 @@ def save_surrogate(model, path) -> None:
 
 def load_surrogate(path):
     """Load what `save_surrogate` wrote: an ObjectiveModel, or an Ensemble
-    when the archive holds members."""
+    when the archive holds members. A missing array is an error."""
     from .baselines import Ensemble
 
     with np.load(path) as data:
-        leak = float(data["leak"])
-
         def member(prefix=""):
             n_layers = int(data[f"{prefix}n_layers"])
             return ObjectiveModel(
                 [DenseLayer(data[f"{prefix}w{k}"], data[f"{prefix}b{k}"])
-                 for k in range(n_layers)], leak)
+                 for k in range(n_layers)], float(data["leak"]))
 
-        if "n_members" not in data:
-            return member()
-        return Ensemble([member(f"m{m}_") for m in range(int(data["n_members"]))],
-                        str(data["aggregate"]))
+        try:
+            if "n_members" not in data:
+                return member()
+            return Ensemble([member(f"m{m}_")
+                             for m in range(int(data["n_members"]))],
+                            str(data["aggregate"]))
+        except KeyError as exc:
+            raise ValueError(f"{path}: incomplete surrogate archive "
+                             f"({exc.args[0]})") from None

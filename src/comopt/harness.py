@@ -84,22 +84,12 @@ def evaluate_budget(candidates: CandidateSet, task: TaskSpec, n: int) -> TrialEv
     return ev
 
 
-@dataclass
-class StabilityCurve:
-    """True oracle score of the ascent iterate at every step, 0..t_max."""
-
-    true_scores: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.true_scores)
-
-
 def stability_sweep(model, task: TaskSpec, seed_design, eta: float,
-                    t_max: int, stats: NormalizationStats) -> StabilityCurve:
+                    t_max: int, stats: NormalizationStats) -> np.ndarray:
     """Ascend for t_max steps (deliberately past the trained horizon) and
-    score every iterate with the withheld oracle."""
+    return the withheld oracle's score of every iterate, steps 0..t_max."""
     path = ascend(model, seed_design[None, :], eta, t_max, record=True)[:, 0]
-    return StabilityCurve(oracle_eval_batch(task, stats.denormalize_x(path)))
+    return oracle_eval_batch(task, stats.denormalize_x(path))
 
 
 def budget_sweep(candidates: CandidateSet, task: TaskSpec, budgets) -> np.ndarray:
@@ -118,8 +108,8 @@ def budget_sweep(candidates: CandidateSet, task: TaskSpec, budgets) -> np.ndarra
 
 def tau_sweep(dataset: OfflineDataset, task: TaskSpec, taus,
               config: TrainerConfig, t_max: int) -> dict:
-    """Train one conservative surrogate per tau (same seed) and return a
-    stability curve for each, keyed by tau."""
+    """Train one conservative surrogate per tau (same seed) and return its
+    stability curve (true scores, steps 0..t_max) keyed by tau."""
     if any(t <= 0 for t in taus):
         raise ValueError("tau values must be positive")
     seed_design = select_initializations(dataset, 1).designs[0]
@@ -300,8 +290,7 @@ def run_experiment(config, out_dir) -> EvaluationReport:
             curve = stability_sweep(model, task, seed_design, eta,
                                     cfg["stability_steps"], dataset.stats)
             stability_rows.extend(
-                (trial, step, score)
-                for step, score in enumerate(curve.true_scores))
+                (trial, step, score) for step, score in enumerate(curve))
         if budgets:
             sweep = budget_sweep(candidates, task, budgets)
             budget_rows.extend(

@@ -15,11 +15,10 @@ class GradientError(ValueError):
     """Raised on non-finite gradients or gradient/parameter shape mismatch."""
 
 
-def leaky_relu(z, leak: float = 0.3):
-    """Elementwise z if z >= 0 else leak * z. Accepts scalars or arrays."""
-    arr = np.asarray(z, dtype=np.float64)
-    out = np.where(arr >= 0.0, arr, leak * arr)
-    return float(out) if out.ndim == 0 else out
+def leaky_relu(z, leak: float = 0.3) -> np.ndarray:
+    """Elementwise z if z >= 0 else leak * z."""
+    z = np.asarray(z, dtype=np.float64)
+    return np.where(z >= 0.0, z, leak * z)
 
 
 def _lrelu_slope(z: np.ndarray, leak: float) -> np.ndarray:
@@ -126,14 +125,6 @@ def forward_batch(model: ObjectiveModel, X) -> np.ndarray:
     return pres[-1][:, 0]
 
 
-def forward(model: ObjectiveModel, x) -> float:
-    """Scalar surrogate prediction for one design vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise ValueError(f"expected design of shape ({model.input_dim},), got {x.shape}")
-    return float(forward_batch(model, x[None, :])[0])
-
-
 def input_gradient_batch(model: ObjectiveModel, X) -> np.ndarray:
     """Exact d prediction / d input for every row of X, shape (n, input_dim)."""
     X = _as_batch(model, X)
@@ -144,14 +135,6 @@ def input_gradient_batch(model: ObjectiveModel, X) -> np.ndarray:
         if k > 0:
             g = g * _lrelu_slope(pres[k - 1], model.leak)
     return g
-
-
-def input_gradient(model: ObjectiveModel, x) -> np.ndarray:
-    """Exact gradient of the prediction w.r.t. one design vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise ValueError(f"expected design of shape ({model.input_dim},), got {x.shape}")
-    return input_gradient_batch(model, x[None, :])[0]
 
 
 def loss_gradients(model: ObjectiveModel, X, dloss_dpred) -> list:

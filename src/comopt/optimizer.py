@@ -1,12 +1,11 @@
 """Design-space search on a trained surrogate.
 
-Fixed-step gradient ascent from high-scoring dataset points, budget-N
-candidate production, and the logit relaxation for discrete sequence
-designs. `ascend` is the one ascent loop: the trainer's adversarial mining,
-candidate search and the stability sweeps all run its recurrence
-x_{t+1} = x_t + eta * grad(x_t), mining and search for the same number of
-steps, so the optimizer only visits regions the surrogate was trained to be
-conservative on.
+Fixed-step gradient ascent from high-scoring dataset points and budget-N
+candidate production. `ascend` is the one ascent loop: the trainer's
+adversarial mining, candidate search and the stability sweeps all run its
+recurrence x_{t+1} = x_t + eta * grad(x_t), mining and search for the same
+number of steps, so the optimizer only visits regions the surrogate was
+trained to be conservative on.
 """
 from __future__ import annotations
 
@@ -107,38 +106,6 @@ def produce_candidates(model, dataset: "OfflineDataset", n: int,
     )
 
 
-def encode_discrete(one_hot, eps: float = 0.2) -> np.ndarray:
-    """Relax an (L, K) one-hot sequence to L*K log-probabilities.
-
-    The selected letter keeps mass 1 - eps; the remaining eps is spread
-    evenly over the other K - 1 letters. Flattened row-major.
-    """
-    S = np.asarray(one_hot, dtype=np.float64)
-    if S.ndim != 2:
-        raise ValueError("one_hot must be an (L, K) matrix")
-    K = S.shape[1]
-    if K < 2:
-        raise ValueError("alphabet size must be >= 2")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    is_zero_or_one = np.all((S == 0.0) | (S == 1.0))
-    if not is_zero_or_one or not np.all(S.sum(axis=1) == 1.0):
-        raise ValueError("each row must be one-hot")
-    probs = np.where(S == 1.0, 1.0 - eps, eps / (K - 1))
-    return np.log(probs).ravel()
-
-
-def decode_discrete(x, L: int, K: int) -> np.ndarray:
-    """Per-position argmax over the K logits; ties go to the lowest letter."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (L * K,):
-        raise ValueError(f"expected a flat vector of length {L * K}, got {x.shape}")
-    letters = x.reshape(L, K).argmax(axis=1)
-    out = np.zeros((L, K))
-    out[np.arange(L), letters] = 1.0
-    return out
-
-
 def candidate_table(candidates: CandidateSet) -> tuple[list, list]:
     """Header and rows of a candidate CSV: denormalized design coordinates,
     provenance, and the surrogate's value for each candidate."""
@@ -161,6 +128,9 @@ def read_candidates(path) -> CandidateSet:
     from .trainer import NormalizationStats
 
     header, values = read_rows(path)
+    if header[-2:] != ["provenance", "surrogate_value"]:
+        raise ValueError(f"{path}: not a candidate file (its header must end "
+                         f"in provenance,surrogate_value)")
     d = len(header) - 2
     stats = NormalizationStats(np.zeros(d), np.ones(d), 0.0, 1.0)
     return CandidateSet(values[:, :d], values[:, d].astype(int), stats,

@@ -12,7 +12,8 @@ Four desk-scale oracles:
          that overshoots it leaves the valid region.
   pwm    discrete, 6 positions x 4 letters: a seeded position-weight sum
          over 4^6 = 4096 enumerable sequences, ascended in a relaxed
-         log-probability space.
+         log-probability space (`encode_sequences` / `decode_sequences`,
+         the one logit relaxation).
 
 Curation samples the region (or enumerates all sequences), keeps only the
 lowest-scoring slice by percentile so headroom above the dataset exists,
@@ -27,7 +28,6 @@ from typing import Callable
 import numpy as np
 
 from .fileio import read_rows, write_rows
-from .optimizer import decode_discrete
 from .trainer import NormalizationStats, OfflineDataset, fit_normalization
 
 PWM_WEIGHT_SEED = 7
@@ -36,7 +36,8 @@ PWM_WEIGHT_SEED = 7
 @dataclass(frozen=True, eq=False)
 class TaskSpec:
     """A ground-truth objective with its sampling region and withheld score
-    range; the oracle is never visible to training except through curation."""
+    range; the oracle is never visible to training except through curation.
+    `oracle` scores one raw 1-D design and returns a float."""
 
     name: str
     input_dim: int
@@ -51,13 +52,12 @@ class TaskSpec:
     weight_matrix: np.ndarray | None = None
 
 
-def oracle_eval(task: TaskSpec, x) -> float:
-    """True score of a single raw (denormalized) design vector."""
-    return task.oracle(np.asarray(x, dtype=np.float64))
-
-
 def oracle_eval_batch(task: TaskSpec, X) -> np.ndarray:
+    """True scores of the rows of a raw (denormalized) (n, input_dim) batch."""
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != task.input_dim:
+        raise ValueError(f"{task.name} designs have {task.input_dim} "
+                         f"coordinates, got an array of shape {X.shape}")
     return np.array([task.oracle(row) for row in X])
 
 
@@ -115,14 +115,14 @@ def pwm_task(length: int = 6, alphabet: int = 4, seed: int = PWM_WEIGHT_SEED,
     d = length * alphabet
 
     def oracle(x: np.ndarray) -> float:
-        letters = decode_discrete(x, length, alphabet).argmax(axis=1)
-        return float(W[np.arange(length), letters].sum())
+        letters = decode_sequences(x[None], length, alphabet)
+        return float(sequence_scores(task, letters)[0])
 
     # The relaxed space is unbounded; record the raw logit levels as a
     # nominal region (curation enumerates sequences instead of sampling it).
     lo = np.log(encode_eps / (alphabet - 1))
     hi = np.log(1.0 - encode_eps)
-    return TaskSpec(
+    task = TaskSpec(
         name="pwm",
         input_dim=d,
         is_discrete=True,
@@ -135,6 +135,7 @@ def pwm_task(length: int = 6, alphabet: int = 4, seed: int = PWM_WEIGHT_SEED,
         encode_eps=encode_eps,
         weight_matrix=W,
     )
+    return task
 
 
 _TASKS = {"bowl": bowl_task, "cliff": cliff_task, "edge": edge_task,
@@ -167,11 +168,23 @@ def sequence_scores(task: TaskSpec, letters: np.ndarray) -> np.ndarray:
 
 
 def encode_sequences(letters: np.ndarray, alphabet: int, eps: float) -> np.ndarray:
-    """Vectorized logit relaxation of integer letter sequences."""
+    """Logit relaxation of (n, L) integer letter sequences to (n, L*K)
+    log-probabilities: each position's letter keeps mass 1 - eps and the
+    other K - 1 letters share eps evenly; flattened row-major."""
     n, length = letters.shape
     probs = np.full((n, length, alphabet), eps / (alphabet - 1))
     probs[np.arange(n)[:, None], np.arange(length)[None, :], letters] = 1.0 - eps
     return np.log(probs).reshape(n, length * alphabet)
+
+
+def decode_sequences(X, length: int, alphabet: int) -> np.ndarray:
+    """(n, L) letters of (n, L*K) relaxed designs: the per-position argmax
+    over the K logits, ties to the lowest letter."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != length * alphabet:
+        raise ValueError(f"expected designs of shape (n, {length * alphabet}), "
+                         f"got {X.shape}")
+    return X.reshape(len(X), length, alphabet).argmax(axis=2)
 
 
 @dataclass
@@ -192,7 +205,7 @@ class CurationConfig:
 def curate_dataset(task: TaskSpec, config: CurationConfig) -> OfflineDataset:
     """Sample the region (or enumerate all sequences when discrete), score
     with the oracle, keep only the lowest keep_percentile slice by score,
-    and standardize. The withheld oracle min/max ride along for reporting."""
+    and standardize."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     if task.is_discrete:
@@ -216,9 +229,6 @@ def curate_dataset(task: TaskSpec, config: CurationConfig) -> OfflineDataset:
         scores=stats.normalize_y(kept_y),
         stats=stats,
         is_discrete=task.is_discrete,
-        raw_shape=task.raw_shape,
-        oracle_y_min=task.y_min,
-        oracle_y_max=task.y_max,
     )
 
 
@@ -228,7 +238,7 @@ def _sidecar_path(path) -> str:
 
 def write_dataset(dataset: OfflineDataset, path) -> None:
     """Raw-coordinate CSV (final column y) plus a JSON sidecar holding the
-    normalization stats and the withheld oracle score range."""
+    normalization stats and whether the designs are relaxed sequences."""
     raw_x = dataset.raw_designs()
     write_rows(path, [f"x{i}" for i in range(raw_x.shape[1])] + ["y"],
                ([*row, yv] for row, yv in zip(raw_x, dataset.raw_scores())))
@@ -238,9 +248,6 @@ def write_dataset(dataset: OfflineDataset, path) -> None:
         "y_mean": dataset.stats.y_mean,
         "y_std": dataset.stats.y_std,
         "is_discrete": dataset.is_discrete,
-        "raw_shape": list(dataset.raw_shape) if dataset.raw_shape else None,
-        "oracle_y_min": dataset.oracle_y_min,
-        "oracle_y_max": dataset.oracle_y_max,
     }
     with open(_sidecar_path(path), "w") as fh:
         json.dump(meta, fh, indent=2)
@@ -248,16 +255,27 @@ def write_dataset(dataset: OfflineDataset, path) -> None:
 
 
 def read_dataset(path) -> OfflineDataset:
-    """Read what `write_dataset` wrote. Ragged rows, non-finite cells and
-    sidecar stats whose length differs from the design columns are errors."""
+    """Read what `write_dataset` wrote. Ragged rows, non-finite cells, a
+    sidecar key that is missing, sidecar stats whose length differs from the
+    design columns and a standard deviation that is not positive and finite
+    are errors. Sidecar keys beyond those are ignored."""
     header, raw = read_rows(path)
-    with open(_sidecar_path(path)) as fh:
+    sidecar = _sidecar_path(path)
+    with open(sidecar) as fh:
         meta = json.load(fh)
+    missing = [key for key in ("x_mean", "x_std", "y_mean", "y_std",
+                               "is_discrete") if key not in meta]
+    if missing:
+        raise ValueError(f"{sidecar}: missing key(s) {', '.join(missing)}")
     d = len(header) - 1
     for key in ("x_mean", "x_std"):
         if len(meta[key]) != d:
-            raise ValueError(f"{_sidecar_path(path)}: {key} has "
+            raise ValueError(f"{sidecar}: {key} has "
                              f"{len(meta[key])} entries for {d} design columns")
+    stds = np.append(meta["x_std"], meta["y_std"])
+    if not np.all(np.isfinite(stds) & (stds > 0.0)):
+        raise ValueError(f"{sidecar}: x_std and y_std entries must be "
+                         f"positive and finite")
     stats = NormalizationStats(
         x_mean=np.array(meta["x_mean"]),
         x_std=np.array(meta["x_std"]),
@@ -269,7 +287,4 @@ def read_dataset(path) -> OfflineDataset:
         scores=stats.normalize_y(raw[:, -1]),
         stats=stats,
         is_discrete=meta["is_discrete"],
-        raw_shape=tuple(meta["raw_shape"]) if meta["raw_shape"] else None,
-        oracle_y_min=meta["oracle_y_min"],
-        oracle_y_max=meta["oracle_y_max"],
     )

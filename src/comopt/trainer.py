@@ -77,19 +77,12 @@ def fit_normalization(designs, scores) -> NormalizationStats:
 
 @dataclass
 class OfflineDataset:
-    """Normalized (design, score) pairs plus the stats to undo the scaling.
-
-    `oracle_y_min` / `oracle_y_max` record the withheld ground-truth range
-    used for score normalization in reports; the trainer never reads them.
-    """
+    """Normalized (design, score) pairs plus the stats to undo the scaling."""
 
     designs: np.ndarray
     scores: np.ndarray
     stats: NormalizationStats
     is_discrete: bool = False
-    raw_shape: tuple[int, int] | None = None
-    oracle_y_min: float | None = None
-    oracle_y_max: float | None = None
 
     def __len__(self) -> int:
         return len(self.designs)

@@ -3,9 +3,10 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
+from comopt.acceptance import _fd_gradient
 from comopt.baselines import Ensemble, train_ensemble, train_naive
-from comopt.net import (DenseLayer, ObjectiveModel, build_model, forward,
-                        input_gradient)
+from comopt.net import DenseLayer, ObjectiveModel, build_model
+from comopt.optimizer import input_grad_batch, predict_batch
 from comopt.trainer import OfflineDataset, TrainerConfig, fit_normalization, train
 
 
@@ -14,12 +15,12 @@ def linear_member(weights, bias=0.0):
     return ObjectiveModel([DenseLayer(w, np.array([bias]))])
 
 
-def predict_one(ensemble, x):
-    return float(ensemble.predict_batch(x[None, :])[0])
+def predict_one(model, x):
+    return float(predict_batch(model, x[None, :])[0])
 
 
-def gradient_one(ensemble, x):
-    return ensemble.input_grad_batch(x[None, :])[0]
+def gradient_one(model, x):
+    return input_grad_batch(model, x[None, :])[0]
 
 
 def toy_dataset(n=24, dim=2, seed=0):
@@ -35,7 +36,7 @@ class TestEnsembleForward:
         member = linear_member([2.0], bias=1.0)
         ens = Ensemble([member], "mean")
         x = np.array([3.0])
-        assert predict_one(ens, x) == forward(member, x)
+        assert predict_one(ens, x) == predict_one(member, x)
 
     def test_min_and_mean_of_constant_members(self):
         members = [linear_member([0.0], bias=1.0), linear_member([0.0], bias=3.0)]
@@ -55,7 +56,7 @@ class TestEnsembleForward:
         rng = np.random.default_rng(2)
         members = [build_model(2, (4,), rng=rng) for _ in range(3)]
         x = rng.normal(size=2)
-        expect = np.mean([forward(m, x) for m in members])
+        expect = np.mean([predict_one(m, x) for m in members])
         assert predict_one(Ensemble(members, "mean"), x) == pytest.approx(
             expect, rel=1e-15)
 
@@ -104,22 +105,15 @@ class TestEnsembleInputGradient:
         members = [build_model(3, (8,), rng=rng) for _ in range(3)]
         ens = Ensemble(members, "mean")
         x = rng.normal(size=3)
-        g = gradient_one(ens, x)
-        h = 1e-5
-        fd = np.zeros(3)
-        for i in range(3):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            fd[i] = (predict_one(ens, xp) - predict_one(ens, xm)) / (2 * h)
-        npt.assert_allclose(g, fd, rtol=1e-4, atol=1e-6)
+        fd = _fd_gradient(lambda v: predict_one(ens, v), x)
+        npt.assert_allclose(gradient_one(ens, x), fd, rtol=1e-4, atol=1e-6)
 
     def test_mean_gradient_is_mean_of_member_gradients(self):
         rng = np.random.default_rng(4)
         members = [build_model(2, (4,), rng=rng) for _ in range(5)]
         ens = Ensemble(members, "mean")
         x = rng.normal(size=2)
-        expect = np.mean([input_gradient(m, x) for m in members], axis=0)
+        expect = np.mean([gradient_one(m, x) for m in members], axis=0)
         npt.assert_allclose(gradient_one(ens, x), expect, rtol=1e-12)
 
     def test_min_mode_batch_rows_use_their_own_active_member(self):
@@ -133,7 +127,7 @@ class TestEnsembleInputGradient:
         for i, x in enumerate(X):
             npt.assert_allclose(G[i], gradient_one(ens, x),
                                 rtol=1e-12, atol=1e-15)
-            npt.assert_allclose(G[i], input_gradient(members[active[i]], x),
+            npt.assert_allclose(G[i], gradient_one(members[active[i]], x),
                                 rtol=1e-12, atol=1e-15)
 
 

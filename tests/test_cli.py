@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from comopt import cli
@@ -190,3 +191,82 @@ def test_reproduce_fast_smoke(tmp_path):
     assert data["fast"] is True
     assert len(data["criteria"]) == 8
     assert code in (0, 1)
+
+
+def _train(tmp_path, curated, method="grad-naive"):
+    model = tmp_path / f"{method}.npz"
+    assert cli.main(["train", "--data", str(curated), "--method", method,
+                     "--out-model", str(model), *TRAIN_FLAGS]) == 0
+    return model
+
+
+def _edit_sidecar(curated, edit):
+    sidecar = curated.with_name(curated.name + ".meta.json")
+    meta = json.loads(sidecar.read_text())
+    edit(meta)
+    sidecar.write_text(json.dumps(meta))
+
+
+def test_sidecar_without_a_key_fails_with_message(tmp_path, curated, capsys):
+    _edit_sidecar(curated, lambda meta: meta.pop("y_mean"))
+    assert cli.main(["train", "--data", str(curated), "--out-model",
+                     str(tmp_path / "m.npz"), *TRAIN_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing key(s) y_mean" in err
+
+
+def test_zero_x_std_fails_with_message(tmp_path, curated, capsys):
+    _edit_sidecar(curated, lambda meta: meta.update(x_std=[0.0] * 8))
+    assert cli.main(["train", "--data", str(curated), "--out-model",
+                     str(tmp_path / "m.npz"), *TRAIN_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "x_std and y_std" in err
+
+
+def test_archive_missing_a_layer_fails_with_message(tmp_path, curated, capsys):
+    model = _train(tmp_path, curated)
+    with np.load(model) as data:
+        arrays = {k: data[k] for k in data.files if k != "w1"}
+    np.savez(model, **arrays)
+    assert cli.main(["optimize", "--model", str(model), "--data", str(curated),
+                     "--budget", "2", "--out", str(tmp_path / "c.csv"),
+                     *TRAIN_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "w1" in err
+
+
+def test_evaluate_rejects_a_dataset_csv(curated, capsys):
+    assert cli.main(["evaluate", "--candidates", str(curated),
+                     "--task", "cliff"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a candidate file" in err
+
+
+def test_evaluate_rejects_candidates_of_another_width(tmp_path, curated,
+                                                      capsys):
+    model = _train(tmp_path, curated)
+    cands = tmp_path / "c.csv"
+    assert cli.main(["optimize", "--model", str(model), "--data", str(curated),
+                     "--budget", "2", "--out", str(cands), *TRAIN_FLAGS]) == 0
+    assert cli.main(["evaluate", "--candidates", str(cands),
+                     "--task", "pwm"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "pwm designs have 24 coordinates" in err
+
+
+def test_sweep_budget_in_descending_order(tmp_path, curated):
+    model = _train(tmp_path, curated, "coms")
+    cands = tmp_path / "c.csv"
+    cli.main(["optimize", "--model", str(model), "--data", str(curated),
+              "--budget", "8", "--out", str(cands), *TRAIN_FLAGS])
+    ascending, descending = tmp_path / "up.csv", tmp_path / "down.csv"
+    assert cli.main(["sweep-budget", "--candidates", str(cands), "--task",
+                     "cliff", "--budgets", "1,4,8", "--out",
+                     str(ascending)]) == 0
+    assert cli.main(["sweep-budget", "--candidates", str(cands), "--task",
+                     "cliff", "--budgets", "8,4,1", "--out",
+                     str(descending)]) == 0
+    up = ascending.read_text().splitlines()
+    down = descending.read_text().splitlines()
+    assert down[0] == up[0]
+    assert down[1:] == up[:0:-1]

@@ -5,10 +5,12 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from comopt.harness import (EvaluationReport, InvariantViolation,
-                            TrialEvaluation, budget_sweep, config_from,
-                            evaluate_budget, normalized_score, parse_config,
-                            run_experiment, stability_sweep, tau_sweep)
+from comopt.baselines import DEFAULT_ENSEMBLE_SIZE
+from comopt.harness import (DEFAULT_CONFIG, EvaluationReport,
+                            InvariantViolation, TrialEvaluation, budget_sweep,
+                            config_from, curation_config_from, evaluate_budget,
+                            normalized_score, parse_config, run_experiment,
+                            stability_sweep, tau_sweep, trainer_config_from)
 from comopt.net import build_model
 from comopt.optimizer import CandidateSet
 from comopt.tasks import (CurationConfig, bowl_task, cliff_task,
@@ -108,7 +110,7 @@ class TestStabilitySweep:
         seed = np.full(8, 0.5)
         curve = stability_sweep(Flat(), task, seed, 0.1, 10, identity_stats(8))
         assert len(curve) == 11
-        npt.assert_allclose(curve.true_scores, np.full(11, -8 * 0.25))
+        npt.assert_allclose(curve, np.full(11, -8 * 0.25))
 
     def test_curve_length(self):
         model = build_model(8, (4,), rng=np.random.default_rng(0))
@@ -193,6 +195,15 @@ class TestReportAggregation:
 
 
 class TestParseConfig:
+    def test_default_config_agrees_with_library_defaults(self):
+        # DEFAULT_CONFIG (config files, CLI flags) and the dataclass and
+        # ensemble defaults (library calls) are two sources of defaults
+        cfg = parse_config("")
+        assert cfg == DEFAULT_CONFIG
+        assert trainer_config_from(cfg, cfg["base_seed"]) == TrainerConfig()
+        assert curation_config_from(cfg, cfg["base_seed"]) == CurationConfig()
+        assert DEFAULT_ENSEMBLE_SIZE == DEFAULT_CONFIG["ensemble_size"]
+
     def test_defaults_fill_missing(self):
         cfg = parse_config("task = bowl\n")
         assert cfg["task"] == "bowl"

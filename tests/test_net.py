@@ -4,68 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from comopt import net
+from comopt.acceptance import (_fd_gradient, _fd_param_gradients, _rel_err,
+                               _smooth_case)
 from comopt.fileio import load_surrogate, save_surrogate
 from comopt.net import (DenseLayer, GradientError, ObjectiveModel, adam_step,
-                        build_model, forward, forward_batch, init_adam,
-                        input_gradient, leaky_relu, loss_gradients)
+                        build_model, forward_batch, init_adam,
+                        input_gradient_batch, leaky_relu, loss_gradients)
 from comopt.trainer import com_loss
 
 
 def linear_model(weight=1.0, bias=0.0):
     return ObjectiveModel([DenseLayer(np.array([[weight]]), np.array([bias]))])
-
-
-def fd_param_gradients(loss, model, h=1e-5):
-    """Central finite differences of the scalar loss(model), parameter by
-    parameter. Independent of the backprop path it is checking."""
-    grads = []
-    for k, lyr in enumerate(model.layers):
-        dw = np.zeros_like(lyr.weights)
-        db = np.zeros_like(lyr.bias)
-        for idx in np.ndindex(*lyr.weights.shape):
-            m = model.copy()
-            m.layers[k].weights[idx] += h
-            hi = loss(m)
-            m.layers[k].weights[idx] -= 2 * h
-            lo = loss(m)
-            dw[idx] = (hi - lo) / (2 * h)
-        for i in range(lyr.bias.size):
-            m = model.copy()
-            m.layers[k].bias[i] += h
-            hi = loss(m)
-            m.layers[k].bias[i] -= 2 * h
-            lo = loss(m)
-            db[i] = (hi - lo) / (2 * h)
-        grads.append((dw, db))
-    return grads
-
-
-def fd_input_gradient(model, x, h=1e-5):
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        g[i] = (forward(model, xp) - forward(model, xm)) / (2 * h)
-    return g
-
-
-def sample_smooth_case(rng, input_dim, hidden, margin=1e-3):
-    """Model/input pair whose pre-activations stay away from the activation
-    kink, so central differences are exact (the net is locally linear)."""
-    for _ in range(200):
-        model = build_model(input_dim, hidden, rng=rng)
-        x = rng.normal(size=input_dim)
-        pres, _ = net._forward_cached(model, x[None, :])
-        if all(np.min(np.abs(p)) > margin for p in pres[:-1]):
-            return model, x
-    raise RuntimeError("could not sample a kink-free case")
-
-
-def rel_err(a, b):
-    return np.abs(a - b) / np.maximum(1e-3, np.maximum(np.abs(a), np.abs(b)))
-
 
 class TestLeakyRelu:
     def test_positive_pass_through(self):
@@ -97,36 +46,39 @@ class TestForward:
             lyr.weights[:] = 0.0
             lyr.bias[:] = 0.0
         model.layers[-1].bias[:] = 3.5
-        assert forward(model, np.zeros(4)) == 3.5
-        assert forward(model, np.ones(4)) == 3.5
+        npt.assert_array_equal(
+            forward_batch(model, [np.zeros(4), np.ones(4)]), [3.5, 3.5])
 
     def test_single_linear_layer(self):
-        assert forward(linear_model(weight=2.0), np.array([3.0])) == 6.0
+        assert forward_batch(linear_model(weight=2.0), [[3.0]])[0] == 6.0
 
     def test_one_hidden_unit_negative_input_uses_leak(self):
         model = ObjectiveModel([
             DenseLayer(np.array([[1.0]]), np.array([0.0])),
             DenseLayer(np.array([[1.0]]), np.array([0.0])),
         ], leak=0.3)
-        assert forward(model, np.array([-2.0])) == pytest.approx(-0.6)
+        assert forward_batch(model, [[-2.0]])[0] == pytest.approx(-0.6)
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(3)
         model = build_model(6, (16, 16), rng=rng)
-        x = rng.normal(size=6)
-        assert forward(model, x) == forward(model, x)
+        X = rng.normal(size=(3, 6))
+        npt.assert_array_equal(forward_batch(model, X), forward_batch(model, X))
 
     def test_dimension_mismatch_raises(self):
         model = build_model(4, (8,), rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            forward(model, np.zeros(5))
+            forward_batch(model, np.zeros((1, 5)))
+        with pytest.raises(ValueError):
+            forward_batch(model, np.zeros(4))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(4)
         model = build_model(5, (8, 8), rng=rng)
         X = rng.normal(size=(7, 5))
         batch = forward_batch(model, X)
-        npt.assert_allclose(batch, [forward(model, x) for x in X], rtol=1e-12)
+        npt.assert_allclose(batch, [forward_batch(model, x[None])[0] for x in X],
+                            rtol=1e-12)
 
 
 class TestModelInvariants:
@@ -166,24 +118,24 @@ class TestParamGradients:
         model = build_model(3, (6,), rng=rng)
         x = rng.normal(size=3)
         grads = loss_gradients(model, x[None, :], [1.0])
-        fd = fd_param_gradients(lambda m: forward(m, x), model)
+        fd = _fd_param_gradients(lambda m: forward_batch(m, x[None])[0], model)
         for (dw, db), (fw, fb) in zip(grads, fd):
-            assert rel_err(dw, fw).max() < 1e-4
-            assert rel_err(db, fb).max() < 1e-4
+            assert _rel_err(dw, fw).max() < 1e-4
+            assert _rel_err(db, fb).max() < 1e-4
 
     def test_two_layer_matches_finite_differences(self):
         # dloss/dprediction comes from the trainer's own batch loss
         rng = np.random.default_rng(6)
-        model, x0 = sample_smooth_case(rng, 4, (8,))
+        model, x0 = _smooth_case(rng, 4, (8,))
         X = np.stack([x0, x0 + 0.5])
         y = rng.normal(size=2)
         _, _, g, _ = com_loss(forward_batch(model, X), y, None, 0.0)
         grads = loss_gradients(model, X, g)
-        fd = fd_param_gradients(
+        fd = _fd_param_gradients(
             lambda m: 0.5 * float(np.mean((forward_batch(m, X) - y) ** 2)), model)
         for (dw, db), (fw, fb) in zip(grads, fd):
-            assert rel_err(dw, fw).max() < 1e-4
-            assert rel_err(db, fb).max() < 1e-4
+            assert _rel_err(dw, fw).max() < 1e-4
+            assert _rel_err(db, fb).max() < 1e-4
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -198,25 +150,27 @@ class TestInputGradient:
     def test_pure_linear_model_gradient_is_weight(self):
         model = ObjectiveModel([DenseLayer(np.array([[2.0, -1.0, 0.5]]),
                                            np.array([7.0]))])
-        for x in (np.zeros(3), np.array([1.0, 2.0, 3.0])):
-            npt.assert_allclose(input_gradient(model, x), [2.0, -1.0, 0.5])
+        X = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        npt.assert_allclose(input_gradient_batch(model, X),
+                            [[2.0, -1.0, 0.5]] * 2)
 
     def test_zero_first_layer_gives_zero_gradient(self):
         model = build_model(4, (8,), rng=np.random.default_rng(1))
         model.layers[0].weights[:] = 0.0
-        npt.assert_allclose(input_gradient(model, np.ones(4)), np.zeros(4))
+        npt.assert_allclose(input_gradient_batch(model, np.ones((1, 4))),
+                            np.zeros((1, 4)))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        model, x = sample_smooth_case(rng, 5, (8, 8))
-        g = input_gradient(model, x)
-        fd = fd_input_gradient(model, x)
-        assert rel_err(g, fd).max() < 1e-4
+        model, x = _smooth_case(rng, 5, (8, 8))
+        g = input_gradient_batch(model, x[None])[0]
+        fd = _fd_gradient(lambda v: forward_batch(model, v[None])[0], x)
+        assert _rel_err(g, fd).max() < 1e-4
 
     def test_dimension_mismatch_raises(self):
         model = build_model(4, (), rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            input_gradient(model, np.zeros(3))
+            input_gradient_batch(model, np.zeros((1, 3)))
 
 
 class TestAdam:
@@ -301,5 +255,5 @@ class TestSaveLoad:
         save_surrogate(model, path)
         loaded = load_surrogate(path)
         assert loaded.leak == 0.2
-        x = rng.normal(size=5)
-        assert forward(loaded, x) == forward(model, x)
+        X = rng.normal(size=(3, 5))
+        npt.assert_array_equal(forward_batch(loaded, X), forward_batch(model, X))

@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from comopt.baselines import Ensemble
 from comopt.net import (DenseLayer, GradientError, ObjectiveModel, build_model,
-                        forward, input_gradient_batch)
-from comopt.optimizer import (CandidateSet, ascend, decode_discrete,
-                              encode_discrete, predict_batch,
+                        forward_batch, input_gradient_batch)
+from comopt.optimizer import (CandidateSet, ascend, predict_batch,
                               produce_candidates, read_candidates,
                               select_initializations, write_candidates)
+from comopt.tasks import decode_sequences, encode_sequences
 from comopt.trainer import OfflineDataset, fit_normalization
 
 
@@ -124,7 +124,7 @@ class TestProduceCandidates:
         seed = select_initializations(ds, 1).designs
         endpoint = ascend(model, seed, 0.1, 5)
         npt.assert_array_equal(cands.designs, endpoint)
-        assert cands.surrogate_values[0] == forward(model, endpoint[0])
+        assert cands.surrogate_values[0] == forward_batch(model, endpoint)[0]
 
     @pytest.mark.parametrize("kind", ["net", "min-ensemble"])
     def test_batched_search_matches_row_by_row_reference(self, kind):
@@ -149,51 +149,53 @@ class TestProduceCandidates:
         assert len(produce_candidates(model, ds, 7, 0.1, 2)) == 7
 
 
-one_hot_rows = st.integers(2, 6).flatmap(
+letter_rows = st.integers(2, 6).flatmap(
     lambda K: st.tuples(st.just(K), st.lists(st.integers(0, K - 1),
                                              min_size=1, max_size=8)))
 
 
 class TestDiscreteCodec:
+    """The one logit relaxation of letter sequences, which the search
+    ascends in: `tasks.encode_sequences` and `tasks.decode_sequences`."""
+
     def test_declared_smoothing_rule(self):
-        logits = encode_discrete(np.array([[1.0, 0.0]]), eps=0.2)
-        npt.assert_allclose(logits, [np.log(0.8), np.log(0.2)])
+        logits = encode_sequences(np.array([[0]]), 2, 0.2)
+        npt.assert_allclose(logits, [[np.log(0.8), np.log(0.2)]])
 
     def test_round_trip_simple(self):
-        s = np.eye(4)[[2, 0, 3]]
-        npt.assert_array_equal(decode_discrete(encode_discrete(s), 3, 4), s)
+        letters = np.array([[2, 0, 3], [1, 1, 0]])
+        npt.assert_array_equal(
+            decode_sequences(encode_sequences(letters, 4, 0.2), 3, 4), letters)
 
     def test_uniform_logits_tie_break_to_letter_zero(self):
-        out = decode_discrete(np.zeros(6), 3, 2)
-        npt.assert_array_equal(out[:, 0], [1.0, 1.0, 1.0])
+        npt.assert_array_equal(decode_sequences(np.zeros((1, 6)), 3, 2),
+                               [[0, 0, 0]])
 
     def test_per_position_argmax(self):
-        out = decode_discrete(np.array([2.0, -1.0]), 1, 2)
-        npt.assert_array_equal(out, [[1.0, 0.0]])
+        out = decode_sequences(np.array([[2.0, -1.0, -1.0, 3.0]]), 2, 2)
+        npt.assert_array_equal(out, [[0, 1]])
 
     def test_tie_goes_to_lowest_letter(self):
-        out = decode_discrete(np.array([1.0, 1.0]), 1, 2)
-        npt.assert_array_equal(out, [[1.0, 0.0]])
-
-    def test_non_one_hot_rejected(self):
-        with pytest.raises(ValueError):
-            encode_discrete(np.array([[0.5, 0.5]]))
-        with pytest.raises(ValueError):
-            encode_discrete(np.array([[1.0, 1.0]]))
+        out = decode_sequences(np.array([[0.0, 1.0, 1.0]]), 1, 3)
+        npt.assert_array_equal(out, [[1]])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            decode_discrete(np.zeros(5), 2, 3)
+            decode_sequences(np.zeros((1, 5)), 2, 3)
+        with pytest.raises(ValueError):
+            decode_sequences(np.zeros(6), 2, 3)
 
-    @given(one_hot_rows)
+    @given(letter_rows)
     def test_round_trip_identity_property(self, case):
         K, letters = case
-        s = np.eye(K)[letters]
-        npt.assert_array_equal(decode_discrete(encode_discrete(s), len(letters), K), s)
+        seq = np.array([letters])
+        npt.assert_array_equal(
+            decode_sequences(encode_sequences(seq, K, 0.2), len(letters), K),
+            seq)
 
     @given(st.floats(0.01, 0.99))
     def test_probabilities_sum_to_one(self, eps):
-        logits = encode_discrete(np.eye(3)[[0, 2]], eps=eps)
+        logits = encode_sequences(np.array([[0, 2]]), 3, eps)
         probs = np.exp(logits).reshape(2, 3)
         npt.assert_allclose(probs.sum(axis=1), [1.0, 1.0])
 

@@ -6,41 +6,40 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from comopt.optimizer import encode_discrete
 from comopt.tasks import (CurationConfig, all_sequences, bowl_task, cliff_task,
-                          curate_dataset, edge_task, get_task, oracle_eval,
-                          oracle_eval_batch, pwm_task, read_dataset,
+                          curate_dataset, edge_task, encode_sequences,
+                          get_task, oracle_eval_batch, pwm_task, read_dataset,
                           sequence_scores, write_dataset)
 
 
 class TestBowlOracle:
     def test_origin_is_global_max(self):
         task = bowl_task()
-        assert oracle_eval(task, np.zeros(8)) == 0.0
+        assert task.oracle(np.zeros(8)) == 0.0
 
     def test_unit_vector(self):
         task = bowl_task()
         e1 = np.zeros(8)
         e1[0] = 1.0
-        assert oracle_eval(task, e1) == -1.0
+        assert task.oracle(e1) == -1.0
 
     def test_all_ones(self):
-        assert oracle_eval(bowl_task(), np.ones(8)) == -8.0
+        assert bowl_task().oracle(np.ones(8)) == -8.0
 
 
 class TestCliffOracle:
     def test_origin(self):
-        assert oracle_eval(cliff_task(), np.zeros(8)) == 0.0
+        assert cliff_task().oracle(np.zeros(8)) == 0.0
 
     def test_just_past_edge_takes_penalty(self):
         x = np.zeros(8)
         x[0] = 2.1
-        assert oracle_eval(cliff_task(), x) == pytest.approx(-54.41)
+        assert cliff_task().oracle(x) == pytest.approx(-54.41)
 
     def test_boundary_counts_as_valid(self):
         x = np.zeros(8)
         x[0] = 2.0
-        assert oracle_eval(cliff_task(), x) == -4.0
+        assert cliff_task().oracle(x) == -4.0
 
     def test_outside_always_below_minus_fifty(self):
         rng = np.random.default_rng(0)
@@ -48,27 +47,31 @@ class TestCliffOracle:
         for _ in range(50):
             x = rng.uniform(-4, 4, size=8)
             if np.max(np.abs(x)) > 2.0:
-                assert oracle_eval(task, x) <= -50.0
+                assert task.oracle(x) <= -50.0
+
+    def test_withheld_score_range(self):
+        task = cliff_task()
+        assert (task.y_min, task.y_max) == (-32.0, 0.0)
 
     def test_pure_and_deterministic(self):
         task = cliff_task()
         x = np.full(8, 1.3)
-        assert oracle_eval(task, x) == oracle_eval(task, x)
+        assert task.oracle(x) == task.oracle(x)
 
 
 class TestEdgeOracle:
     def test_corner_is_valid_optimum(self):
         task = edge_task()
-        assert oracle_eval(task, np.full(8, 2.0)) == 0.0 == task.y_max
+        assert task.oracle(np.full(8, 2.0)) == 0.0 == task.y_max
 
     def test_just_past_edge_takes_penalty(self):
         x = np.full(8, 2.0)
         x[0] = 2.1
-        assert oracle_eval(edge_task(), x) == pytest.approx(-50.01)
+        assert edge_task().oracle(x) == pytest.approx(-50.01)
 
     def test_opposite_corner_is_worst_in_box(self):
         task = edge_task()
-        assert oracle_eval(task, np.full(8, -2.0)) == task.y_min == -128.0
+        assert task.oracle(np.full(8, -2.0)) == task.y_min == -128.0
 
     def test_outside_always_below_minus_fifty(self):
         rng = np.random.default_rng(0)
@@ -76,26 +79,26 @@ class TestEdgeOracle:
         for _ in range(50):
             x = rng.uniform(-4, 4, size=8)
             if np.max(np.abs(x)) > 2.0:
-                assert oracle_eval(task, x) <= -50.0
+                assert task.oracle(x) <= -50.0
 
     def test_inside_box_is_bowl_centred_on_corner(self):
         x = np.random.default_rng(1).uniform(-2, 2, size=8)
-        assert oracle_eval(edge_task(), x) == pytest.approx(
-            oracle_eval(bowl_task(), x - 2.0))
+        assert edge_task().oracle(x) == pytest.approx(
+            bowl_task().oracle(x - 2.0))
 
 
 class TestPwmOracle:
     def test_zero_weight_matrix_scores_zero(self):
         task = pwm_task(seed=3)
         task.weight_matrix[:] = 0.0
-        seq = np.eye(4)[[0, 1, 2, 3, 0, 1]]
-        assert oracle_eval(task, encode_discrete(seq)) == 0.0
+        seq = encode_sequences(np.array([[0, 1, 2, 3, 0, 1]]), 4, 0.2)[0]
+        assert task.oracle(seq) == 0.0
 
     def test_argmax_per_position_is_global_max(self):
         task = pwm_task()
         W = task.weight_matrix
-        best = np.eye(4)[W.argmax(axis=1)]
-        assert oracle_eval(task, encode_discrete(best)) == pytest.approx(
+        best = encode_sequences(W.argmax(axis=1)[None], 4, task.encode_eps)[0]
+        assert task.oracle(best) == pytest.approx(
             W.max(axis=1).sum())
         assert task.y_max == pytest.approx(W.max(axis=1).sum())
 
@@ -111,8 +114,8 @@ class TestPwmOracle:
         # spot-check the oracle against the table on a few sequences
         rng = np.random.default_rng(1)
         for idx in rng.integers(0, len(letters), size=10):
-            x = encode_discrete(np.eye(4)[letters[idx]], task.encode_eps)
-            assert oracle_eval(task, x) == pytest.approx(fast[idx])
+            x = encode_sequences(letters[idx][None], 4, task.encode_eps)[0]
+            assert task.oracle(x) == pytest.approx(fast[idx])
 
     def test_enumeration_shape_and_order(self):
         seqs = all_sequences(2, 3)
@@ -163,12 +166,6 @@ class TestCurateDataset:
         assert abs(ds.scores.mean()) < 1e-8
         assert abs(ds.scores.std() - 1.0) < 1e-8
 
-    def test_oracle_range_recorded(self):
-        task = cliff_task()
-        ds = curate_dataset(task, CurationConfig(100, 50.0, seed=4))
-        assert ds.oracle_y_min == task.y_min == -32.0
-        assert ds.oracle_y_max == task.y_max == 0.0
-
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             curate_dataset(bowl_task(), CurationConfig(5, 50.0))
@@ -206,8 +203,6 @@ class TestDatasetCSV:
         npt.assert_allclose(loaded.designs, ds.designs, atol=1e-12)
         npt.assert_allclose(loaded.scores, ds.scores, atol=1e-12)
         npt.assert_allclose(loaded.stats.x_mean, ds.stats.x_mean)
-        assert loaded.oracle_y_min == ds.oracle_y_min
-        assert loaded.oracle_y_max == ds.oracle_y_max
         assert loaded.is_discrete == ds.is_discrete
         loaded.validate()
 
@@ -216,7 +211,29 @@ class TestDatasetCSV:
         path = tmp_path / "pwm.csv"
         write_dataset(ds, path)
         loaded = read_dataset(path)
-        assert loaded.raw_shape == (6, 4)
+        assert loaded.designs.shape == (2048, 24)
+        assert loaded.is_discrete
+
+    def test_sidecar_holds_only_what_read_dataset_reads(self, tmp_path):
+        ds = curate_dataset(pwm_task(), CurationConfig(seed=0))
+        path = tmp_path / "pwm.csv"
+        write_dataset(ds, path)
+        meta = json.loads((tmp_path / "pwm.csv.meta.json").read_text())
+        assert list(meta) == ["x_mean", "x_std", "y_mean", "y_std",
+                              "is_discrete"]
+
+    def test_sidecar_with_removed_keys_still_loads(self, tmp_path):
+        # sidecars written before the oracle range and raw shape were
+        # dropped from the dataset carry three more keys
+        ds = curate_dataset(pwm_task(), CurationConfig(seed=0))
+        path = tmp_path / "pwm.csv"
+        write_dataset(ds, path)
+        sidecar = tmp_path / "pwm.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta.update(raw_shape=[6, 4], oracle_y_min=-3.0, oracle_y_max=4.0)
+        sidecar.write_text(json.dumps(meta))
+        loaded = read_dataset(path)
+        npt.assert_allclose(loaded.designs, ds.designs, atol=1e-12)
         assert loaded.is_discrete
 
     def test_header_and_final_column(self, tmp_path):
@@ -258,3 +275,27 @@ class TestReadDatasetRejects:
         written.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="line 2 has a non-finite value"):
             read_dataset(written)
+
+    def test_missing_sidecar_key(self, written):
+        sidecar = written.with_name(written.name + ".meta.json")
+        meta = json.loads(sidecar.read_text())
+        del meta["y_mean"]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="meta.json: missing key.s. y_mean"):
+            read_dataset(written)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+    def test_non_positive_or_non_finite_std(self, written, bad):
+        sidecar = written.with_name(written.name + ".meta.json")
+        meta = json.loads(sidecar.read_text())
+        meta["x_std"][3] = bad
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="meta.json: x_std and y_std"):
+            read_dataset(written)
+
+
+class TestOracleEvalBatch:
+    @pytest.mark.parametrize("shape", [(4, 7), (4, 9), (8,)])
+    def test_wrong_width_rejected(self, shape):
+        with pytest.raises(ValueError, match="cliff designs have 8 coordinates"):
+            oracle_eval_batch(cliff_task(), np.zeros(shape))
