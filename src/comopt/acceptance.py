@@ -93,8 +93,8 @@ def _smooth_case(rng, input_dim, hidden, margin=1e-3):
     for _ in range(500):
         model = net.build_model(input_dim, hidden, rng=rng)
         x = rng.normal(size=input_dim)
-        pres, _ = net._forward_cached(model, x[None, :])
-        if all(np.min(np.abs(p)) > margin for p in pres[:-1]):
+        pres, _, _ = net._forward_cached(model, x[None, :])
+        if all(np.min(np.abs(p)) > margin for p in pres):
             return model, x
     raise RuntimeError("could not sample a kink-free case")
 
@@ -424,7 +424,7 @@ def criterion_8_protocol(ctx, fast=False, work_dir=None):
     endpoints, and byte-identical same-seed reruns."""
     problems = []
     # normalized oracle optimum is exactly 1.0 on every task
-    for name in ("bowl", "cliff", "pwm"):
+    for name in ("bowl", "cliff", "edge", "pwm"):
         task = get_task(name)
         if normalized_score(task, task.y_max) != 1.0:
             problems.append(f"{name} optimum does not normalize to 1.0")

@@ -108,17 +108,17 @@ def budget_sweep(candidates: CandidateSet, task: TaskSpec, budgets) -> np.ndarra
 
 def tau_sweep(dataset: OfflineDataset, task: TaskSpec, taus,
               config: TrainerConfig, t_max: int) -> dict:
-    """Train one conservative surrogate per tau (same seed) and return its
-    stability curve (true scores, steps 0..t_max) keyed by tau."""
+    """Train one conservative surrogate per distinct tau (same seed) and
+    return its stability curve (true scores, steps 0..t_max) keyed by tau."""
     if any(t <= 0 for t in taus):
         raise ValueError("tau values must be positive")
     seed_design = select_initializations(dataset, 1).designs[0]
     eta = config.resolved_eta(dataset)
     curves = {}
-    for tau in taus:
-        model, _ = train(dataset, replace(config, tau=float(tau)))
-        curves[float(tau)] = stability_sweep(model, task, seed_design, eta,
-                                             t_max, dataset.stats)
+    for tau in dict.fromkeys(float(t) for t in taus):
+        model, _ = train(dataset, replace(config, tau=tau))
+        curves[tau] = stability_sweep(model, task, seed_design, eta, t_max,
+                                      dataset.stats)
     return curves
 
 

@@ -15,14 +15,17 @@ class GradientError(ValueError):
     """Raised on non-finite gradients or gradient/parameter shape mismatch."""
 
 
+def _slope(z: np.ndarray, leak: float) -> np.ndarray:
+    """Exactly 1.0 where z >= 0, else leak: leak + fl(1 - leak) is 1.0."""
+    s = (z >= 0.0) * (1.0 - leak)
+    s += leak
+    return s
+
+
 def leaky_relu(z, leak: float = 0.3) -> np.ndarray:
-    """Elementwise z if z >= 0 else leak * z."""
+    """Elementwise z if z >= 0 else leak * z, as z times its exact slope."""
     z = np.asarray(z, dtype=np.float64)
-    return np.where(z >= 0.0, z, leak * z)
-
-
-def _lrelu_slope(z: np.ndarray, leak: float) -> np.ndarray:
-    return np.where(z >= 0.0, 1.0, leak)
+    return z * _slope(z, leak)
 
 
 @dataclass
@@ -85,8 +88,7 @@ class ObjectiveModel:
 def build_model(input_dim: int, hidden=(64, 64), leak: float = 0.3,
                 rng: np.random.Generator | None = None) -> ObjectiveModel:
     """He-style uniform init: W ~ U(-sqrt(6/fan_in), +sqrt(6/fan_in)), b = 0."""
-    if rng is None:
-        rng = np.random.default_rng()
+    rng = np.random.default_rng(rng)
     dims = [int(input_dim), *[int(h) for h in hidden], 1]
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -105,36 +107,35 @@ def _as_batch(model: ObjectiveModel, X) -> np.ndarray:
 
 
 def _forward_cached(model: ObjectiveModel, X: np.ndarray):
-    """Returns (pre-activations per layer, post-activations incl. input)."""
-    acts = [X]
-    pres = []
-    a = X
-    for k, lyr in enumerate(model.layers):
-        z = a @ lyr.weights.T + lyr.bias
+    """Hidden layers' pre-activations, activations (from X on) and slopes."""
+    pres, acts, slopes = [], [X], []
+    for lyr in model.layers[:-1]:
+        z = acts[-1] @ lyr.weights.T
+        z += lyr.bias
         pres.append(z)
-        if k < len(model.layers) - 1:
-            a = leaky_relu(z, model.leak)
-            acts.append(a)
-    return pres, acts
+        slopes.append(_slope(z, model.leak))
+        acts.append(z * slopes[-1])
+    return pres, acts, slopes
 
 
 def forward_batch(model: ObjectiveModel, X) -> np.ndarray:
     """Surrogate predictions for a batch of designs, shape (n,)."""
-    X = _as_batch(model, X)
-    pres, _ = _forward_cached(model, X)
-    return pres[-1][:, 0]
+    _, acts, _ = _forward_cached(model, _as_batch(model, X))
+    out = model.layers[-1]
+    return (acts[-1] @ out.weights.T + out.bias)[:, 0]
 
 
 def input_gradient_batch(model: ObjectiveModel, X) -> np.ndarray:
     """Exact d prediction / d input for every row of X, shape (n, input_dim)."""
     X = _as_batch(model, X)
-    pres, _ = _forward_cached(model, X)
-    g = np.ones((X.shape[0], 1))
-    for k in range(len(model.layers) - 1, -1, -1):
+    _, _, slopes = _forward_cached(model, X)
+    if not slopes:
+        return np.ones((X.shape[0], 1)) @ model.layers[0].weights
+    g = model.layers[-1].weights[0] * slopes[-1]
+    for k in range(len(slopes) - 1, 0, -1):
         g = g @ model.layers[k].weights
-        if k > 0:
-            g = g * _lrelu_slope(pres[k - 1], model.leak)
-    return g
+        g *= slopes[k - 1]
+    return g @ model.layers[0].weights
 
 
 def loss_gradients(model: ObjectiveModel, X, dloss_dpred) -> list:
@@ -144,14 +145,13 @@ def loss_gradients(model: ObjectiveModel, X, dloss_dpred) -> list:
     g = np.asarray(dloss_dpred, dtype=np.float64)
     if g.shape != (X.shape[0],):
         raise ValueError("dloss_dpred must have one entry per batch row")
-    pres, acts = _forward_cached(model, X)
-    grads: list = [None] * len(model.layers)
+    _, acts, slopes = _forward_cached(model, X)
     gk = g[:, None]
-    for k in range(len(model.layers) - 1, -1, -1):
-        grads[k] = (gk.T @ acts[k], gk.sum(axis=0))
-        if k > 0:
-            gk = (gk @ model.layers[k].weights) * _lrelu_slope(pres[k - 1], model.leak)
-    return grads
+    grads = [(gk.T @ acts[-1], gk.sum(axis=0))]
+    for k in range(len(slopes) - 1, -1, -1):
+        gk = (gk @ model.layers[k + 1].weights) * slopes[k]
+        grads.append((gk.T @ acts[k], gk.sum(axis=0)))
+    return grads[::-1]
 
 
 def zero_gradients(model: ObjectiveModel) -> list:

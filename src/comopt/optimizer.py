@@ -124,7 +124,8 @@ def write_candidates(candidates: CandidateSet, path) -> None:
 
 def read_candidates(path) -> CandidateSet:
     """Read a candidate CSV back; designs come back in raw coordinates with
-    identity normalization stats attached."""
+    identity normalization stats attached. Provenance must hold dataset
+    indices: a non-integer or negative value is an error."""
     from .trainer import NormalizationStats
 
     header, values = read_rows(path)
@@ -132,6 +133,10 @@ def read_candidates(path) -> CandidateSet:
         raise ValueError(f"{path}: not a candidate file (its header must end "
                          f"in provenance,surrogate_value)")
     d = len(header) - 2
+    provenance = values[:, d]
+    if np.any(provenance != np.round(provenance)) or np.any(provenance < 0):
+        raise ValueError(f"{path}: provenance must hold non-negative integer "
+                         f"dataset indices")
     stats = NormalizationStats(np.zeros(d), np.ones(d), 0.0, 1.0)
-    return CandidateSet(values[:, :d], values[:, d].astype(int), stats,
+    return CandidateSet(values[:, :d], provenance.astype(int), stats,
                         values[:, d + 1])

@@ -2,7 +2,8 @@
 
 Four desk-scale oracles:
 
-  bowl   continuous, dim 8: f(x) = -sum(x_i^2), maximized at the origin.
+  bowl   continuous, dim 8: f(x) = -sum(x_i^2), maximized at the origin;
+         the cliff oracle with a zero penalty.
   cliff  continuous, dim 8: same bowl inside the max-norm-2 box, but with a
          flat -50 penalty outside it, so designs that wander off the sampled
          manifold score catastrophically.
@@ -62,19 +63,8 @@ def oracle_eval_batch(task: TaskSpec, X) -> np.ndarray:
 
 
 def bowl_task(dim: int = 8, bound: float = 2.0) -> TaskSpec:
-    def oracle(x: np.ndarray) -> float:
-        return float(-np.sum(x * x))
-
-    return TaskSpec(
-        name="bowl",
-        input_dim=dim,
-        is_discrete=False,
-        oracle=oracle,
-        lower=np.full(dim, -bound),
-        upper=np.full(dim, bound),
-        y_min=-dim * bound * bound,
-        y_max=0.0,
-    )
+    """The cliff oracle without its penalty: -||x||^2 everywhere."""
+    return cliff_task(dim, bound, penalty=0.0, name="bowl")
 
 
 def cliff_task(dim: int = 8, bound: float = 2.0, edge: float = 2.0,

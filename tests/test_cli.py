@@ -107,6 +107,26 @@ def test_sweep_tau_command(tmp_path):
     assert (out_dir / "stability_tau_2.0.csv").exists()
 
 
+def test_sweep_tau_trains_each_distinct_tau_once(tmp_path, monkeypatch,
+                                                 capsys):
+    from comopt import harness
+    taus = []
+
+    def spy(dataset, config):
+        taus.append(config.tau)
+        return real_train(dataset, config)
+
+    real_train = harness.train
+    monkeypatch.setattr(harness, "train", spy)
+    out_dir = tmp_path / "taus"
+    assert cli.main(["sweep-tau", "--task", "cliff", "--taus", "0.5,0.5,0.50",
+                     "--n-raw", "120", "--t-max", "4",
+                     "--out-dir", str(out_dir), *TRAIN_FLAGS]) == 0
+    assert taus == [0.5]
+    assert [p.name for p in out_dir.iterdir()] == ["stability_tau_0.5.csv"]
+    assert "wrote 1 tau curves" in capsys.readouterr().out
+
+
 def test_run_command(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text("task = bowl\nmethod = coms\ntrials = 1\nn_raw = 120\n"

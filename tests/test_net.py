@@ -16,6 +16,35 @@ from comopt.trainer import com_loss
 def linear_model(weight=1.0, bias=0.0):
     return ObjectiveModel([DenseLayer(np.array([[weight]]), np.array([bias]))])
 
+SPECIAL = np.array([-np.inf, -1e300, -2.5, -5e-324, -0.0, 0.0, 5e-324, 0.7,
+                    1e300, np.inf, np.nan])
+EDGE_LEAKS = [5e-324, 1e-9, 0.1, 0.3, 0.5, 0.7, np.nextafter(1.0, 0.0)]
+
+
+def assert_slope_exact(z, leak):
+    s = net._slope(z, leak)
+    assert s.tobytes() == np.where(z >= 0.0, 1.0, leak).tobytes()
+    assert set(s.tolist()) <= {1.0, leak}
+
+
+class TestSlope:
+    Z = np.concatenate([SPECIAL, np.random.default_rng(1).normal(size=50)])
+
+    @pytest.mark.parametrize("leak", EDGE_LEAKS)
+    def test_slope_is_exactly_one_or_leak(self, leak):
+        assert_slope_exact(self.Z, leak)
+
+    def test_slope_is_exactly_one_or_leak_for_uniform_leaks(self):
+        for leak in np.random.default_rng(0).uniform(0.0, 1.0, size=100):
+            assert_slope_exact(self.Z, float(leak))
+
+    @pytest.mark.parametrize("leak", EDGE_LEAKS)
+    def test_leaky_relu_matches_where_bitwise(self, leak):
+        z = np.concatenate([SPECIAL, np.linspace(-3.0, 3.0, 13)])
+        want = np.where(z >= 0.0, z, leak * z)
+        assert leaky_relu(z, leak).tobytes() == want.tobytes()
+
+
 class TestLeakyRelu:
     def test_positive_pass_through(self):
         assert leaky_relu(5.0, 0.3) == 5.0
@@ -153,6 +182,23 @@ class TestInputGradient:
         X = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
         npt.assert_allclose(input_gradient_batch(model, X),
                             [[2.0, -1.0, 0.5]] * 2)
+
+    def test_no_hidden_layer_gradient_is_weight_row_bitwise(self):
+        rng = np.random.default_rng(10)
+        model = build_model(6, (), rng=rng)
+        X = rng.normal(size=(17, 6))
+        want = np.tile(model.layers[0].weights, (17, 1))
+        assert input_gradient_batch(model, X).tobytes() == want.tobytes()
+
+    def test_output_bias_does_not_enter_the_gradient(self):
+        rng = np.random.default_rng(11)
+        model = build_model(5, (16, 8), rng=rng)
+        X = rng.normal(size=(9, 5))
+        before = input_gradient_batch(model, X)
+        model.layers[-1].bias[:] = np.nan
+        after = input_gradient_batch(model, X)
+        assert np.all(np.isfinite(after))
+        assert after.tobytes() == before.tobytes()
 
     def test_zero_first_layer_gives_zero_gradient(self):
         model = build_model(4, (8,), rng=np.random.default_rng(1))

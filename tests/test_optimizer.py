@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -248,3 +250,18 @@ class TestCandidateCSV:
                         "0.5,1.5,0,0.25\ninf,1.5,1,0.5\n")
         with pytest.raises(ValueError, match="line 3 has a non-finite value"):
             read_candidates(path)
+
+    @pytest.mark.parametrize("provenance", ["2.7", "-3", "-3.5"])
+    def test_bad_provenance_rejected(self, tmp_path, provenance):
+        path = tmp_path / "c.csv"
+        path.write_text("x0,x1,provenance,surrogate_value\n"
+                        f"0.5,1.5,0,0.25\n0.5,1.5,{provenance},0.5\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: provenance must hold")):
+            read_candidates(path)
+
+    def test_integral_float_provenance_accepted(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("x0,x1,provenance,surrogate_value\n"
+                        "0.5,1.5,0,0.25\n0.5,1.5,7.0,0.5\n")
+        assert read_candidates(path).provenance.tolist() == [0, 7]
