@@ -21,9 +21,9 @@ import numpy as np
 from . import net
 from .baselines import train_naive
 from .fileio import write_rows
-from .harness import budget_sweep, evaluate_budget, normalized_score, \
-    run_experiment, stability_sweep, tau_sweep
-from .optimizer import produce_candidates, select_initializations
+from .harness import budget_sweep, config_from, evaluate_budget, fit, \
+    fitted_stability, normalized_score, run_experiment, tau_sweep
+from .optimizer import produce_candidates
 from .tasks import CurationConfig, all_sequences, curate_dataset, get_task, \
     sequence_scores
 from .trainer import TrainerConfig, _mine_endpoints, train
@@ -145,34 +145,23 @@ def criterion_1_gradients(ctx, fast=False):
     }
 
 
-def _task_epochs(name, fast):
-    if fast:
-        return 4
-    return PWM_EPOCHS if name == "pwm" else 50
-
-
 def criterion_2_conservatism(ctx, fast=False):
     """Fixed large alpha must push the mined-vs-data prediction gap to at
     most 0.1; the dual variant must end with gap <= tau + 0.25."""
-    tasks = ["cliff"] if fast else ["cliff", "pwm"]
+    runs = [("cliff", 4)] if fast else [("cliff", 50), ("pwm", PWM_EPOCHS)]
     details = []
     passed = True
-    for name in tasks:
-        task = get_task(name)
-        dataset = curate_dataset(task, CurationConfig(seed=0))
-        epochs = _task_epochs(name, fast)
-        fixed_cfg = TrainerConfig(seed=0, alpha_init=10.0, alpha_lr=0.0,
-                                  epochs=epochs)
-        model, _ = train(dataset, fixed_cfg)
-        eta = fixed_cfg.resolved_eta(dataset)
-        mined = _mine_endpoints(model, dataset.designs, eta,
-                                fixed_cfg.mining_steps)
+    for name, epochs in runs:
+        dual = config_from({"task": name, "epochs": epochs})
+        fixed = {**dual, "alpha_init": 10.0, "alpha_lr": 0.0}
+        dataset, tcfg, model, _ = fit(fixed, 0, ctx["fits"])
+        mined = _mine_endpoints(model, dataset.designs,
+                                tcfg.resolved_eta(dataset), tcfg.mining_steps)
         gap = float(net.forward_batch(model, mined).mean()
                     - net.forward_batch(model, dataset.designs).mean())
-        dual_cfg = TrainerConfig(seed=0, epochs=epochs)
-        _, log = train(dataset, dual_cfg)
-        final_gap = log[-1]["gap"]
-        tau = dual_cfg.resolved_tau(dataset)
+        dataset, tcfg, _, logs = fit(dual, 0, ctx["fits"])
+        final_gap = logs[0][-1]["gap"]
+        tau = tcfg.resolved_tau(dataset)
         ok = gap <= CONSERVATISM_GAP_TOL and final_gap <= tau + DUAL_GAP_SLACK
         passed = passed and ok
         details.append(f"{name}: fixed-alpha gap {gap:.3f} (<= 0.1), "
@@ -212,23 +201,17 @@ def _first_crossing(curve):
     return int(below[0]) if below.size else None
 
 
-def _stability_trials(task_name, trials, epochs):
+def _stability_trials(ctx, task_name, trials, epochs):
     """Per-trial finals and penalty crossings of COMs vs naive ascent from
     the best dataset design, with the curves they came from."""
-    task = get_task(task_name)
+    coms = config_from({"task": task_name, "epochs": epochs})
+    naive = {**coms, "method": "grad-naive"}
     rows = []
     curves = []
     for trial in range(trials):
-        dataset = curate_dataset(task, CurationConfig(seed=trial))
-        cfg = TrainerConfig(seed=trial, epochs=epochs)
-        coms_model, _ = train(dataset, cfg)
-        naive_model, _ = train_naive(dataset, cfg)
-        eta = cfg.resolved_eta(dataset)
-        x0 = select_initializations(dataset, 1).designs[0]
-        coms_curve = stability_sweep(coms_model, task, x0, eta,
-                                     STABILITY_T_MAX, dataset.stats)
-        naive_curve = stability_sweep(naive_model, task, x0, eta,
-                                      STABILITY_T_MAX, dataset.stats)
+        coms_curve, naive_curve = (
+            fitted_stability(cfg, trial, STABILITY_T_MAX, ctx["fits"])
+            for cfg in (coms, naive))
         row = {"trial": trial}
         for method, curve in (("coms", coms_curve), ("naive", naive_curve)):
             step = _first_crossing(curve)
@@ -293,7 +276,7 @@ def criterion_4_stability(ctx, fast=False):
     per_task = {}
     details = []
     for name in tasks:
-        rows, curves = _stability_trials(name, trials, epochs)
+        rows, curves = _stability_trials(ctx, name, trials, epochs)
         ctx["stability_curves"][name] = curves
         gated = name == STABILITY_TASK
         summary = _stability_summary(rows)
@@ -318,16 +301,13 @@ def _pwm_trials(ctx, fast=False):
     task = get_task("pwm")
     letters = all_sequences(*task.raw_shape)
     scores = sequence_scores(task, letters)
-    trials = 2 if fast else DISCRETE_TRIALS
-    epochs = 6 if fast else PWM_EPOCHS
+    cfg = config_from({"task": "pwm", "epochs": 6 if fast else PWM_EPOCHS})
     runs = []
-    for trial in range(trials):
-        dataset = curate_dataset(task, CurationConfig(seed=trial))
-        cfg = TrainerConfig(seed=trial, epochs=epochs)
-        model, _ = train(dataset, cfg)
-        eta = cfg.resolved_eta(dataset)
-        candidates = produce_candidates(model, dataset, DISCRETE_BUDGET, eta,
-                                        cfg.mining_steps)
+    for trial in range(2 if fast else DISCRETE_TRIALS):
+        dataset, tcfg, model, _ = fit(cfg, trial, ctx["fits"])
+        candidates = produce_candidates(model, dataset, DISCRETE_BUDGET,
+                                        tcfg.resolved_eta(dataset),
+                                        tcfg.mining_steps)
         runs.append((dataset, candidates))
     ctx["pwm_runs"] = (task, scores, runs)
     return ctx["pwm_runs"]
@@ -394,15 +374,12 @@ def criterion_6_budget_resilience(ctx, fast=False):
 def criterion_7_tau_ordering(ctx, fast=False):
     """More conservatism slack (larger tau) must not end below the most
     conservative setting on the cliff task, averaged over trials."""
-    task = get_task("cliff")
     taus = TAU_LIST[:2] if fast else TAU_LIST
     trials = 1 if fast else TAU_TRIALS
-    epochs = 4 if fast else 50
+    cfg = config_from({"task": "cliff", "epochs": 4 if fast else 50})
     finals = {tau: [] for tau in taus}
     for trial in range(trials):
-        dataset = curate_dataset(task, CurationConfig(seed=trial))
-        cfg = TrainerConfig(seed=trial, epochs=epochs)
-        curves = tau_sweep(dataset, task, taus, cfg, STABILITY_T_MAX)
+        curves = tau_sweep(cfg, trial, taus, STABILITY_T_MAX, ctx["fits"])
         for tau, curve in curves.items():
             finals[tau].append(float(curve[-1]))
     lo, hi = min(taus), max(taus)
@@ -500,7 +477,7 @@ def run_all(out_dir, fast=False) -> dict:
     """Run every acceptance criterion, print one PASS/FAIL line each, and
     write acceptance.json plus the desk-scale ablation curves."""
     os.makedirs(out_dir, exist_ok=True)
-    ctx: dict = {}
+    ctx: dict = {"fits": {}}  # the memo every criterion passes to `fit`
     results = []
     t0 = time.monotonic()
     for crit in CRITERIA:

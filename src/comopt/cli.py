@@ -19,8 +19,7 @@ from .harness import (DEFAULT_CONFIG, METHODS, InvariantViolation,
                       budget_sweep, config_from, curation_config_from,
                       evaluate_budget, normalized_score, run_experiment,
                       stability_sweep, tau_sweep, trainer_config_from)
-from .optimizer import (produce_candidates, read_candidates,
-                        select_initializations, write_candidates)
+from .optimizer import produce_candidates, read_candidates, write_candidates
 from .tasks import (curate_dataset, get_task, read_dataset, task_names,
                     write_dataset)
 from .trainer import write_training_log
@@ -44,10 +43,11 @@ def _add_trainer_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config(args) -> dict:
-    """The flags named after config keys, checked and typed by the same
-    mapping as a `comopt run` config file."""
-    return config_from({key: value for key, value in vars(args).items()
-                        if key in DEFAULT_CONFIG})
+    """The flags named after config keys, with `--seed` as `base_seed`,
+    checked and typed by the same mapping as a `comopt run` config file."""
+    values = {key: value for key, value in vars(args).items()
+              if key in DEFAULT_CONFIG}
+    return config_from({**values, "base_seed": args.seed})
 
 
 def cmd_curate(args) -> int:
@@ -96,7 +96,6 @@ def cmd_evaluate(args) -> int:
     candidates = read_candidates(args.candidates)
     n = len(candidates) if args.budget is None else args.budget
     ev = evaluate_budget(candidates, task, n)
-    ev.validate()
     text = json.dumps({"task": args.task, "budget": n, **asdict(ev)}, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -110,10 +109,8 @@ def cmd_stability(args) -> int:
     dataset = read_dataset(args.data)
     model = load_surrogate(args.model)
     config = trainer_config_from(_config(args), args.seed)
-    eta = config.resolved_eta(dataset)
-    seed_design = select_initializations(dataset, 1).designs[0]
-    curve = stability_sweep(model, task, seed_design, eta, args.t_max,
-                            dataset.stats)
+    curve = stability_sweep(model, task, dataset,
+                            config.resolved_eta(dataset), args.t_max)
     if len(curve) != args.t_max + 1:
         raise InvariantViolation("stability curve length must be t_max + 1")
     write_rows(args.out, ["step", "true_score"], enumerate(curve))
@@ -122,12 +119,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_sweep_tau(args) -> int:
-    task = get_task(args.task)
-    cfg = _config(args)
-    dataset = curate_dataset(task, curation_config_from(cfg, args.seed))
-    taus = [float(t) for t in args.taus.split(",")]
-    config = trainer_config_from(cfg, args.seed)
-    curves = tau_sweep(dataset, task, taus, config, args.t_max)
+    curves = tau_sweep(_config(args), 0, args.taus.split(","), args.t_max)
     os.makedirs(args.out_dir, exist_ok=True)
     for tau, curve in curves.items():
         write_rows(os.path.join(args.out_dir, f"stability_tau_{tau}.csv"),

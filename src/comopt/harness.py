@@ -4,9 +4,10 @@ Budget-N evaluation scores the N candidate designs a method proposes with
 the withheld oracle and reports the max (100th percentile) and median
 (50th percentile), raw and normalized by the task's withheld score range.
 Stability, tau, and budget sweeps reproduce the corresponding ablation
-curves at desk scale. `run_experiment` wires curate -> train -> optimize ->
-evaluate from a flat key=value config file into a reproducible run
-directory.
+curves at desk scale. `fit` is the one curate -> train step, shared by
+`run_experiment`, `tau_sweep` and the acceptance criteria;
+`run_experiment` wires it to optimize -> evaluate from a flat key=value
+config file into a reproducible run directory.
 """
 from __future__ import annotations
 
@@ -22,8 +23,7 @@ from .optimizer import (CandidateSet, ascend, candidate_table,
                         produce_candidates, select_initializations)
 from .tasks import (CurationConfig, TaskSpec, curate_dataset, get_task,
                     oracle_eval_batch, task_names)
-from .trainer import (NormalizationStats, OfflineDataset, TrainerConfig,
-                      train, write_training_log)
+from .trainer import OfflineDataset, TrainerConfig, train, write_training_log
 
 
 def _one(result):
@@ -67,15 +67,24 @@ class TrialEvaluation:
             raise InvariantViolation("p100 must be >= p50")
 
 
-def evaluate_budget(candidates: CandidateSet, task: TaskSpec, n: int) -> TrialEvaluation:
-    """Score the first n candidates with the true oracle; p100 is their max,
-    p50 the median (midpoint convention for even counts)."""
+def _top_scores(candidates: CandidateSet, task: TaskSpec, n: int) -> np.ndarray:
+    """Oracle scores of the n candidates the surrogate rates highest, best
+    first (ties keep row order): the designs a budget of n would evaluate."""
     if n < 1:
         raise ValueError("budget must be >= 1")
     if n > len(candidates):
         raise ValueError(f"budget {n} exceeds candidate set of {len(candidates)}")
-    raw = candidates.raw_designs()[:n]
-    scores = oracle_eval_batch(task, raw)
+    if candidates.surrogate_values is None:
+        raise ValueError("candidates carry no surrogate values to rank by")
+    order = np.argsort(-candidates.surrogate_values, kind="stable")[:n]
+    return oracle_eval_batch(task, candidates.raw_designs()[order])
+
+
+def evaluate_budget(candidates: CandidateSet, task: TaskSpec, n: int) -> TrialEvaluation:
+    """Score the n candidates the surrogate ranks highest with the true
+    oracle; p100 is their max, p50 the median (midpoint convention for even
+    counts)."""
+    scores = _top_scores(candidates, task, n)
     p100 = float(scores.max())
     p50 = float(np.median(scores))
     ev = TrialEvaluation(p100, p50, normalized_score(task, p100),
@@ -84,12 +93,14 @@ def evaluate_budget(candidates: CandidateSet, task: TaskSpec, n: int) -> TrialEv
     return ev
 
 
-def stability_sweep(model, task: TaskSpec, seed_design, eta: float,
-                    t_max: int, stats: NormalizationStats) -> np.ndarray:
-    """Ascend for t_max steps (deliberately past the trained horizon) and
-    return the withheld oracle's score of every iterate, steps 0..t_max."""
-    path = ascend(model, seed_design[None, :], eta, t_max, record=True)[:, 0]
-    return oracle_eval_batch(task, stats.denormalize_x(path))
+def stability_sweep(model, task: TaskSpec, dataset: OfflineDataset,
+                    eta: float, t_max: int) -> np.ndarray:
+    """Ascend from the dataset's best design for t_max steps (deliberately
+    past the trained horizon) and return the withheld oracle's score of
+    every iterate, steps 0..t_max."""
+    x0 = select_initializations(dataset, 1).designs
+    path = ascend(model, x0, eta, t_max, record=True)[:, 0]
+    return oracle_eval_batch(task, dataset.stats.denormalize_x(path))
 
 
 def budget_sweep(candidates: CandidateSet, task: TaskSpec, budgets) -> np.ndarray:
@@ -98,28 +109,26 @@ def budget_sweep(candidates: CandidateSet, task: TaskSpec, budgets) -> np.ndarra
     budgets = [int(b) for b in budgets]
     if min(budgets) < 1 or max(budgets) > len(candidates):
         raise ValueError("budgets must lie in [1, candidate count]")
-    if candidates.surrogate_values is None:
-        raise ValueError("candidates carry no surrogate values to rank by")
-    order = np.argsort(-candidates.surrogate_values, kind="stable")
-    scores = oracle_eval_batch(task, candidates.raw_designs()[order])
-    running_max = np.maximum.accumulate(scores)
+    running_max = np.maximum.accumulate(
+        _top_scores(candidates, task, max(budgets)))
     return np.array([running_max[b - 1] for b in budgets])
 
 
-def tau_sweep(dataset: OfflineDataset, task: TaskSpec, taus,
-              config: TrainerConfig, t_max: int) -> dict:
-    """Train one conservative surrogate per distinct tau (same seed) and
-    return its stability curve (true scores, steps 0..t_max) keyed by tau."""
-    if any(t <= 0 for t in taus):
-        raise ValueError("tau values must be positive")
-    seed_design = select_initializations(dataset, 1).designs[0]
-    eta = config.resolved_eta(dataset)
-    curves = {}
-    for tau in dict.fromkeys(float(t) for t in taus):
-        model, _ = train(dataset, replace(config, tau=tau))
-        curves[tau] = stability_sweep(model, task, seed_design, eta, t_max,
-                                      dataset.stats)
-    return curves
+def fitted_stability(cfg: dict, trial: int, t_max: int, memo=None) -> np.ndarray:
+    """`stability_sweep` of the trial's `fit` surrogate at the trainer's
+    step size."""
+    dataset, tcfg, model, _ = fit(cfg, trial, memo)
+    return stability_sweep(model, get_task(cfg["task"]), dataset,
+                           tcfg.resolved_eta(dataset), t_max)
+
+
+def tau_sweep(cfg: dict, trial: int, taus, t_max: int, memo=None) -> dict:
+    """One `fitted_stability` curve per distinct tau, keyed by tau. Every
+    tau is checked before the first training."""
+    configs = {tau: config_from({**cfg, "tau": tau})
+               for tau in dict.fromkeys(float(t) for t in taus)}
+    return {tau: fitted_stability(tau_cfg, trial, t_max, memo)
+            for tau, tau_cfg in configs.items()}
 
 
 @dataclass
@@ -130,10 +139,6 @@ class EvaluationReport:
     task: str
     budget: int
     trials: list
-
-    def validate(self) -> None:
-        for t in self.trials:
-            t.validate()
 
     def aggregates(self) -> dict:
         out = {}
@@ -207,7 +212,7 @@ def parse_config(text: str) -> dict:
                          f"choose from {tuple(METHODS)}")
     if cfg["task"] not in task_names():
         raise ValueError(f"unknown task {cfg['task']!r}; choose from {task_names()}")
-    for key in ("trials", "budget"):
+    for key in ("trials", "budget", "ensemble_size"):
         if cfg[key] < 1:
             raise ValueError(f"{key} must be >= 1")
     if cfg["stability_steps"] < 0:
@@ -258,6 +263,27 @@ def trainer_config_from(cfg: dict, seed: int) -> TrainerConfig:
     )
 
 
+def fit(cfg: dict, trial: int, memo: dict | None = None):
+    """Curate the trial's dataset and train `cfg["method"]` on it at seed
+    `base_seed + trial`; returns (dataset, trainer config, model, logs).
+    A `memo` dict skips trainings it has seen, keyed with step size and tau
+    resolved so "auto" matches the task default. Do not mutate the model."""
+    seed = cfg["base_seed"] + trial
+    curation = curation_config_from(cfg, seed)
+    dataset = curate_dataset(get_task(cfg["task"]), curation)
+    tcfg = trainer_config_from(cfg, seed)
+    resolved = replace(tcfg, ascent_rate=tcfg.resolved_eta(dataset),
+                       tau=tcfg.resolved_tau(dataset))
+    key = repr((cfg["task"], cfg["method"], cfg["ensemble_size"], curation,
+                resolved))
+    if memo is not None and key in memo:
+        return (dataset, tcfg, *memo[key])
+    model, logs = METHODS[cfg["method"]](dataset, tcfg, cfg["ensemble_size"])
+    if memo is not None:
+        memo[key] = model, logs
+    return dataset, tcfg, model, logs
+
+
 def run_experiment(config, out_dir) -> EvaluationReport:
     """Curate, train, optimize, and evaluate for each trial; write the run
     directory (config copy, report.json, training_log.csv, candidates.csv,
@@ -273,10 +299,7 @@ def run_experiment(config, out_dir) -> EvaluationReport:
     stability_rows = []
     budget_rows = []
     for trial in range(cfg["trials"]):
-        seed = cfg["base_seed"] + trial
-        dataset = curate_dataset(task, curation_config_from(cfg, seed))
-        tcfg = trainer_config_from(cfg, seed)
-        model, logs = METHODS[cfg["method"]](dataset, tcfg, cfg["ensemble_size"])
+        dataset, tcfg, model, logs = fit(cfg, trial)
         logs_all.extend(logs)
         log_trials.extend([trial] * len(logs))
         eta = tcfg.resolved_eta(dataset)
@@ -286,9 +309,8 @@ def run_experiment(config, out_dir) -> EvaluationReport:
         candidate_rows.extend([trial, *row] for row in rows)
         trials.append(evaluate_budget(candidates, task, cfg["budget"]))
         if cfg["stability_steps"] > 0:
-            seed_design = select_initializations(dataset, 1).designs[0]
-            curve = stability_sweep(model, task, seed_design, eta,
-                                    cfg["stability_steps"], dataset.stats)
+            curve = stability_sweep(model, task, dataset, eta,
+                                    cfg["stability_steps"])
             stability_rows.extend(
                 (trial, step, score) for step, score in enumerate(curve))
         if budgets:
@@ -302,7 +324,6 @@ def run_experiment(config, out_dir) -> EvaluationReport:
     write_rows(os.path.join(out_dir, "candidates.csv"),
                ["trial"] + candidate_header, candidate_rows)
     report = EvaluationReport(cfg["method"], cfg["task"], cfg["budget"], trials)
-    report.validate()
     with open(os.path.join(out_dir, "config.txt"), "w") as fh:
         fh.write(dump_config(cfg))
     with open(os.path.join(out_dir, "report.json"), "w") as fh:

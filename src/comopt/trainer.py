@@ -159,8 +159,14 @@ class TrainerConfig:
             raise ValueError("batch_size must be >= 1")
         if self.ascent_rate is not None and self.ascent_rate <= 0.0:
             raise ValueError("ascent_rate must be positive")
+        if self.tau is not None and self.tau <= 0.0:
+            raise ValueError("tau must be positive")
+        if self.adam_lr <= 0.0:
+            raise ValueError("adam_lr must be positive")
         if self.alpha_init < 0.0 or self.alpha_lr < 0.0:
             raise ValueError("alpha_init and alpha_lr must be >= 0")
+        if not 0.0 < self.leak < 1.0:
+            raise ValueError("leak must lie in (0, 1)")
 
     def resolved_eta(self, dataset: OfflineDataset) -> float:
         if self.ascent_rate is not None:

@@ -3,10 +3,14 @@
 `perfbench/tracing.py` wraps each function it lists in TRACED by name; a
 renamed or deleted function makes `tracing.install` raise and fails every
 benchmark run. `perfbench/checks.py` calls each task's oracle on one 1-D
-design. The benchmark's own tests live outside the default test paths, so
-these guards keep the contract in the main suite.
+design. `acceptance.distinct_trainings` counts `tracing._train_key`s, so
+`harness.fit`'s memo must treat two trainings as the same exactly when
+those keys are equal. The benchmark's own tests live outside the default
+test paths, so these guards keep the contract in the main suite.
 """
 import importlib
+import itertools
+import math
 import os
 import sys
 
@@ -39,3 +43,36 @@ def test_every_oracle_scores_one_raw_design_as_a_python_float():
         x = (task.lower + task.upper) / 2.0
         assert x.shape == (task.input_dim,)
         assert type(task.oracle(x)) is float, name
+
+
+def test_fit_memo_shares_an_entry_exactly_when_train_keys_match(monkeypatch):
+    from comopt import harness
+
+    real = harness.train
+    keys = []
+
+    def spy(dataset, config):
+        keys.append(tracing._train_key(dataset, config))
+        return real(dataset, config)
+
+    monkeypatch.setattr(harness, "train", spy)
+    base = {"task": "cliff", "n_raw": 100, "epochs": 1, "batch_size": 64,
+            "mining_steps": 2, "hidden": "8"}
+    settings = [{"tau": tau} for tau in ("auto", 0.5, 2.0)]
+    settings += [{"ascent_rate": 0.05 * math.sqrt(8)},
+                 {"alpha_init": 10.0, "alpha_lr": 0.0},
+                 {"alpha_init": 10.0, "alpha_lr": 0.0, "tau": 0.5}]
+    runs = [(harness.config_from({**base, **setting}), trial)
+            for setting, trial in itertools.product(settings, (0, 1))]
+
+    for cfg, trial in runs:
+        harness.fit(cfg, trial)
+    every_key = set(keys)
+    assert len(keys) == len(runs)
+    keys.clear()
+    memo = {}
+    for cfg, trial in runs:
+        harness.fit(cfg, trial, memo)
+    assert len(keys) == len(set(keys))  # no training repeated
+    assert set(keys) == every_key  # none merged into another
+    assert len(every_key) < len(runs)  # the memo had work to do

@@ -147,11 +147,14 @@ def test_unknown_config_key_fails_with_message(tmp_path, capsys):
 
 def test_invalid_config_fails_before_run_directory_exists(tmp_path, capsys):
     config = tmp_path / "bad.txt"
-    config.write_text("task = bowl\ntrials = 0\n")
     out = tmp_path / "o"
-    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
-    assert "trials must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
+    for line, message in (("trials = 0", "trials must be >= 1"),
+                          ("tau = -1", "tau must be positive")):
+        config.write_text(f"task = bowl\n{line}\n")
+        assert cli.main(["run", "--config", str(config),
+                         "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_trainer_flags_checked_like_config_keys(tmp_path, curated, capsys):
@@ -200,17 +203,33 @@ def test_evaluate_budget_zero_fails(tmp_path, curated, capsys):
     assert "budget must be >= 1" in capsys.readouterr().err
 
 
-def test_reproduce_fast_smoke(tmp_path):
+def test_reproduce_fast_smoke(tmp_path, monkeypatch, train_spy):
     # fast mode shrinks every criterion; exit code may be nonzero because
     # its 2-trial counts cannot meet the 7/8 and 6/8 thresholds of criteria
     # 4 and 5, so only check that the suite runs end to end and writes its
     # summary
+    from comopt import acceptance
+    rerun_trainings = []
+    real_run_experiment = acceptance.run_experiment
+
+    def run_experiment(config, out_dir):
+        before = len(train_spy)
+        report = real_run_experiment(config, out_dir)
+        rerun_trainings.append(len(train_spy) - before)
+        return report
+
+    monkeypatch.setattr(acceptance, "run_experiment", run_experiment)
     out = tmp_path / "rep"
     code = cli.main(["reproduce", "--out", str(out), "--fast"])
     data = json.loads((out / "acceptance.json").read_text())
     assert data["fast"] is True
     assert len(data["criteria"]) == 8
     assert code in (0, 1)
+    # each distinct surrogate trains once: criterion 7's tau = 0.5 model is
+    # criterion 2's dual model; criterion 3's pair and criterion 8's
+    # same-seed reruns are the checks, so they train for themselves
+    assert len(train_spy) == 13
+    assert rerun_trainings == [1, 1]
 
 
 def _train(tmp_path, curated, method="grad-naive"):

@@ -9,13 +9,13 @@ from comopt.baselines import DEFAULT_ENSEMBLE_SIZE
 from comopt.harness import (DEFAULT_CONFIG, EvaluationReport,
                             InvariantViolation, TrialEvaluation, budget_sweep,
                             config_from, curation_config_from, evaluate_budget,
-                            normalized_score, parse_config, run_experiment,
-                            stability_sweep, tau_sweep, trainer_config_from)
+                            fit, normalized_score, parse_config,
+                            run_experiment, stability_sweep, tau_sweep,
+                            trainer_config_from)
 from comopt.net import build_model
 from comopt.optimizer import CandidateSet
-from comopt.tasks import (CurationConfig, bowl_task, cliff_task,
-                          curate_dataset, get_task)
-from comopt.trainer import NormalizationStats, TrainerConfig
+from comopt.tasks import CurationConfig, bowl_task
+from comopt.trainer import NormalizationStats, OfflineDataset, TrainerConfig
 
 
 def identity_stats(dim):
@@ -74,6 +74,18 @@ class TestEvaluateBudget:
                              bowl_task(), 8)
         assert ev.score_p100 >= ev.score_p50
 
+    def test_budget_n_scores_the_surrogate_ranked_prefix(self):
+        # the surrogate ranks the rows in reverse, so row order and rank
+        # order give different prefixes
+        raws = np.zeros((6, 8))
+        raws[:, 0] = np.arange(6) * 0.3
+        cands = candidate_set(raws, surrogate_values=np.arange(6.0))
+        task = bowl_task()
+        for n in range(1, 7):
+            ev = evaluate_budget(cands, task, n)
+            assert ev.score_p100 == budget_sweep(cands, task, [n])[0]
+            assert ev.score_p50 == np.median(-(raws[6 - n:, 0] ** 2))
+
 
 class TestNormalizedScore:
     def test_endpoints(self):
@@ -107,15 +119,16 @@ class TestStabilitySweep:
             def input_grad_batch(self, X):
                 return np.zeros_like(X)
 
-        seed = np.full(8, 0.5)
-        curve = stability_sweep(Flat(), task, seed, 0.1, 10, identity_stats(8))
+        data = OfflineDataset(np.full((2, 8), 0.5), np.zeros(2),
+                              identity_stats(8))
+        curve = stability_sweep(Flat(), task, data, 0.1, 10)
         assert len(curve) == 11
         npt.assert_allclose(curve, np.full(11, -8 * 0.25))
 
     def test_curve_length(self):
         model = build_model(8, (4,), rng=np.random.default_rng(0))
-        curve = stability_sweep(model, bowl_task(), np.zeros(8), 0.1, 25,
-                                identity_stats(8))
+        data = OfflineDataset(np.zeros((2, 8)), np.zeros(2), identity_stats(8))
+        curve = stability_sweep(model, bowl_task(), data, 0.1, 25)
         assert len(curve) == 26
 
 
@@ -153,30 +166,64 @@ class TestBudgetSweep:
             budget_sweep(cands, bowl_task(), [1, 4])
 
 
+TINY = {"task": "cliff", "n_raw": 100, "epochs": 2, "batch_size": 64,
+        "mining_steps": 3, "hidden": "8"}
+
+
 class TestTauSweep:
     def test_single_tau_single_curve(self):
-        task = cliff_task()
-        ds = curate_dataset(task, CurationConfig(100, 50.0, seed=0))
-        cfg = TrainerConfig(epochs=2, batch_size=64, mining_steps=3, hidden=(8,),
-                            seed=0)
-        curves = tau_sweep(ds, task, [0.5], cfg, t_max=5)
+        curves = tau_sweep(config_from(TINY), 0, [0.5], t_max=5)
         assert set(curves) == {0.5}
         assert len(curves[0.5]) == 6
 
     def test_default_tau_values_accepted(self):
         # the standard thresholds: 0.5 continuous, 2.0 discrete
-        task = cliff_task()
-        ds = curate_dataset(task, CurationConfig(100, 50.0, seed=1))
-        cfg = TrainerConfig(epochs=1, batch_size=64, mining_steps=2, hidden=(4,),
-                            seed=0)
-        curves = tau_sweep(ds, task, [0.5, 2.0], cfg, t_max=3)
+        cfg = config_from({**TINY, "epochs": 1, "mining_steps": 2,
+                           "hidden": "4", "base_seed": 1})
+        curves = tau_sweep(cfg, 0, [0.5, 2.0], t_max=3)
         assert set(curves) == {0.5, 2.0}
 
-    def test_nonpositive_tau_rejected(self):
-        task = cliff_task()
-        ds = curate_dataset(task, CurationConfig(100, 50.0, seed=0))
-        with pytest.raises(ValueError):
-            tau_sweep(ds, task, [0.0, 0.5], TrainerConfig(), t_max=3)
+    def test_nonpositive_tau_rejected(self, train_spy):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            tau_sweep(config_from(TINY), 0, [0.5, 0.0], t_max=3)
+        assert train_spy == []
+
+
+class TestFit:
+    def test_memo_trains_each_distinct_surrogate_once(self, train_spy):
+        base = config_from({**TINY, "epochs": 1})
+        memo = {}
+        for tau in ("auto", 0.5):  # 0.5 is the continuous default
+            fit(config_from({**base, "tau": tau}), 0, memo)
+        assert len(train_spy) == 1
+        variants = [{"trial": 1}, {"method": "grad-naive"},
+                    {"ensemble_size": 3}, {"n_raw": 120}]
+        for variant in variants:
+            trial = variant.pop("trial", 0)
+            fit(config_from({**base, **variant}), trial, memo)
+        assert len(train_spy) == 1 + len(variants)
+        assert train_spy[1].seed == 1
+
+    def test_memo_returns_the_stored_fit(self):
+        cfg = config_from({**TINY, "epochs": 1})
+        memo = {}
+        first = fit(cfg, 0, memo)
+        again = fit(cfg, 0, memo)
+        assert again[2] is first[2] and again[3] is first[3]
+        assert np.array_equal(again[0].designs, first[0].designs)
+
+    def test_without_memo_every_call_trains(self, train_spy):
+        cfg = config_from({**TINY, "epochs": 1})
+        fit(cfg, 0)
+        fit(cfg, 0)
+        assert len(train_spy) == 2
+
+    def test_seed_is_base_seed_plus_trial(self):
+        cfg = config_from({**TINY, "epochs": 1, "base_seed": 5})
+        dataset, tcfg, _, _ = fit(cfg, 2)
+        assert tcfg == trainer_config_from(cfg, 7)
+        expected = fit(config_from({**cfg, "base_seed": 7}), 0)[0]
+        assert np.array_equal(dataset.designs, expected.designs)
 
 
 class TestReportAggregation:
@@ -240,8 +287,15 @@ class TestParseConfig:
         ("task = nowhere\n", "unknown task 'nowhere'"),
         ("epochs = 0\n", "epochs must be >= 1"),
         ("keep_percentile = 0\n", "keep_percentile must lie in"),
+        ("tau = -1\n", "tau must be positive"),
+        ("adam_lr = -1\n", "adam_lr must be positive"),
+        ("leak = 1.5\n", r"leak must lie in \(0, 1\)"),
+        ("ensemble_size = 0\n", "ensemble_size must be >= 1"),
+        ("method = grad-min\nensemble_size = 0\n",
+         "ensemble_size must be >= 1"),
     ], ids=["trials", "budget", "stability_steps", "hidden", "budgets",
-            "budgets_range", "task", "epochs", "keep_percentile"])
+            "budgets_range", "task", "epochs", "keep_percentile", "tau",
+            "adam_lr", "leak", "ensemble_size", "ensemble_size_grad_min"])
     def test_invalid_values_rejected_at_parse_time(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_config(text)
