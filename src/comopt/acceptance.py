@@ -21,9 +21,8 @@ import numpy as np
 from . import net
 from .baselines import train_naive
 from .fileio import write_rows
-from .harness import budget_sweep, config_from, evaluate_budget, fit, \
-    fitted_stability, normalized_score, run_experiment, tau_sweep
-from .optimizer import produce_candidates
+from .harness import config_from, fit, normalized_score, run_experiment, \
+    run_trial, tau_sweep
 from .tasks import CurationConfig, all_sequences, curate_dataset, get_task, \
     sequence_scores
 from .trainer import TrainerConfig, _mine_endpoints, train
@@ -41,6 +40,7 @@ DISCRETE_TRIALS = 8
 DISCRETE_BUDGET = 16
 DISCRETE_TOP_FRACTION = 0.05
 DISCRETE_HIT_COUNT = 6
+DISCRETE_BUDGETS = tuple(range(1, DISCRETE_BUDGET + 1))
 BUDGET_RESILIENCE_FRACTION = 0.95
 BUDGET_RESILIENCE_AT = 8
 TAU_LIST = (0.05, 0.5, 2.0)
@@ -103,7 +103,7 @@ def _rel_err(a, b):
     return np.abs(a - b) / np.maximum(1e-3, np.maximum(np.abs(a), np.abs(b)))
 
 
-def criterion_1_gradients(ctx, fast=False):
+def criterion_1_gradients(memo, fast=False):
     """Backprop vs central finite differences on random models and inputs."""
     t0 = time.monotonic()
     rng = np.random.default_rng(12345)
@@ -145,7 +145,7 @@ def criterion_1_gradients(ctx, fast=False):
     }
 
 
-def criterion_2_conservatism(ctx, fast=False):
+def criterion_2_conservatism(memo, fast=False):
     """Fixed large alpha must push the mined-vs-data prediction gap to at
     most 0.1; the dual variant must end with gap <= tau + 0.25."""
     runs = [("cliff", 4)] if fast else [("cliff", 50), ("pwm", PWM_EPOCHS)]
@@ -154,12 +154,12 @@ def criterion_2_conservatism(ctx, fast=False):
     for name, epochs in runs:
         dual = config_from({"task": name, "epochs": epochs})
         fixed = {**dual, "alpha_init": 10.0, "alpha_lr": 0.0}
-        dataset, tcfg, model, _ = fit(fixed, 0, ctx["fits"])
+        dataset, tcfg, model, _ = fit(fixed, 0, memo)
         mined = _mine_endpoints(model, dataset.designs,
                                 tcfg.resolved_eta(dataset), tcfg.mining_steps)
         gap = float(net.forward_batch(model, mined).mean()
                     - net.forward_batch(model, dataset.designs).mean())
-        dataset, tcfg, _, logs = fit(dual, 0, ctx["fits"])
+        dataset, tcfg, _, logs = fit(dual, 0, memo)
         final_gap = logs[0][-1]["gap"]
         tau = tcfg.resolved_tau(dataset)
         ok = gap <= CONSERVATISM_GAP_TOL and final_gap <= tau + DUAL_GAP_SLACK
@@ -174,7 +174,7 @@ def criterion_2_conservatism(ctx, fast=False):
     }
 
 
-def criterion_3_baseline_equivalence(ctx, fast=False):
+def criterion_3_baseline_equivalence(memo, fast=False):
     """alpha pinned at zero must reproduce the naive baseline bitwise."""
     task = get_task("cliff")
     dataset = curate_dataset(task, CurationConfig(500, 50.0, seed=0))
@@ -201,26 +201,26 @@ def _first_crossing(curve):
     return int(below[0]) if below.size else None
 
 
-def _stability_trials(ctx, task_name, trials, epochs):
+def _stability_trials(memo, task_name, trials, epochs):
     """Per-trial finals and penalty crossings of COMs vs naive ascent from
-    the best dataset design, with the curves they came from."""
-    coms = config_from({"task": task_name, "epochs": epochs})
+    the best dataset design, with the (header, rows) of their curves."""
+    coms = config_from({"task": task_name, "epochs": epochs,
+                        "stability_steps": STABILITY_T_MAX})
     naive = {**coms, "method": "grad-naive"}
     rows = []
-    curves = []
+    curve_rows = []
     for trial in range(trials):
-        coms_curve, naive_curve = (
-            fitted_stability(cfg, trial, STABILITY_T_MAX, ctx["fits"])
-            for cfg in (coms, naive))
         row = {"trial": trial}
-        for method, curve in (("coms", coms_curve), ("naive", naive_curve)):
+        for method, cfg in (("coms", coms), ("naive", naive)):
+            curve = run_trial(cfg, trial, memo).stability
             step = _first_crossing(curve)
             row[f"{method}_final"] = float(curve[-1])
             row[f"{method}_crossed"] = step is not None
             row[f"{method}_first_cross_step"] = step
+            curve_rows.extend([trial, cfg["method"], t, score]
+                              for t, score in enumerate(curve))
         rows.append(row)
-        curves.append((trial, coms_curve, naive_curve))
-    return rows, curves
+    return rows, (["trial", "method", "step", "true_score"], curve_rows)
 
 
 def _stability_summary(rows):
@@ -256,7 +256,7 @@ def _stability_detail(name, gated, summary):
             f"{trials}")
 
 
-def criterion_4_stability(ctx, fast=False):
+def criterion_4_stability(memo, fast=False):
     """Long-horizon ascent (t=200, four times the trained 50-step horizon)
     from the best dataset design. Gated on the `edge` task, whose withheld
     optimum lies on the penalty boundary, so naive ascent can overshoot it:
@@ -272,12 +272,12 @@ def criterion_4_stability(ctx, fast=False):
     epochs = 4 if fast else 50
     tasks = (STABILITY_TASK,) if fast else (STABILITY_TASK,
                                             *STABILITY_DIAGNOSTIC_TASKS)
-    ctx["stability_curves"] = {}
     per_task = {}
     details = []
+    curves = {}
     for name in tasks:
-        rows, curves = _stability_trials(ctx, name, trials, epochs)
-        ctx["stability_curves"][name] = curves
+        rows, curves[f"{name}_stability.csv"] = _stability_trials(
+            memo, name, trials, epochs)
         gated = name == STABILITY_TASK
         summary = _stability_summary(rows)
         per_task[name] = {"gated": gated, **summary}
@@ -292,43 +292,32 @@ def criterion_4_stability(ctx, fast=False):
         "passed": bool(passed),
         "detail": f"{elapsed:.0f}s (< 300s). " + " | ".join(details),
         "metrics": {"seconds": elapsed, "tasks": per_task},
+        "curves": curves,
     }
 
 
-def _pwm_trials(ctx, fast=False):
-    if "pwm_runs" in ctx:
-        return ctx["pwm_runs"]
-    task = get_task("pwm")
-    letters = all_sequences(*task.raw_shape)
-    scores = sequence_scores(task, letters)
-    cfg = config_from({"task": "pwm", "epochs": 6 if fast else PWM_EPOCHS})
-    runs = []
-    for trial in range(2 if fast else DISCRETE_TRIALS):
-        dataset, tcfg, model, _ = fit(cfg, trial, ctx["fits"])
-        candidates = produce_candidates(model, dataset, DISCRETE_BUDGET,
-                                        tcfg.resolved_eta(dataset),
-                                        tcfg.mining_steps)
-        runs.append((dataset, candidates))
-    ctx["pwm_runs"] = (task, scores, runs)
-    return ctx["pwm_runs"]
+def _pwm_trials(memo, fast=False):
+    """The discrete trials of criteria 5, 6 and 8: budget-16 search with
+    the budget sweep over 1..16; the memo trains each surrogate once."""
+    cfg = config_from({"task": "pwm", "epochs": 6 if fast else PWM_EPOCHS,
+                       "budget": DISCRETE_BUDGET,
+                       "budgets": ",".join(map(str, DISCRETE_BUDGETS))})
+    return [run_trial(cfg, trial, memo)
+            for trial in range(2 if fast else DISCRETE_TRIALS)]
 
 
-def criterion_5_discrete(ctx, fast=False):
+def criterion_5_discrete(memo, fast=False):
     """Brute-force check on the enumerable sequence task: the best decoded
     candidate must rank in the true top 5% of all sequences and strictly
     beat the best visible training sequence, each in >= 6 of 8 trials."""
-    task, scores, runs = _pwm_trials(ctx, fast)
+    task = get_task("pwm")
+    scores = sequence_scores(task, all_sequences(*task.raw_shape))
+    runs = _pwm_trials(memo, fast)
     rank_cut = int(DISCRETE_TOP_FRACTION * len(scores))
-    hits = 0
-    beats = 0
-    ranks = []
-    for dataset, candidates in runs:
-        ev = evaluate_budget(candidates, task, DISCRETE_BUDGET)
-        best = ev.score_p100
-        rank = int((scores > best).sum())
-        hits += rank < rank_cut
-        beats += best > float(dataset.raw_scores().max())
-        ranks.append(rank)
+    ranks = [int((scores > run.evaluation.score_p100).sum()) for run in runs]
+    hits = sum(rank < rank_cut for rank in ranks)
+    beats = sum(run.evaluation.score_p100 > float(run.dataset.raw_scores().max())
+                for run in runs)
     need = DISCRETE_HIT_COUNT
     passed = hits >= need and beats >= need
     return {
@@ -342,23 +331,21 @@ def criterion_5_discrete(ctx, fast=False):
     }
 
 
-def criterion_6_budget_resilience(ctx, fast=False):
+def _monotone(sweep):
+    return all(a <= b + 1e-12 for a, b in zip(sweep, sweep[1:]))
+
+
+def criterion_6_budget_resilience(memo, fast=False):
     """Per-trial budget sweeps must be monotone, and the mean normalized
     p100 must reach 95% of its N=16 value at some N <= 8."""
-    task, _, runs = _pwm_trials(ctx, fast)
-    budgets = list(range(1, DISCRETE_BUDGET + 1))
-    monotone = True
-    curves = []
-    for _, candidates in runs:
-        sweep = budget_sweep(candidates, task, budgets)
-        monotone = monotone and all(a <= b + 1e-12
-                                    for a, b in zip(sweep, sweep[1:]))
-        curves.append([normalized_score(task, v) for v in sweep])
-    mean_curve = np.mean(curves, axis=0)
-    ctx["budget_curve"] = (budgets, mean_curve)
+    task = get_task("pwm")
+    runs = _pwm_trials(memo, fast)
+    monotone = all(_monotone(run.budget) for run in runs)
+    mean_curve = np.mean([[normalized_score(task, v) for v in run.budget]
+                          for run in runs], axis=0)
     target = BUDGET_RESILIENCE_FRACTION * mean_curve[-1]
-    reach = next((b for b, v in zip(budgets, mean_curve) if v >= target),
-                 None)
+    reach = next((b for b, v in zip(DISCRETE_BUDGETS, mean_curve)
+                  if v >= target), None)
     passed = monotone and reach is not None and reach <= BUDGET_RESILIENCE_AT
     return {
         "id": 6,
@@ -368,10 +355,12 @@ def criterion_6_budget_resilience(ctx, fast=False):
                    f"{BUDGET_RESILIENCE_FRACTION:.0%} of its N={DISCRETE_BUDGET} "
                    f"value ({mean_curve[-1]:.3f}) at N={reach} "
                    f"(need <= {BUDGET_RESILIENCE_AT})"),
+        "curves": {"pwm_budget.csv": (["budget", "mean_normalized_p100"],
+                                      list(zip(DISCRETE_BUDGETS, mean_curve)))},
     }
 
 
-def criterion_7_tau_ordering(ctx, fast=False):
+def criterion_7_tau_ordering(memo, fast=False):
     """More conservatism slack (larger tau) must not end below the most
     conservative setting on the cliff task, averaged over trials."""
     taus = TAU_LIST[:2] if fast else TAU_LIST
@@ -379,24 +368,27 @@ def criterion_7_tau_ordering(ctx, fast=False):
     cfg = config_from({"task": "cliff", "epochs": 4 if fast else 50})
     finals = {tau: [] for tau in taus}
     for trial in range(trials):
-        curves = tau_sweep(cfg, trial, taus, STABILITY_T_MAX, ctx["fits"])
+        curves = tau_sweep(cfg, trial, taus, STABILITY_T_MAX, memo)
         for tau, curve in curves.items():
             finals[tau].append(float(curve[-1]))
     lo, hi = min(taus), max(taus)
     lo_mean = float(np.mean(finals[lo]))
     hi_mean = float(np.mean(finals[hi]))
     passed = hi_mean >= lo_mean
-    ctx["tau_finals"] = finals
     return {
         "id": 7,
         "name": "tau ordering",
         "passed": bool(passed),
         "detail": (f"final true score over {trials} trials: tau={hi} mean "
                    f"{hi_mean:.2f} >= tau={lo} mean {lo_mean:.2f}: {passed}"),
+        "curves": {"cliff_tau_finals.csv": (
+            ["tau", "trial", "final_true_score"],
+            [[tau, trial, v] for tau, values in finals.items()
+             for trial, v in enumerate(values)])},
     }
 
 
-def criterion_8_protocol(ctx, fast=False, work_dir=None):
+def criterion_8_protocol(memo, fast=False, work_dir=None):
     """p100 >= p50 everywhere, monotone budget sweeps, exact normalization
     endpoints, and byte-identical same-seed reruns."""
     problems = []
@@ -405,17 +397,12 @@ def criterion_8_protocol(ctx, fast=False, work_dir=None):
         task = get_task(name)
         if normalized_score(task, task.y_max) != 1.0:
             problems.append(f"{name} optimum does not normalize to 1.0")
-    # p100 >= p50 on fresh evaluations of the discrete runs
-    task, _, runs = _pwm_trials(ctx, fast)
-    for _, candidates in runs:
-        ev = evaluate_budget(candidates, task, DISCRETE_BUDGET)
-        if ev.score_p100 < ev.score_p50:
+    # p100 >= p50 and monotone budget sweeps on the discrete trials
+    for run in _pwm_trials(memo, fast):
+        if run.evaluation.score_p100 < run.evaluation.score_p50:
             problems.append("p100 < p50 in a discrete trial")
-    # monotone budget sweep (recorded by criterion 6)
-    budgets, mean_curve = ctx.get("budget_curve", (None, None))
-    if mean_curve is not None:
-        if any(a > b + 1e-12 for a, b in zip(mean_curve, mean_curve[1:])):
-            problems.append("mean budget curve not monotone")
+        if not _monotone(run.budget):
+            problems.append("budget sweep not monotone in a discrete trial")
     # same-seed byte identity of a full experiment run
     config = ("task = bowl\nmethod = coms\ntrials = 1\nn_raw = 120\n"
               "budget = 4\nepochs = 2\nbatch_size = 32\nmining_steps = 3\n"
@@ -440,27 +427,6 @@ def criterion_8_protocol(ctx, fast=False, work_dir=None):
     }
 
 
-def _write_curves(ctx, out_dir):
-    curves_dir = os.path.join(out_dir, "curves")
-    os.makedirs(curves_dir, exist_ok=True)
-    for name, curves in ctx.get("stability_curves", {}).items():
-        write_rows(os.path.join(curves_dir, f"{name}_stability.csv"),
-                   ["trial", "method", "step", "true_score"],
-                   ([trial, method, step, score]
-                    for trial, coms_curve, naive_curve in curves
-                    for method, curve in (("coms", coms_curve),
-                                          ("grad-naive", naive_curve))
-                    for step, score in enumerate(curve)))
-    if "budget_curve" in ctx:
-        write_rows(os.path.join(curves_dir, "pwm_budget.csv"),
-                   ["budget", "mean_normalized_p100"], zip(*ctx["budget_curve"]))
-    if "tau_finals" in ctx:
-        write_rows(os.path.join(curves_dir, "cliff_tau_finals.csv"),
-                   ["tau", "trial", "final_true_score"],
-                   ([tau, trial, v] for tau, values in ctx["tau_finals"].items()
-                    for trial, v in enumerate(values)))
-
-
 CRITERIA = (
     criterion_1_gradients,
     criterion_2_conservatism,
@@ -475,19 +441,22 @@ CRITERIA = (
 
 def run_all(out_dir, fast=False) -> dict:
     """Run every acceptance criterion, print one PASS/FAIL line each, and
-    write acceptance.json plus the desk-scale ablation curves."""
-    os.makedirs(out_dir, exist_ok=True)
-    ctx: dict = {"fits": {}}  # the memo every criterion passes to `fit`
+    write acceptance.json plus the desk-scale ablation curves each
+    criterion returns under `curves` (file name -> header, rows)."""
+    os.makedirs(os.path.join(out_dir, "curves"), exist_ok=True)
+    memo: dict = {}  # the fit memo every criterion passes to `fit`
     results = []
     t0 = time.monotonic()
     for crit in CRITERIA:
         if crit is criterion_8_protocol:
-            record = crit(ctx, fast, work_dir=out_dir)
+            record = crit(memo, fast, work_dir=out_dir)
         else:
-            record = crit(ctx, fast)
+            record = crit(memo, fast)
         status = "PASS" if record["passed"] else "FAIL"
         print(f"criterion {record['id']} ({record['name']}): {status} "
               f"- {record['detail']}", flush=True)
+        for name, (header, rows) in record.pop("curves", {}).items():
+            write_rows(os.path.join(out_dir, "curves", name), header, rows)
         results.append(record)
     total = time.monotonic() - t0
     all_passed = all(r["passed"] for r in results)
@@ -497,7 +466,6 @@ def run_all(out_dir, fast=False) -> dict:
         "total_seconds": total,
         "all_passed": all_passed,
     }
-    _write_curves(ctx, out_dir)
     with open(os.path.join(out_dir, "acceptance.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

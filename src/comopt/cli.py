@@ -25,34 +25,45 @@ from .tasks import (curate_dataset, get_task, read_dataset, task_names,
 from .trainer import write_training_log
 
 
-def _add_trainer_flags(p: argparse.ArgumentParser) -> None:
-    d = DEFAULT_CONFIG
-    p.add_argument("--epochs", type=int, default=d["epochs"])
-    p.add_argument("--batch-size", type=int, default=d["batch_size"])
-    p.add_argument("--mining-steps", type=int, default=d["mining_steps"],
-                   help="ascent steps T shared by mining and optimization")
-    p.add_argument("--ascent-rate", default=d["ascent_rate"],
-                   help="eta; 'auto' uses 0.05*sqrt(d) cont., 2.0*sqrt(d) disc.")
-    p.add_argument("--adam-lr", type=float, default=d["adam_lr"])
-    p.add_argument("--tau", default=d["tau"],
-                   help="conservatism threshold; 'auto' is 0.5 cont., 2.0 disc.")
-    p.add_argument("--alpha-lr", type=float, default=d["alpha_lr"])
-    p.add_argument("--alpha-init", type=float, default=d["alpha_init"])
-    p.add_argument("--hidden", default=d["hidden"])
-    p.add_argument("--seed", type=int, default=d["base_seed"])
+TRAINER_FLAGS = {
+    "--epochs": dict(type=int, default=DEFAULT_CONFIG["epochs"]),
+    "--batch-size": dict(type=int, default=DEFAULT_CONFIG["batch_size"]),
+    "--mining-steps": dict(
+        type=int, default=DEFAULT_CONFIG["mining_steps"],
+        help="ascent steps T shared by mining and optimization"),
+    "--ascent-rate": dict(
+        default=DEFAULT_CONFIG["ascent_rate"],
+        help="eta; 'auto' uses 0.05*sqrt(d) cont., 2.0*sqrt(d) disc."),
+    "--adam-lr": dict(type=float, default=DEFAULT_CONFIG["adam_lr"]),
+    "--tau": dict(
+        default=DEFAULT_CONFIG["tau"],
+        help="conservatism threshold; 'auto' is 0.5 cont., 2.0 disc."),
+    "--alpha-lr": dict(type=float, default=DEFAULT_CONFIG["alpha_lr"]),
+    "--alpha-init": dict(type=float, default=DEFAULT_CONFIG["alpha_init"]),
+    "--hidden": dict(default=DEFAULT_CONFIG["hidden"]),
+    "--seed": dict(type=int, default=DEFAULT_CONFIG["base_seed"],
+                   dest="base_seed", metavar="SEED"),
+}
+
+
+def _add_trainer_flags(p: argparse.ArgumentParser, flags=TRAINER_FLAGS) -> None:
+    """Add the named trainer flags, each stored under its config key; a
+    command takes only the flags it reads."""
+    for flag in flags:
+        p.add_argument(flag, **TRAINER_FLAGS[flag])
 
 
 def _config(args) -> dict:
-    """The flags named after config keys, with `--seed` as `base_seed`,
-    checked and typed by the same mapping as a `comopt run` config file."""
-    values = {key: value for key, value in vars(args).items()
-              if key in DEFAULT_CONFIG}
-    return config_from({**values, "base_seed": args.seed})
+    """The flags named after config keys, checked and typed by the same
+    mapping as a `comopt run` config file."""
+    return config_from({key: value for key, value in vars(args).items()
+                        if key in DEFAULT_CONFIG})
 
 
 def cmd_curate(args) -> int:
     task = get_task(args.task)
-    dataset = curate_dataset(task, curation_config_from(_config(args), args.seed))
+    dataset = curate_dataset(task, curation_config_from(_config(args),
+                                                        args.base_seed))
     dataset.validate()
     if dataset.raw_scores().max() >= task.y_max:
         raise InvariantViolation("curated dataset should leave headroom")
@@ -66,11 +77,11 @@ def cmd_curate(args) -> int:
 def cmd_train(args) -> int:
     dataset = read_dataset(args.data)
     cfg = _config(args)
-    config = trainer_config_from(cfg, args.seed)
+    config = trainer_config_from(cfg, args.base_seed)
     model, logs = METHODS[cfg["method"]](dataset, config, cfg["ensemble_size"])
     save_surrogate(model, args.out_model)
     if args.log:
-        write_training_log(args.log, logs[:1])
+        write_training_log(args.log, logs)
     final = logs[0][-1]
     print(f"trained {args.method}: final mse {final['mse']:.4f}, "
           f"gap {final['gap']:.4f}, alpha {final['alpha']:.4f}")
@@ -80,7 +91,7 @@ def cmd_train(args) -> int:
 def cmd_optimize(args) -> int:
     dataset = read_dataset(args.data)
     model = load_surrogate(args.model)
-    config = trainer_config_from(_config(args), args.seed)
+    config = trainer_config_from(_config(args), 0)
     eta = config.resolved_eta(dataset)
     candidates = produce_candidates(model, dataset, args.budget, eta,
                                     config.mining_steps)
@@ -108,7 +119,7 @@ def cmd_stability(args) -> int:
     task = get_task(args.task)
     dataset = read_dataset(args.data)
     model = load_surrogate(args.model)
-    config = trainer_config_from(_config(args), args.seed)
+    config = trainer_config_from(_config(args), 0)
     curve = stability_sweep(model, task, dataset,
                             config.resolved_eta(dataset), args.t_max)
     if len(curve) != args.t_max + 1:
@@ -171,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=task_names())
     p.add_argument("--n-raw", type=int, default=d["n_raw"])
     p.add_argument("--keep-percentile", type=float, default=d["keep_percentile"])
-    p.add_argument("--seed", type=int, default=d["base_seed"])
+    _add_trainer_flags(p, ["--seed"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curate)
 
@@ -189,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--budget", type=int, default=d["budget"])
     p.add_argument("--out", required=True)
-    _add_trainer_flags(p)
+    _add_trainer_flags(p, ["--mining-steps", "--ascent-rate"])
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("evaluate", help="score candidates with the oracle")
@@ -205,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=task_names())
     p.add_argument("--t-max", type=int, default=200)
     p.add_argument("--out", required=True)
-    _add_trainer_flags(p)
+    _add_trainer_flags(p, ["--ascent-rate"])
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("sweep-tau", help="stability curves across tau values")
@@ -215,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-percentile", type=float, default=d["keep_percentile"])
     p.add_argument("--t-max", type=int, default=200)
     p.add_argument("--out-dir", required=True)
-    _add_trainer_flags(p)
+    _add_trainer_flags(p, [f for f in TRAINER_FLAGS if f != "--tau"])
     p.set_defaults(func=cmd_sweep_tau)
 
     p = sub.add_parser("sweep-budget", help="p100 as a function of budget")

@@ -4,10 +4,10 @@ Budget-N evaluation scores the N candidate designs a method proposes with
 the withheld oracle and reports the max (100th percentile) and median
 (50th percentile), raw and normalized by the task's withheld score range.
 Stability, tau, and budget sweeps reproduce the corresponding ablation
-curves at desk scale. `fit` is the one curate -> train step, shared by
-`run_experiment`, `tau_sweep` and the acceptance criteria;
-`run_experiment` wires it to optimize -> evaluate from a flat key=value
-config file into a reproducible run directory.
+curves at desk scale. `run_trial` is the one trial pipeline (curate ->
+train -> optimize -> evaluate -> sweeps), shared by `run_experiment`,
+`tau_sweep` and the acceptance criteria; `run_experiment` runs it for each
+trial of a flat key=value config file into a reproducible run directory.
 """
 from __future__ import annotations
 
@@ -114,20 +114,16 @@ def budget_sweep(candidates: CandidateSet, task: TaskSpec, budgets) -> np.ndarra
     return np.array([running_max[b - 1] for b in budgets])
 
 
-def fitted_stability(cfg: dict, trial: int, t_max: int, memo=None) -> np.ndarray:
-    """`stability_sweep` of the trial's `fit` surrogate at the trainer's
-    step size."""
-    dataset, tcfg, model, _ = fit(cfg, trial, memo)
-    return stability_sweep(model, get_task(cfg["task"]), dataset,
-                           tcfg.resolved_eta(dataset), t_max)
-
-
 def tau_sweep(cfg: dict, trial: int, taus, t_max: int, memo=None) -> dict:
-    """One `fitted_stability` curve per distinct tau, keyed by tau. Every
-    tau is checked before the first training."""
-    configs = {tau: config_from({**cfg, "tau": tau})
+    """The trial's t_max-step stability curve per distinct tau, keyed by
+    tau. Every tau is checked before the first training. Only the curve is
+    kept, so each trial searches a single candidate."""
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    configs = {tau: config_from({**cfg, "tau": tau, "stability_steps": t_max,
+                                 "budget": 1, "budgets": ""})
                for tau in dict.fromkeys(float(t) for t in taus)}
-    return {tau: fitted_stability(tau_cfg, trial, t_max, memo)
+    return {tau: run_trial(tau_cfg, trial, memo).stability
             for tau, tau_cfg in configs.items()}
 
 
@@ -215,8 +211,9 @@ def parse_config(text: str) -> dict:
     for key in ("trials", "budget", "ensemble_size"):
         if cfg[key] < 1:
             raise ValueError(f"{key} must be >= 1")
-    if cfg["stability_steps"] < 0:
-        raise ValueError("stability_steps must be >= 0")
+    for key in ("base_seed", "stability_steps"):
+        if cfg[key] < 0:
+            raise ValueError(f"{key} must be >= 0")
     if any(b < 1 or b > cfg["budget"] for b in int_list(cfg, "budgets")):
         raise ValueError("budgets must lie in [1, budget]")
     curation_config_from(cfg, cfg["base_seed"]).validate()
@@ -284,40 +281,63 @@ def fit(cfg: dict, trial: int, memo: dict | None = None):
     return dataset, tcfg, model, logs
 
 
+@dataclass
+class TrialResult:
+    """What one trial of the protocol produced; `stability` and `budget`
+    are None unless the config asks for those sweeps."""
+
+    dataset: OfflineDataset
+    model: object
+    logs: list
+    candidates: CandidateSet
+    evaluation: TrialEvaluation
+    stability: np.ndarray | None
+    budget: np.ndarray | None
+
+
+def run_trial(cfg: dict, trial: int, memo: dict | None = None) -> TrialResult:
+    """One trial: `fit`, ascend to `cfg["budget"]` candidates at the
+    trainer's step size and score them with the oracle; then the stability
+    sweep when `stability_steps` > 0 and the budget sweep over `budgets`
+    when it lists any. `memo` is passed to `fit`."""
+    dataset, tcfg, model, logs = fit(cfg, trial, memo)
+    task = get_task(cfg["task"])
+    eta = tcfg.resolved_eta(dataset)
+    candidates = produce_candidates(model, dataset, cfg["budget"], eta,
+                                    tcfg.mining_steps)
+    steps, budgets = cfg["stability_steps"], int_list(cfg, "budgets")
+    return TrialResult(
+        dataset, model, logs, candidates,
+        evaluate_budget(candidates, task, cfg["budget"]),
+        stability_sweep(model, task, dataset, eta, steps) if steps else None,
+        budget_sweep(candidates, task, budgets) if budgets else None)
+
+
 def run_experiment(config, out_dir) -> EvaluationReport:
-    """Curate, train, optimize, and evaluate for each trial; write the run
-    directory (config copy, report.json, training_log.csv, candidates.csv,
-    curves/*.csv). Fully reproducible from config + base seed."""
+    """`run_trial` for each trial; write the run directory (config copy,
+    report.json, training_log.csv, candidates.csv, curves/*.csv). Fully
+    reproducible from config + base seed."""
     cfg = config_from(config) if isinstance(config, dict) else parse_config(str(config))
     os.makedirs(out_dir, exist_ok=True)
     task = get_task(cfg["task"])
     budgets = int_list(cfg, "budgets")
 
-    trials = []
-    logs_all, log_trials = [], []
-    candidate_rows = []
-    stability_rows = []
-    budget_rows = []
+    trials, logs_all, log_trials = [], [], []
+    candidate_rows, stability_rows, budget_rows = [], [], []
     for trial in range(cfg["trials"]):
-        dataset, tcfg, model, logs = fit(cfg, trial)
-        logs_all.extend(logs)
-        log_trials.extend([trial] * len(logs))
-        eta = tcfg.resolved_eta(dataset)
-        candidates = produce_candidates(model, dataset, cfg["budget"],
-                                        eta, tcfg.mining_steps)
-        candidate_header, rows = candidate_table(candidates)
+        result = run_trial(cfg, trial)
+        logs_all.extend(result.logs)
+        log_trials.extend([trial] * len(result.logs))
+        candidate_header, rows = candidate_table(result.candidates)
         candidate_rows.extend([trial, *row] for row in rows)
-        trials.append(evaluate_budget(candidates, task, cfg["budget"]))
-        if cfg["stability_steps"] > 0:
-            curve = stability_sweep(model, task, dataset, eta,
-                                    cfg["stability_steps"])
-            stability_rows.extend(
-                (trial, step, score) for step, score in enumerate(curve))
-        if budgets:
-            sweep = budget_sweep(candidates, task, budgets)
+        trials.append(result.evaluation)
+        if result.stability is not None:
+            stability_rows.extend((trial, step, score) for step, score
+                                  in enumerate(result.stability))
+        if result.budget is not None:
             budget_rows.extend(
                 (trial, b, p, normalized_score(task, p))
-                for b, p in zip(budgets, sweep))
+                for b, p in zip(budgets, result.budget))
 
     write_training_log(os.path.join(out_dir, "training_log.csv"), logs_all,
                        log_trials)

@@ -12,6 +12,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 TRAIN_FLAGS = ["--epochs", "2", "--batch-size", "64", "--mining-steps", "3",
                "--hidden", "8"]
+# the only trainer flag `optimize` reads besides --ascent-rate
+OPTIMIZE_FLAGS = ["--mining-steps", "3"]
 
 
 @pytest.fixture()
@@ -43,7 +45,7 @@ def test_train_optimize_evaluate_pipeline(tmp_path, curated):
 
     cands = tmp_path / "cands.csv"
     assert cli.main(["optimize", "--model", str(model), "--data", str(curated),
-                     "--budget", "4", "--out", str(cands), *TRAIN_FLAGS]) == 0
+                     "--budget", "4", "--out", str(cands), *OPTIMIZE_FLAGS]) == 0
     assert len(cands.read_text().splitlines()) == 5
 
     report = tmp_path / "report.json"
@@ -52,6 +54,28 @@ def test_train_optimize_evaluate_pipeline(tmp_path, curated):
     data = json.loads(report.read_text())
     assert data["score_p100"] >= data["score_p50"]
     assert data["budget"] == 4
+
+
+def test_train_log_holds_every_ensemble_member(tmp_path, curated):
+    log = tmp_path / "log.csv"
+    assert cli.main(["train", "--data", str(curated), "--method", "grad-min",
+                     "--ensemble-size", "3", "--out-model",
+                     str(tmp_path / "m.npz"), "--log", str(log),
+                     *TRAIN_FLAGS]) == 0
+    rows = log.read_text().splitlines()
+    assert rows[0] == "epoch,mse,gap,alpha,mean_pred_data,mean_pred_mined"
+    # epochs restart per member, as in a run directory's training log
+    assert [row.split(",")[0] for row in rows[1:]] == ["1", "2"] * 3
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("optimize", "--epochs"), ("optimize", "--hidden"), ("optimize", "--seed"),
+    ("stability", "--mining-steps"), ("stability", "--tau"),
+    ("sweep-tau", "--tau")])
+def test_commands_take_only_the_flags_they_read(command, flag, capsys):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    assert flag not in re.findall(r"--[a-z-]+", capsys.readouterr().out)
 
 
 def test_train_naive_and_ensemble(tmp_path, curated):
@@ -69,7 +93,7 @@ def test_ensemble_model_round_trips_through_optimize(tmp_path, curated):
               "--ensemble-size", "2", "--out-model", str(model), *TRAIN_FLAGS])
     cands = tmp_path / "c.csv"
     assert cli.main(["optimize", "--model", str(model), "--data", str(curated),
-                     "--budget", "2", "--out", str(cands), *TRAIN_FLAGS]) == 0
+                     "--budget", "2", "--out", str(cands), *OPTIMIZE_FLAGS]) == 0
 
 
 def test_stability_command(tmp_path, curated):
@@ -78,8 +102,8 @@ def test_stability_command(tmp_path, curated):
               "--out-model", str(model), *TRAIN_FLAGS])
     curve = tmp_path / "curve.csv"
     assert cli.main(["stability", "--model", str(model), "--data", str(curated),
-                     "--task", "cliff", "--t-max", "6", "--out", str(curve),
-                     *TRAIN_FLAGS]) == 0
+                     "--task", "cliff", "--t-max", "6",
+                     "--out", str(curve)]) == 0
     assert len(curve.read_text().splitlines()) == 8  # header + 7 steps
 
 
@@ -89,7 +113,7 @@ def test_sweep_budget_command(tmp_path, curated):
               "--out-model", str(model), *TRAIN_FLAGS])
     cands = tmp_path / "c.csv"
     cli.main(["optimize", "--model", str(model), "--data", str(curated),
-              "--budget", "4", "--out", str(cands), *TRAIN_FLAGS])
+              "--budget", "4", "--out", str(cands), *OPTIMIZE_FLAGS])
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep-budget", "--candidates", str(cands), "--task",
                      "cliff", "--budgets", "1,2,4", "--out", str(out)]) == 0
@@ -149,7 +173,8 @@ def test_invalid_config_fails_before_run_directory_exists(tmp_path, capsys):
     config = tmp_path / "bad.txt"
     out = tmp_path / "o"
     for line, message in (("trials = 0", "trials must be >= 1"),
-                          ("tau = -1", "tau must be positive")):
+                          ("tau = -1", "tau must be positive"),
+                          ("base_seed = -1", "base_seed must be >= 0")):
         config.write_text(f"task = bowl\n{line}\n")
         assert cli.main(["run", "--config", str(config),
                          "--out", str(out)]) == 1
@@ -161,6 +186,10 @@ def test_trainer_flags_checked_like_config_keys(tmp_path, curated, capsys):
     assert cli.main(["train", "--data", str(curated), "--out-model",
                      str(tmp_path / "m.npz"), "--hidden", "8,x"]) == 1
     assert "hidden must be comma-separated integers" in capsys.readouterr().err
+    assert cli.main(["curate", "--task", "cliff", "--seed", "-1",
+                     "--out", str(tmp_path / "d.csv")]) == 1
+    assert "base_seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
 
 
 def readme_config_blocks():
@@ -184,7 +213,7 @@ def test_evaluate_budget_too_large_fails(tmp_path, curated):
               "--out-model", str(model), *TRAIN_FLAGS])
     cands = tmp_path / "c.csv"
     cli.main(["optimize", "--model", str(model), "--data", str(curated),
-              "--budget", "2", "--out", str(cands), *TRAIN_FLAGS])
+              "--budget", "2", "--out", str(cands), *OPTIMIZE_FLAGS])
     assert cli.main(["evaluate", "--candidates", str(cands), "--task", "cliff",
                      "--budget", "99"]) == 1
 
@@ -196,7 +225,7 @@ def test_evaluate_budget_zero_fails(tmp_path, curated, capsys):
               "--out-model", str(model), *TRAIN_FLAGS])
     cands = tmp_path / "c.csv"
     cli.main(["optimize", "--model", str(model), "--data", str(curated),
-              "--budget", "2", "--out", str(cands), *TRAIN_FLAGS])
+              "--budget", "2", "--out", str(cands), *OPTIMIZE_FLAGS])
     capsys.readouterr()
     assert cli.main(["evaluate", "--candidates", str(cands), "--task", "cliff",
                      "--budget", "0"]) == 1
@@ -230,6 +259,12 @@ def test_reproduce_fast_smoke(tmp_path, monkeypatch, train_spy):
     # same-seed reruns are the checks, so they train for themselves
     assert len(train_spy) == 13
     assert rerun_trainings == [1, 1]
+    # criteria hand their curve rows to run_all, which writes them and
+    # keeps them out of acceptance.json
+    for name in ("edge_stability.csv", "pwm_budget.csv",
+                 "cliff_tau_finals.csv"):
+        assert (out / "curves" / name).exists()
+    assert not any("curves" in record for record in data["criteria"])
 
 
 def _train(tmp_path, curated, method="grad-naive"):
@@ -269,7 +304,7 @@ def test_archive_missing_a_layer_fails_with_message(tmp_path, curated, capsys):
     np.savez(model, **arrays)
     assert cli.main(["optimize", "--model", str(model), "--data", str(curated),
                      "--budget", "2", "--out", str(tmp_path / "c.csv"),
-                     *TRAIN_FLAGS]) == 1
+                     *OPTIMIZE_FLAGS]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "w1" in err
 
@@ -286,7 +321,7 @@ def test_evaluate_rejects_candidates_of_another_width(tmp_path, curated,
     model = _train(tmp_path, curated)
     cands = tmp_path / "c.csv"
     assert cli.main(["optimize", "--model", str(model), "--data", str(curated),
-                     "--budget", "2", "--out", str(cands), *TRAIN_FLAGS]) == 0
+                     "--budget", "2", "--out", str(cands), *OPTIMIZE_FLAGS]) == 0
     assert cli.main(["evaluate", "--candidates", str(cands),
                      "--task", "pwm"]) == 1
     err = capsys.readouterr().err
@@ -297,7 +332,7 @@ def test_sweep_budget_in_descending_order(tmp_path, curated):
     model = _train(tmp_path, curated, "coms")
     cands = tmp_path / "c.csv"
     cli.main(["optimize", "--model", str(model), "--data", str(curated),
-              "--budget", "8", "--out", str(cands), *TRAIN_FLAGS])
+              "--budget", "8", "--out", str(cands), *OPTIMIZE_FLAGS])
     ascending, descending = tmp_path / "up.csv", tmp_path / "down.csv"
     assert cli.main(["sweep-budget", "--candidates", str(cands), "--task",
                      "cliff", "--budgets", "1,4,8", "--out",

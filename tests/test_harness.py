@@ -10,10 +10,11 @@ from comopt.harness import (DEFAULT_CONFIG, EvaluationReport,
                             InvariantViolation, TrialEvaluation, budget_sweep,
                             config_from, curation_config_from, evaluate_budget,
                             fit, normalized_score, parse_config,
-                            run_experiment, stability_sweep, tau_sweep,
-                            trainer_config_from)
+                            run_experiment, run_trial, stability_sweep,
+                            tau_sweep, trainer_config_from)
+from comopt.fileio import write_rows
 from comopt.net import build_model
-from comopt.optimizer import CandidateSet
+from comopt.optimizer import CandidateSet, candidate_table
 from comopt.tasks import CurationConfig, bowl_task
 from comopt.trainer import NormalizationStats, OfflineDataset, TrainerConfig
 
@@ -183,10 +184,45 @@ class TestTauSweep:
         curves = tau_sweep(cfg, 0, [0.5, 2.0], t_max=3)
         assert set(curves) == {0.5, 2.0}
 
+    def test_dataset_smaller_than_the_run_budget(self):
+        # 10 curated rows, fewer than the default budget of 16
+        curves = tau_sweep(config_from({**TINY, "n_raw": 20}), 0, [0.5],
+                           t_max=2)
+        assert len(curves[0.5]) == 3
+
     def test_nonpositive_tau_rejected(self, train_spy):
         with pytest.raises(ValueError, match="tau must be positive"):
             tau_sweep(config_from(TINY), 0, [0.5, 0.0], t_max=3)
+        with pytest.raises(ValueError, match="t_max must be >= 1"):
+            tau_sweep(config_from(TINY), 0, [0.5], t_max=0)
         assert train_spy == []
+
+
+class TestRunTrial:
+    def test_sweeps_run_only_when_the_config_asks(self, train_spy):
+        cfg = config_from({**TINY, "epochs": 1, "budget": 4})
+        memo = {}
+        plain = run_trial(cfg, 0, memo)
+        assert plain.stability is None and plain.budget is None
+        assert len(plain.candidates) == 4
+        swept = run_trial(config_from({**cfg, "stability_steps": 3,
+                                       "budgets": "1,4"}), 0, memo)
+        assert len(train_spy) == 1  # the memo reaches `fit`
+        assert len(swept.stability) == 4
+        assert swept.budget[-1] == swept.evaluation.score_p100
+        assert swept.evaluation == plain.evaluation
+
+    def test_trials_match_the_run_experiment_report(self, tmp_path):
+        cfg = config_from({**TINY, "epochs": 1, "trials": 2, "budget": 4})
+        report = run_experiment(cfg, tmp_path / "run")
+        results = [run_trial(cfg, trial) for trial in range(2)]
+        assert report.trials == [r.evaluation for r in results]
+        tables = [candidate_table(r.candidates) for r in results]
+        write_rows(tmp_path / "want.csv", ["trial"] + tables[0][0],
+                   [[trial, *row] for trial, (_, rows) in enumerate(tables)
+                    for row in rows])
+        assert ((tmp_path / "run" / "candidates.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
 
 
 class TestFit:
@@ -293,9 +329,11 @@ class TestParseConfig:
         ("ensemble_size = 0\n", "ensemble_size must be >= 1"),
         ("method = grad-min\nensemble_size = 0\n",
          "ensemble_size must be >= 1"),
+        ("base_seed = -1\n", "base_seed must be >= 0"),
     ], ids=["trials", "budget", "stability_steps", "hidden", "budgets",
             "budgets_range", "task", "epochs", "keep_percentile", "tau",
-            "adam_lr", "leak", "ensemble_size", "ensemble_size_grad_min"])
+            "adam_lr", "leak", "ensemble_size", "ensemble_size_grad_min",
+            "base_seed"])
     def test_invalid_values_rejected_at_parse_time(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_config(text)
