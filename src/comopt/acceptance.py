@@ -93,7 +93,7 @@ def _smooth_case(rng, input_dim, hidden, margin=1e-3):
     for _ in range(500):
         model = net.build_model(input_dim, hidden, rng=rng)
         x = rng.normal(size=input_dim)
-        pres, _, _ = net._forward_cached(model, x[None, :])
+        pres, _, _ = net._hidden_pass(model, x[None, :])
         if all(np.min(np.abs(p)) > margin for p in pres):
             return model, x
     raise RuntimeError("could not sample a kink-free case")
@@ -203,8 +203,9 @@ def _first_crossing(curve):
 
 def _stability_trials(memo, task_name, trials, epochs):
     """Per-trial finals and penalty crossings of COMs vs naive ascent from
-    the best dataset design, with the (header, rows) of their curves."""
-    coms = config_from({"task": task_name, "epochs": epochs,
+    the best dataset design, with the (header, rows) of their curves. Only
+    the curve is read, so each trial searches a single candidate."""
+    coms = config_from({"task": task_name, "epochs": epochs, "budget": 1,
                         "stability_steps": STABILITY_T_MAX})
     naive = {**coms, "method": "grad-naive"}
     rows = []

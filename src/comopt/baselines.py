@@ -42,13 +42,19 @@ class Ensemble:
         return preds.min(axis=0) if self.aggregate == "min" else preds.mean(axis=0)
 
     def input_grad_batch(self, X) -> np.ndarray:
-        grads = np.stack([net.input_gradient_batch(m, X) for m in self.members])
         if self.aggregate == "mean":
-            return grads.mean(axis=0)
+            return np.stack([net.input_gradient_batch(m, X)
+                             for m in self.members]).mean(axis=0)
         # Min mode: subgradient of the pointwise minimum is the gradient of
-        # the active member; argmin breaks ties toward the lowest index.
-        active = self.member_predictions(X).argmin(axis=0)
-        return grads[active, np.arange(X.shape[0])]
+        # the active member; argmin breaks ties toward the lowest index. One
+        # hidden pass per member yields its prediction and its gradient.
+        preds, grads = [], []
+        for m in self.members:
+            p, cache = net.forward_with_cache(m, X)
+            preds.append(p)
+            grads.append(net.input_gradient_batch(m, X, cache))
+        active = np.stack(preds).argmin(axis=0)
+        return np.stack(grads)[active, np.arange(X.shape[0])]
 
 
 def naive_config(config: TrainerConfig) -> TrainerConfig:

@@ -171,14 +171,20 @@ def cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No parser accepts abbreviated flags: `--tau` must not silently select
+    # `--taus`, nor `--ensemble` select `--ensemble-size`.
     parser = argparse.ArgumentParser(
         prog="comopt",
         description="Conservative surrogate training and design optimization",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, **kwargs):
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
     d = DEFAULT_CONFIG
-    p = sub.add_parser("curate", help="build an offline dataset from a task")
+    p = command("curate", help="build an offline dataset from a task")
     p.add_argument("--task", required=True, choices=task_names())
     p.add_argument("--n-raw", type=int, default=d["n_raw"])
     p.add_argument("--keep-percentile", type=float, default=d["keep_percentile"])
@@ -186,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curate)
 
-    p = sub.add_parser("train", help="train a surrogate on a dataset CSV")
+    p = command("train", help="train a surrogate on a dataset CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--method", default=d["method"], choices=list(METHODS))
     p.add_argument("--ensemble-size", type=int, default=d["ensemble_size"])
@@ -195,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trainer_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("optimize", help="produce budget-N candidates")
+    p = command("optimize", help="produce budget-N candidates")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--budget", type=int, default=d["budget"])
@@ -203,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trainer_flags(p, ["--mining-steps", "--ascent-rate"])
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("evaluate", help="score candidates with the oracle")
+    p = command("evaluate", help="score candidates with the oracle")
     p.add_argument("--candidates", required=True)
     p.add_argument("--task", required=True, choices=task_names())
     p.add_argument("--budget", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("stability", help="true-score curve along the ascent")
+    p = command("stability", help="true-score curve along the ascent")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--task", required=True, choices=task_names())
@@ -219,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trainer_flags(p, ["--ascent-rate"])
     p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("sweep-tau", help="stability curves across tau values")
+    p = command("sweep-tau", help="stability curves across tau values")
     p.add_argument("--task", required=True, choices=task_names())
     p.add_argument("--taus", required=True, help="comma-separated tau values")
     p.add_argument("--n-raw", type=int, default=d["n_raw"])
@@ -229,19 +235,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trainer_flags(p, [f for f in TRAINER_FLAGS if f != "--tau"])
     p.set_defaults(func=cmd_sweep_tau)
 
-    p = sub.add_parser("sweep-budget", help="p100 as a function of budget")
+    p = command("sweep-budget", help="p100 as a function of budget")
     p.add_argument("--candidates", required=True)
     p.add_argument("--task", required=True, choices=task_names())
     p.add_argument("--budgets", default="1,2,4,8,16")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep_budget)
 
-    p = sub.add_parser("run", help="full experiment from a key=value config")
+    p = command("run", help="full experiment from a key=value config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("reproduce", help="run the full acceptance suite")
+    p = command("reproduce", help="run the full acceptance suite")
     p.add_argument("--out", default="reproduce_out")
     p.add_argument("--fast", action="store_true",
                    help="reduced trial counts for a quick smoke pass")

@@ -51,20 +51,21 @@ class DenseLayer:
     def fan_out(self) -> int:
         return self.weights.shape[0]
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weights.copy(), self.bias.copy())
-
 
 @dataclass
 class ObjectiveModel:
     """Feed-forward surrogate: affine layers with leaky-ReLU between them.
 
     The final layer maps to a single scalar prediction; `leak` is the
-    negative-side slope of the activation (0.3 by default).
+    negative-side slope of the activation (0.3 by default). Construction
+    copies every layer's weights and bias, in layer order, into one
+    contiguous float64 vector `params`; the model's layers hold views into
+    it, so a write through either is seen by both.
     """
 
     layers: list[DenseLayer] = field(default_factory=list)
     leak: float = 0.3
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -76,13 +77,28 @@ class ObjectiveModel:
                 raise ValueError("layer fan_in must match previous fan_out")
         if self.layers[-1].fan_out != 1:
             raise ValueError("final layer must produce a single scalar")
+        self.params = np.concatenate(
+            [a.ravel() for lyr in self.layers for a in (lyr.weights, lyr.bias)])
+        layers, start = [], 0
+        for lyr in self.layers:
+            (o, i), stop = lyr.weights.shape, start + lyr.weights.size
+            layers.append(DenseLayer(self.params[start:stop].reshape(o, i),
+                                     self.params[stop:stop + o]))
+            start = stop + o
+        self.layers = layers
+
+    def __reduce__(self):
+        # Pickling and deepcopy rebuild through the constructor, so the
+        # layers of the result are views into its own `params`.
+        return ObjectiveModel, (self.layers, self.leak)
 
     @property
     def input_dim(self) -> int:
         return self.layers[0].fan_in
 
     def copy(self) -> "ObjectiveModel":
-        return ObjectiveModel([lyr.copy() for lyr in self.layers], self.leak)
+        """An independent model with equal parameters (construction copies)."""
+        return ObjectiveModel(self.layers, self.leak)
 
 
 def build_model(input_dim: int, hidden=(64, 64), leak: float = 0.3,
@@ -106,7 +122,7 @@ def _as_batch(model: ObjectiveModel, X) -> np.ndarray:
     return X
 
 
-def _forward_cached(model: ObjectiveModel, X: np.ndarray):
+def _hidden_pass(model: ObjectiveModel, X: np.ndarray):
     """Hidden layers' pre-activations, activations (from X on) and slopes."""
     pres, acts, slopes = [], [X], []
     for lyr in model.layers[:-1]:
@@ -118,17 +134,26 @@ def _forward_cached(model: ObjectiveModel, X: np.ndarray):
     return pres, acts, slopes
 
 
+def forward_with_cache(model: ObjectiveModel, X):
+    """Predictions for a batch, shape (n,), and the cache of the hidden pass
+    that made them. Passing the cache to `loss_gradients` or
+    `input_gradient_batch` with the same model and X skips a second pass."""
+    cache = _hidden_pass(model, _as_batch(model, X))
+    _, acts, _ = cache
+    out = model.layers[-1]
+    return (acts[-1] @ out.weights.T + out.bias)[:, 0], cache
+
+
 def forward_batch(model: ObjectiveModel, X) -> np.ndarray:
     """Surrogate predictions for a batch of designs, shape (n,)."""
-    _, acts, _ = _forward_cached(model, _as_batch(model, X))
-    out = model.layers[-1]
-    return (acts[-1] @ out.weights.T + out.bias)[:, 0]
+    return forward_with_cache(model, X)[0]
 
 
-def input_gradient_batch(model: ObjectiveModel, X) -> np.ndarray:
-    """Exact d prediction / d input for every row of X, shape (n, input_dim)."""
+def input_gradient_batch(model: ObjectiveModel, X, cache=None) -> np.ndarray:
+    """Exact d prediction / d input for every row of X, shape (n, input_dim).
+    `cache`, from `forward_with_cache(model, X)`, replaces the hidden pass."""
     X = _as_batch(model, X)
-    _, _, slopes = _forward_cached(model, X)
+    _, _, slopes = _hidden_pass(model, X) if cache is None else cache
     if not slopes:
         return np.ones((X.shape[0], 1)) @ model.layers[0].weights
     g = model.layers[-1].weights[0] * slopes[-1]
@@ -138,14 +163,15 @@ def input_gradient_batch(model: ObjectiveModel, X) -> np.ndarray:
     return g @ model.layers[0].weights
 
 
-def loss_gradients(model: ObjectiveModel, X, dloss_dpred) -> list:
+def loss_gradients(model: ObjectiveModel, X, dloss_dpred, cache=None) -> list:
     """Backprop primitive: gradients of sum_i g_i * f(x_i) w.r.t. every
-    parameter, where g = dloss_dpred. Returns [(dW, db)] aligned with layers."""
+    parameter, where g = dloss_dpred. Returns [(dW, db)] aligned with layers.
+    `cache`, from `forward_with_cache(model, X)`, replaces the hidden pass."""
     X = _as_batch(model, X)
     g = np.asarray(dloss_dpred, dtype=np.float64)
     if g.shape != (X.shape[0],):
         raise ValueError("dloss_dpred must have one entry per batch row")
-    _, acts, slopes = _forward_cached(model, X)
+    _, acts, slopes = _hidden_pass(model, X) if cache is None else cache
     gk = g[:, None]
     grads = [(gk.T @ acts[-1], gk.sum(axis=0))]
     for k in range(len(slopes) - 1, -1, -1):
@@ -154,21 +180,17 @@ def loss_gradients(model: ObjectiveModel, X, dloss_dpred) -> list:
     return grads[::-1]
 
 
-def zero_gradients(model: ObjectiveModel) -> list:
-    return [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
-
-
 def add_gradients(a: list, b: list) -> list:
     return [(aw + bw, ab + bb) for (aw, ab), (bw, bb) in zip(a, b)]
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments, one (weight, bias) pair per layer."""
+    """Bias-corrected Adam moments, flat like `ObjectiveModel.params`."""
 
     step_count: int
-    first_moment: list
-    second_moment: list
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -178,31 +200,30 @@ class AdamState:
 def init_adam(model: ObjectiveModel, learning_rate: float = 1e-3) -> AdamState:
     return AdamState(
         step_count=0,
-        first_moment=zero_gradients(model),
-        second_moment=zero_gradients(model),
+        first_moment=np.zeros_like(model.params),
+        second_moment=np.zeros_like(model.params),
         learning_rate=learning_rate,
     )
 
 
 def adam_step(state: AdamState, model: ObjectiveModel, grads: list) -> None:
-    """One in-place Adam update. Validates gradients first so a non-finite
-    gradient leaves both the state and the parameters untouched."""
+    """One in-place Adam update of the whole parameter vector. Validates
+    gradients first so a non-finite gradient leaves both the state and the
+    parameters untouched."""
     if len(grads) != len(model.layers):
         raise GradientError("gradient structure does not match model layers")
     for lyr, (dw, db) in zip(model.layers, grads):
         if dw.shape != lyr.weights.shape or db.shape != lyr.bias.shape:
             raise GradientError("gradient shapes do not match parameters")
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-            raise GradientError("non-finite gradient; parameters left untouched")
+    grad = np.concatenate([np.ravel(a) for pair in grads for a in pair])
+    if not np.all(np.isfinite(grad)):
+        raise GradientError("non-finite gradient; parameters left untouched")
     state.step_count += 1
     c1 = 1.0 - state.beta1 ** state.step_count
     c2 = 1.0 - state.beta2 ** state.step_count
-    for lyr, moms1, moms2, (dw, db) in zip(
-            model.layers, state.first_moment, state.second_moment, grads):
-        for param, m, v, grad in ((lyr.weights, moms1[0], moms2[0], dw),
-                                  (lyr.bias, moms1[1], moms2[1], db)):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * grad
-            v *= state.beta2
-            v += (1.0 - state.beta2) * grad * grad
-            param -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+    m, v = state.first_moment, state.second_moment
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad * grad
+    model.params -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)

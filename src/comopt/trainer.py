@@ -239,20 +239,20 @@ def train(dataset: OfflineDataset, config: TrainerConfig):
             idx = order[start:start + config.batch_size]
             Xb, yb = X[idx], y[idx]
             nb = len(idx)
-            preds = net.forward_batch(model, Xb)
+            preds, cache = net.forward_with_cache(model, Xb)
             preds_mined = None
             if conservative:
                 X_mined = _mine_endpoints(model, Xb, eta, config.mining_steps)
-                preds_mined = net.forward_batch(model, X_mined)
+                preds_mined, cache_mined = net.forward_with_cache(model, X_mined)
             mse, gap, g_data, g_mined = com_loss(preds, yb, preds_mined,
                                                  lagrange.alpha)
             if not np.isfinite(mse) or (conservative and not np.isfinite(gap)):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch} (mse={mse}, gap={gap})")
-            grads = net.loss_gradients(model, Xb, g_data)
+            grads = net.loss_gradients(model, Xb, g_data, cache)
             if conservative:
-                grads = net.add_gradients(
-                    grads, net.loss_gradients(model, X_mined, g_mined))
+                grads = net.add_gradients(grads, net.loss_gradients(
+                    model, X_mined, g_mined, cache_mined))
             net.adam_step(adam, model, grads)
             if conservative:
                 lagrange = dual_update(lagrange, gap)

@@ -3,10 +3,11 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
+from comopt import net
 from comopt.acceptance import _fd_gradient
 from comopt.baselines import Ensemble, train_ensemble, train_naive
 from comopt.net import DenseLayer, ObjectiveModel, build_model
-from comopt.optimizer import input_grad_batch, predict_batch
+from comopt.optimizer import ascend, input_grad_batch, predict_batch
 from comopt.trainer import OfflineDataset, TrainerConfig, fit_normalization, train
 
 
@@ -129,6 +130,28 @@ class TestEnsembleInputGradient:
                                 rtol=1e-12, atol=1e-15)
             npt.assert_allclose(G[i], gradient_one(members[active[i]], x),
                                 rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("aggregate", ["min", "mean"])
+    def test_one_hidden_pass_per_member_per_ascent_step(self, monkeypatch,
+                                                        aggregate):
+        rng = np.random.default_rng(6)
+        ens = Ensemble([build_model(2, (8,), rng=rng) for _ in range(3)],
+                       aggregate)
+        X = rng.normal(size=(5, 2))
+        grads = np.stack([net.input_gradient_batch(m, X) for m in ens.members])
+        want = (grads[ens.member_predictions(X).argmin(axis=0), np.arange(5)]
+                if aggregate == "min" else grads.mean(axis=0))
+        assert ens.input_grad_batch(X).tobytes() == want.tobytes()
+        calls = []
+        real = net._hidden_pass
+
+        def spy(model, X):
+            calls.append(len(X))
+            return real(model, X)
+
+        monkeypatch.setattr(net, "_hidden_pass", spy)
+        ascend(ens, X, 0.1, 4)
+        assert calls == [5] * (4 * 3)
 
 
 class TestTrainNaive:

@@ -2,13 +2,16 @@
 
 `perfbench/tracing.py` wraps each function it lists in TRACED by name; a
 renamed or deleted function makes `tracing.install` raise and fails every
-benchmark run. `perfbench/checks.py` calls each task's oracle on one 1-D
-design. `acceptance.distinct_trainings` counts `tracing._train_key`s, so
+benchmark run. Its net kernel spans count `len(X)` rows of a call's second
+argument, so every kernel in NET_KERNELS takes `(model, X)` first.
+`perfbench/checks.py` calls each task's oracle on one 1-D design.
+`acceptance.distinct_trainings` counts `tracing._train_key`s, so
 `harness.fit`'s memo must treat two trainings as the same exactly when
 those keys are equal. The benchmark's own tests live outside the default
 test paths, so these guards keep the contract in the main suite.
 """
 import importlib
+import inspect
 import itertools
 import math
 import os
@@ -26,6 +29,15 @@ def test_every_traced_name_is_a_comopt_callable():
         mod = importlib.import_module(f"comopt.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"comopt.{module}.{name}"
+
+
+def test_every_net_kernel_takes_model_and_batch_first():
+    for name in tracing.NET_KERNELS:
+        module, fname = name.split(".")
+        fn = getattr(importlib.import_module(f"comopt.{module}"), fname)
+        params = list(inspect.signature(fn).parameters.values())[:2]
+        assert [p.name for p in params] == ["model", "X"], name
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), name
 
 
 def test_acceptance_mines_through_the_trainer():

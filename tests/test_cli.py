@@ -78,6 +78,20 @@ def test_commands_take_only_the_flags_they_read(command, flag, capsys):
     assert flag not in re.findall(r"--[a-z-]+", capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("argv", [
+    # `--tau` is a prefix of sweep-tau's `--taus`; were it accepted, the
+    # run would still stop at once on `--t-max 0`, before writing anything
+    ["sweep-tau", "--task", "cliff", "--tau", "5", "--t-max", "0",
+     "--out-dir", "unused"],
+    # `--ensemble` is a prefix of `--ensemble-size`; the data file is missing
+    ["train", "--data", "missing.csv", "--ensemble", "3",
+     "--out-model", "unused.npz"]])
+def test_abbreviated_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def test_train_naive_and_ensemble(tmp_path, curated):
     for method in ("grad-naive", "grad-mean"):
         model = tmp_path / f"{method}.npz"

@@ -1,3 +1,7 @@
+import copy
+import math
+import pickle
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -219,6 +223,10 @@ class TestInputGradient:
             input_gradient_batch(model, np.zeros((1, 3)))
 
 
+def zero_gradients(model):
+    return [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
+
+
 class TestAdam:
     def make(self, n=3):
         model = ObjectiveModel([DenseLayer(np.ones((1, n)), np.zeros(1))])
@@ -227,15 +235,14 @@ class TestAdam:
     def test_moments_zero_initialized(self):
         _, state = self.make()
         assert state.step_count == 0
-        for (mw, mb), (vw, vb) in zip(state.first_moment, state.second_moment):
-            assert not mw.any() and not mb.any()
-            assert not vw.any() and not vb.any()
+        assert state.first_moment.shape == state.second_moment.shape == (4,)
+        assert not state.first_moment.any() and not state.second_moment.any()
 
     def test_zero_gradient_is_identity(self):
         model, state = self.make()
         before = model.copy()
         for _ in range(5):
-            adam_step(state, model, net.zero_gradients(model))
+            adam_step(state, model, zero_gradients(model))
         npt.assert_array_equal(model.layers[0].weights, before.layers[0].weights)
         assert state.step_count == 5
 
@@ -268,7 +275,7 @@ class TestAdam:
 
     def test_step_count_increments_by_one(self):
         model, state = self.make()
-        adam_step(state, model, net.zero_gradients(model))
+        adam_step(state, model, zero_gradients(model))
         assert state.step_count == 1
 
     @given(st.integers(0, 50))
@@ -276,7 +283,7 @@ class TestAdam:
         model, state = self.make(2)
         snapshot = model.copy()
         for _ in range(warm + 1):
-            adam_step(state, model, net.zero_gradients(model))
+            adam_step(state, model, zero_gradients(model))
         npt.assert_array_equal(model.layers[0].weights,
                                snapshot.layers[0].weights)
         assert state.step_count == warm + 1
@@ -303,3 +310,102 @@ class TestSaveLoad:
         assert loaded.leak == 0.2
         X = rng.normal(size=(3, 5))
         npt.assert_array_equal(forward_batch(loaded, X), forward_batch(model, X))
+
+
+def assert_layers_view_params(model):
+    """Every layer's weights and bias are views into `model.params`, laid
+    out in layer order, and writing to `params` reaches the layers."""
+    assert model.params.dtype == np.float64 and model.params.flags.c_contiguous
+    flat = np.concatenate([a.ravel() for l in model.layers
+                           for a in (l.weights, l.bias)])
+    assert flat.tobytes() == model.params.tobytes()
+    for lyr in model.layers:
+        assert np.shares_memory(lyr.weights, model.params)
+        assert np.shares_memory(lyr.bias, model.params)
+    model.params[-1] += 1.0
+    assert model.layers[-1].bias[0] == flat[-1] + 1.0
+    model.params[-1] -= 1.0
+
+
+class TestParameterVector:
+    def test_build_model_layers_view_one_vector(self):
+        model = build_model(3, (5, 4), rng=np.random.default_rng(0))
+        assert model.params.shape == (3 * 5 + 5 + 5 * 4 + 4 + 4 + 1,)
+        assert_layers_view_params(model)
+
+    def test_construction_copies_the_given_layers(self):
+        w = np.array([[1.0, 2.0]])
+        model = ObjectiveModel([DenseLayer(w, np.array([0.5]))])
+        assert_layers_view_params(model)
+        model.layers[0].weights[0, 0] = 9.0
+        assert w[0, 0] == 1.0
+
+    def test_copy_is_independent_and_has_its_own_vector(self):
+        model = build_model(3, (4,), rng=np.random.default_rng(1))
+        twin = model.copy()
+        assert_layers_view_params(twin)
+        assert twin.params.tobytes() == model.params.tobytes()
+        assert not np.shares_memory(twin.params, model.params)
+        twin.params[:] = 0.0
+        assert model.params.any()
+        model.layers[0].weights[0, 0] = 7.0
+        assert twin.layers[0].weights[0, 0] == 0.0
+
+    def test_load_surrogate_layers_view_one_vector(self, tmp_path):
+        model = build_model(4, (6, 3), rng=np.random.default_rng(2))
+        save_surrogate(model, tmp_path / "m.npz")
+        loaded = load_surrogate(tmp_path / "m.npz")
+        assert_layers_view_params(loaded)
+        assert loaded.params.tobytes() == model.params.tobytes()
+
+    def test_pickle_and_deepcopy_keep_the_views(self):
+        model = build_model(2, (3,), rng=np.random.default_rng(3))
+        for back in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert_layers_view_params(back)
+            assert back.params.tobytes() == model.params.tobytes()
+            assert not np.shares_memory(back.params, model.params)
+
+    def test_adam_steps_equal_the_elementwise_recurrence_bitwise(self):
+        rng = np.random.default_rng(4)
+        model = build_model(3, (4, 2), rng=rng)
+        state = init_adam(model, learning_rate=0.01)
+        p = model.params.tolist()
+        m = [0.0] * len(p)
+        v = [0.0] * len(p)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, 0.01
+        for t in range(1, 6):
+            grads = [(rng.normal(size=l.weights.shape),
+                      rng.normal(size=l.bias.shape)) for l in model.layers]
+            adam_step(state, model, grads)
+            g = [float(x) for dw, db in grads for x in (*dw.ravel(), *db)]
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for i, gi in enumerate(g):
+                m[i] = m[i] * b1 + (1.0 - b1) * gi
+                v[i] = v[i] * b2 + (1.0 - b2) * gi * gi
+                p[i] = p[i] - lr * (m[i] / c1) / (math.sqrt(v[i] / c2) + eps)
+            assert model.params.tobytes() == np.array(p).tobytes()
+            assert state.first_moment.tobytes() == np.array(m).tobytes()
+            assert state.second_moment.tobytes() == np.array(v).tobytes()
+        assert_layers_view_params(model)
+
+
+class TestForwardCache:
+    def test_cached_predictions_equal_forward_batch_bitwise(self):
+        rng = np.random.default_rng(5)
+        model = build_model(4, (8, 8), rng=rng)
+        X = rng.normal(size=(13, 4))
+        preds, _ = net.forward_with_cache(model, X)
+        assert preds.tobytes() == forward_batch(model, X).tobytes()
+
+    @pytest.mark.parametrize("hidden", [(), (8,), (8, 6)])
+    def test_gradients_from_a_reused_cache_equal_a_fresh_pass(self, hidden):
+        rng = np.random.default_rng(6)
+        model = build_model(4, hidden, rng=rng)
+        X = rng.normal(size=(11, 4))
+        g = rng.normal(size=11)
+        _, cache = net.forward_with_cache(model, X)
+        fresh = loss_gradients(model, X, g)
+        for (dw, db), (cw, cb) in zip(fresh, loss_gradients(model, X, g, cache)):
+            assert dw.tobytes() == cw.tobytes() and db.tobytes() == cb.tobytes()
+        assert (input_gradient_batch(model, X, cache).tobytes()
+                == input_gradient_batch(model, X).tobytes())

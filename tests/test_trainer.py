@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -277,6 +278,27 @@ class TestTrain:
                             hidden=(8,), seed=2)
         train(toy_dataset(), cfg)
         assert steps == [cfg.mining_steps] * 2
+
+    @pytest.mark.parametrize("conservative", [False, True])
+    def test_one_hidden_pass_per_batch(self, monkeypatch, conservative):
+        # the data batch's pass serves its predictions and its gradients, and
+        # so does the mined batch's; mining itself takes one pass per step
+        rows = []
+        real = net._hidden_pass
+
+        def spy(model, X):
+            rows.append(len(X))
+            return real(model, X)
+
+        monkeypatch.setattr(net, "_hidden_pass", spy)
+        cfg = TrainerConfig(epochs=2, batch_size=12, mining_steps=3,
+                            hidden=(8,), seed=3)
+        if not conservative:
+            cfg = replace(cfg, alpha_init=0.0, alpha_lr=0.0)
+        train(toy_dataset(n=32), cfg)
+        batch_rows = [12, 12, 8] * cfg.epochs
+        per_batch = 1 + (cfg.mining_steps + 1 if conservative else 0)
+        assert rows == [n for n in batch_rows for _ in range(per_batch)]
 
     def test_invalid_config_rejected(self):
         ds = toy_dataset()
