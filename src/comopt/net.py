@@ -122,15 +122,24 @@ def _as_batch(model: ObjectiveModel, X) -> np.ndarray:
     return X
 
 
+def _affine_slope(a: np.ndarray, weights_t: np.ndarray, bias: np.ndarray,
+                  leak: float):
+    """One hidden layer: the pre-activation z = a @ W.T + b and its slope.
+    `bias` is the layer's (fan_out,) vector or that row repeated over a's
+    rows; the add gives the same bits either way."""
+    z = a @ weights_t
+    z += bias
+    return z, _slope(z, leak)
+
+
 def _hidden_pass(model: ObjectiveModel, X: np.ndarray):
     """Hidden layers' pre-activations, activations (from X on) and slopes."""
     pres, acts, slopes = [], [X], []
     for lyr in model.layers[:-1]:
-        z = acts[-1] @ lyr.weights.T
-        z += lyr.bias
+        z, s = _affine_slope(acts[-1], lyr.weights.T, lyr.bias, model.leak)
         pres.append(z)
-        slopes.append(_slope(z, model.leak))
-        acts.append(z * slopes[-1])
+        slopes.append(s)
+        acts.append(z * s)
     return pres, acts, slopes
 
 
@@ -149,18 +158,62 @@ def forward_batch(model: ObjectiveModel, X) -> np.ndarray:
     return forward_with_cache(model, X)[0]
 
 
-def input_gradient_batch(model: ObjectiveModel, X, cache=None) -> np.ndarray:
+class GradientPlan:
+    """What the input gradient reads of a model, gathered once: the weights,
+    their transposed views and, for batches of n rows, each hidden bias and
+    the output weight row repeated over the n rows. numpy adds or multiplies
+    two (n, k) arrays several times faster than it broadcasts a (k,) row
+    over one, and gradient ascent does both at every step, so `ascend`
+    builds one plan per call and steps on the plan's `input_grad_batch`.
+    Without n the model's own vectors stand in for the rows, which gives the
+    same bits and copies nothing. The row copies are taken when the plan is
+    built: build a new plan after the parameters change."""
+
+    def __init__(self, model: ObjectiveModel, n: int | None = None):
+        hidden = model.layers[:-1]
+        rows = (lambda v: v) if n is None else (lambda v: np.tile(v, (n, 1)))
+        self.model = model
+        self.weights = [lyr.weights for lyr in model.layers]
+        self.weights_t = [lyr.weights.T for lyr in hidden]
+        self.biases = [rows(lyr.bias) for lyr in hidden]
+        self.out_row = rows(model.layers[-1].weights[0])
+
+    def slopes(self, X: np.ndarray) -> list:
+        """The hidden layers' slopes on X. The last hidden activation feeds
+        only the output layer, which the input gradient does not pass
+        through, so it is never formed."""
+        slopes = []
+        for wt, b in zip(self.weights_t, self.biases):
+            a = z * slopes[-1] if slopes else X
+            z, s = _affine_slope(a, wt, b, self.model.leak)
+            slopes.append(s)
+        return slopes
+
+    def backprop(self, X: np.ndarray, slopes: list) -> np.ndarray:
+        """d prediction / d input for every row of X, given its slopes."""
+        W = self.weights
+        if not slopes:
+            return np.ones((X.shape[0], 1)) @ W[0]
+        g = self.out_row * slopes[-1]
+        for k in range(len(slopes) - 1, 0, -1):
+            g = g @ W[k]
+            g *= slopes[k - 1]
+        return g @ W[0]
+
+    def input_grad_batch(self, X) -> np.ndarray:
+        """`input_gradient_batch` of the plan's model through this plan."""
+        return input_gradient_batch(self.model, X, plan=self)
+
+
+def input_gradient_batch(model: ObjectiveModel, X, cache=None,
+                         plan: GradientPlan | None = None) -> np.ndarray:
     """Exact d prediction / d input for every row of X, shape (n, input_dim).
-    `cache`, from `forward_with_cache(model, X)`, replaces the hidden pass."""
+    `cache`, from `forward_with_cache(model, X)`, replaces the hidden pass;
+    `plan`, a `GradientPlan(model, len(X))`, replaces gathering one."""
     X = _as_batch(model, X)
-    _, _, slopes = _hidden_pass(model, X) if cache is None else cache
-    if not slopes:
-        return np.ones((X.shape[0], 1)) @ model.layers[0].weights
-    g = model.layers[-1].weights[0] * slopes[-1]
-    for k in range(len(slopes) - 1, 0, -1):
-        g = g @ model.layers[k].weights
-        g *= slopes[k - 1]
-    return g @ model.layers[0].weights
+    if plan is None:
+        plan = GradientPlan(model)
+    return plan.backprop(X, plan.slopes(X) if cache is None else cache[2])
 
 
 def loss_gradients(model: ObjectiveModel, X, dloss_dpred, cache=None) -> list:

@@ -30,7 +30,8 @@ def predict_batch(model, X) -> np.ndarray:
 
 
 def input_grad_batch(model, X) -> np.ndarray:
-    """Input gradients for any model kind (single net, ensemble, stub)."""
+    """Input gradients for any model kind (single net, its gradient plan,
+    ensemble, stub)."""
     if isinstance(model, ObjectiveModel):
         return net.input_gradient_batch(model, X)
     return model.input_grad_batch(X)
@@ -39,19 +40,27 @@ def input_grad_batch(model, X) -> np.ndarray:
 def ascend(model, X0, eta: float, steps: int, record: bool = False) -> np.ndarray:
     """Run x_{t+1} = x_t + eta * grad(x_t) for `steps` steps on every row of
     the (n, d) batch X0 at once. Returns the (n, d) endpoints, or with
-    `record` every iterate as (steps + 1, n, d). A non-finite gradient
-    raises GradientError."""
+    `record` every iterate as (steps + 1, n, d). A non-finite start row
+    raises ValueError and a non-finite gradient GradientError. On a single
+    net every step reuses one `net.GradientPlan` built for the n rows."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if eta <= 0.0:
         raise ValueError("step size must be positive")
     X = np.asarray(X0, dtype=np.float64)
+    if isinstance(model, ObjectiveModel):
+        X = net._as_batch(model, X)
+        model = net.GradientPlan(model, len(X))
+    if not np.all(np.isfinite(X)):
+        raise ValueError("gradient ascent needs finite start rows")
     path = [X]
     for _ in range(steps):
         G = input_grad_batch(model, X)
         if not np.all(np.isfinite(G)):
             raise GradientError("non-finite gradient during gradient ascent")
-        X = X + eta * G
+        step = eta * G  # the step's one new array; X is added in place
+        step += X
+        X = step
         if record:
             path.append(X)
     return np.stack(path) if record else X

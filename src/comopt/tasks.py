@@ -38,12 +38,13 @@ PWM_WEIGHT_SEED = 7
 class TaskSpec:
     """A ground-truth objective with its sampling region and withheld score
     range; the oracle is never visible to training except through curation.
-    `oracle` scores one raw 1-D design and returns a float."""
+    `batch_oracle` scores the rows of a raw (n, input_dim) batch at once and
+    returns shape (n,); `oracle` scores one raw 1-D design as a float."""
 
     name: str
     input_dim: int
     is_discrete: bool
-    oracle: Callable[[np.ndarray], float]
+    batch_oracle: Callable[[np.ndarray], np.ndarray]
     lower: np.ndarray
     upper: np.ndarray
     y_min: float
@@ -52,6 +53,10 @@ class TaskSpec:
     encode_eps: float = 0.2
     weight_matrix: np.ndarray | None = None
 
+    def oracle(self, x) -> float:
+        """True score of one raw 1-D design."""
+        return float(self.batch_oracle(np.asarray(x, dtype=np.float64)[None])[0])
+
 
 def oracle_eval_batch(task: TaskSpec, X) -> np.ndarray:
     """True scores of the rows of a raw (denormalized) (n, input_dim) batch."""
@@ -59,7 +64,7 @@ def oracle_eval_batch(task: TaskSpec, X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != task.input_dim:
         raise ValueError(f"{task.name} designs have {task.input_dim} "
                          f"coordinates, got an array of shape {X.shape}")
-    return np.array([task.oracle(row) for row in X])
+    return task.batch_oracle(X)
 
 
 def bowl_task(dim: int = 8, bound: float = 2.0) -> TaskSpec:
@@ -73,19 +78,18 @@ def cliff_task(dim: int = 8, bound: float = 2.0, edge: float = 2.0,
     """-||x - center||^2 on the box |x_i| <= bound, minus `penalty` wherever
     max|x_i| > edge. The bowl's centre is the same scalar on every axis and
     must lie in the box; the worst in-box design is the opposite corner."""
-    def oracle(x: np.ndarray) -> float:
-        d = x - center
-        value = float(-np.sum(d * d))
-        if np.max(np.abs(x)) > edge:
-            value -= penalty
-        return value
+    def batch_oracle(X: np.ndarray) -> np.ndarray:
+        D = X - center
+        values = -np.sum(D * D, axis=1)
+        values[np.abs(X).max(axis=1) > edge] -= penalty
+        return values
 
     far = bound + abs(center)
     return TaskSpec(
         name=name,
         input_dim=dim,
         is_discrete=False,
-        oracle=oracle,
+        batch_oracle=batch_oracle,
         lower=np.full(dim, -bound),
         upper=np.full(dim, bound),
         y_min=-dim * far * far,
@@ -104,9 +108,8 @@ def pwm_task(length: int = 6, alphabet: int = 4, seed: int = PWM_WEIGHT_SEED,
     W = np.random.default_rng(seed).standard_normal((length, alphabet))
     d = length * alphabet
 
-    def oracle(x: np.ndarray) -> float:
-        letters = decode_sequences(x[None], length, alphabet)
-        return float(sequence_scores(task, letters)[0])
+    def batch_oracle(X: np.ndarray) -> np.ndarray:
+        return sequence_scores(task, decode_sequences(X, length, alphabet))
 
     # The relaxed space is unbounded; record the raw logit levels as a
     # nominal region (curation enumerates sequences instead of sampling it).
@@ -116,7 +119,7 @@ def pwm_task(length: int = 6, alphabet: int = 4, seed: int = PWM_WEIGHT_SEED,
         name="pwm",
         input_dim=d,
         is_discrete=True,
-        oracle=oracle,
+        batch_oracle=batch_oracle,
         lower=np.full(d, lo),
         upper=np.full(d, hi),
         y_min=float(W.min(axis=1).sum()),

@@ -142,14 +142,21 @@ class TestEnsembleInputGradient:
         want = (grads[ens.member_predictions(X).argmin(axis=0), np.arange(5)]
                 if aggregate == "min" else grads.mean(axis=0))
         assert ens.input_grad_batch(X).tobytes() == want.tobytes()
+        # min mode takes each member's pass from `forward_with_cache`, mean
+        # mode from the slopes-only pass of the member's gradient plan
         calls = []
-        real = net._hidden_pass
+        real_pass, real_slopes = net._hidden_pass, net.GradientPlan.slopes
 
-        def spy(model, X):
+        def spy_pass(model, X):
             calls.append(len(X))
-            return real(model, X)
+            return real_pass(model, X)
 
-        monkeypatch.setattr(net, "_hidden_pass", spy)
+        def spy_slopes(plan, X):
+            calls.append(len(X))
+            return real_slopes(plan, X)
+
+        monkeypatch.setattr(net, "_hidden_pass", spy_pass)
+        monkeypatch.setattr(net.GradientPlan, "slopes", spy_slopes)
         ascend(ens, X, 0.1, 4)
         assert calls == [5] * (4 * 3)
 

@@ -86,6 +86,70 @@ class TestOptimizeOne:
         npt.assert_array_equal(ascend(model, X0, 0.05, 6), path[-1])
 
 
+class FixedGradient:
+    """Returns the same gradient array at every call; ascent must not write
+    into it."""
+
+    input_dim = 2
+
+    def __init__(self):
+        self.G = np.array([[1.0, -2.0], [0.5, 0.25]])
+
+    def input_grad_batch(self, X):
+        return self.G
+
+
+class TestAscendOnOneNet:
+    """On a single net `ascend` builds one gradient plan per call: weights,
+    their transposes, and the hidden biases and output row repeated over
+    the batch's rows."""
+
+    @pytest.mark.parametrize("hidden", [(), (8,), (8, 6)])
+    @pytest.mark.parametrize("n", [1, 16, 128])
+    def test_one_step_is_one_input_gradient(self, hidden, n):
+        rng = np.random.default_rng(n + len(hidden))
+        model = build_model(3, hidden, rng=rng)
+        model.params[:] = rng.normal(size=model.params.shape)  # nonzero biases
+        X = rng.normal(size=(n, 3)) * 2.0
+        want = X + 0.07 * input_gradient_batch(model, X)
+        assert ascend(model, X, 0.07, 1).tobytes() == want.tobytes()
+
+    def test_plan_follows_parameter_edits_between_calls(self):
+        rng = np.random.default_rng(4)
+        model = build_model(3, (8, 6), rng=rng)
+        X = rng.normal(size=(16, 3))
+        before = ascend(model, X, 0.05, 3)
+        model.params += 0.5 * rng.normal(size=model.params.shape)
+        after = ascend(model, X, 0.05, 3)
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == ascend(model.copy(), X, 0.05, 3).tobytes()
+
+    def test_start_rows_and_provider_gradients_left_unwritten(self):
+        rng = np.random.default_rng(5)
+        X0 = rng.normal(size=(2, 2))
+        kept = X0.copy()
+        for model in (build_model(2, (4,), rng=rng), FixedGradient()):
+            ascend(model, X0, 0.1, 3)
+            ascend(model, X0, 0.1, 3, record=True)
+            assert X0.tobytes() == kept.tobytes()
+        provider = FixedGradient()
+        G = provider.G.copy()
+        path = ascend(provider, X0, 0.5, 2, record=True)
+        assert provider.G.tobytes() == G.tobytes()
+        npt.assert_array_equal(path[2], (X0 + 0.5 * G) + 0.5 * G)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_start_row_rejected(self, bad):
+        # a NaN pre-activation takes slope leak, so the gradient alone
+        # would stay finite and the endpoint would not
+        X0 = np.zeros((3, 2))
+        X0[1, 0] = bad
+        for model in (build_model(2, (4,), rng=np.random.default_rng(6)),
+                      FixedGradient()):
+            with pytest.raises(ValueError, match="finite start rows"):
+                ascend(model, X0, 0.1, 2)
+
+
 class TestSelectInitializations:
     def test_argmax_initialization(self):
         ds = dataset_from(np.array([[0.0], [1.0], [2.0]]), np.array([3.0, 9.0, 5.0]))

@@ -295,6 +295,40 @@ class TestReadDatasetRejects:
 
 
 class TestOracleEvalBatch:
+    @pytest.mark.parametrize("name", ["bowl", "cliff", "edge", "pwm"])
+    def test_batch_equals_one_design_at_a_time(self, name):
+        task = get_task(name)
+        rng = np.random.default_rng(8)
+        span = task.upper - task.lower
+        X = rng.uniform(task.lower - span, task.upper + span,
+                        size=(300, task.input_dim))
+        X[:2] = task.lower  # an in-box row next to out-of-box ones
+        batch = oracle_eval_batch(task, X)
+        assert batch.shape == (300,)
+        singles = np.array([task.oracle(x) for x in X])
+        assert batch.tobytes() == singles.tobytes()
+        if name != "pwm":
+            center = 2.0 if name == "edge" else 0.0
+            penalty = 0.0 if name == "bowl" else 50.0
+
+            def one_design(x):  # the per-row oracle the batch scorer replaced
+                d = x - center
+                value = float(-np.sum(d * d))
+                if np.max(np.abs(x)) > 2.0:
+                    value -= penalty
+                return value
+
+            outside = np.abs(X).max(axis=1) > 2.0
+            assert outside.any() and not outside.all()
+            want = np.array([one_design(x) for x in X])
+            assert batch.tobytes() == want.tobytes()
+
+    def test_caller_batch_left_unwritten(self):
+        task = cliff_task()
+        X = np.full((3, task.input_dim), 3.0)
+        oracle_eval_batch(task, X)
+        npt.assert_array_equal(X, 3.0)
+
     @pytest.mark.parametrize("shape", [(4, 7), (4, 9), (8,)])
     def test_wrong_width_rejected(self, shape):
         with pytest.raises(ValueError, match="cliff designs have 8 coordinates"):

@@ -282,15 +282,21 @@ class TestTrain:
     @pytest.mark.parametrize("conservative", [False, True])
     def test_one_hidden_pass_per_batch(self, monkeypatch, conservative):
         # the data batch's pass serves its predictions and its gradients, and
-        # so does the mined batch's; mining itself takes one pass per step
+        # so does the mined batch's; mining itself takes one pass per step,
+        # the slopes-only pass of the step's gradient plan
         rows = []
-        real = net._hidden_pass
+        real_pass, real_slopes = net._hidden_pass, net.GradientPlan.slopes
 
-        def spy(model, X):
+        def spy_pass(model, X):
             rows.append(len(X))
-            return real(model, X)
+            return real_pass(model, X)
 
-        monkeypatch.setattr(net, "_hidden_pass", spy)
+        def spy_slopes(plan, X):
+            rows.append(len(X))
+            return real_slopes(plan, X)
+
+        monkeypatch.setattr(net, "_hidden_pass", spy_pass)
+        monkeypatch.setattr(net.GradientPlan, "slopes", spy_slopes)
         cfg = TrainerConfig(epochs=2, batch_size=12, mining_steps=3,
                             hidden=(8,), seed=3)
         if not conservative:
