@@ -22,7 +22,7 @@ from .harness import (DEFAULT_CONFIG, METHODS, InvariantViolation,
 from .optimizer import produce_candidates, read_candidates, write_candidates
 from .tasks import (curate_dataset, get_task, read_dataset, task_names,
                     write_dataset)
-from .trainer import write_training_log
+from .trainer import TrainingError, write_training_log
 
 
 TRAINER_FLAGS = {
@@ -260,7 +260,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, InvariantViolation, OSError) as exc:
+    except (ValueError, InvariantViolation, OSError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -216,9 +216,10 @@ def input_gradient_batch(model: ObjectiveModel, X, cache=None,
     return plan.backprop(X, plan.slopes(X) if cache is None else cache[2])
 
 
-def loss_gradients(model: ObjectiveModel, X, dloss_dpred, cache=None) -> list:
-    """Backprop primitive: gradients of sum_i g_i * f(x_i) w.r.t. every
-    parameter, where g = dloss_dpred. Returns [(dW, db)] aligned with layers.
+def loss_gradients(model: ObjectiveModel, X, dloss_dpred,
+                   cache=None) -> np.ndarray:
+    """Backprop primitive: gradient of sum_i g_i * f(x_i), g = dloss_dpred,
+    w.r.t. every parameter, as one vector laid out like `model.params`.
     `cache`, from `forward_with_cache(model, X)`, replaces the hidden pass."""
     X = _as_batch(model, X)
     g = np.asarray(dloss_dpred, dtype=np.float64)
@@ -226,15 +227,11 @@ def loss_gradients(model: ObjectiveModel, X, dloss_dpred, cache=None) -> list:
         raise ValueError("dloss_dpred must have one entry per batch row")
     _, acts, slopes = _hidden_pass(model, X) if cache is None else cache
     gk = g[:, None]
-    grads = [(gk.T @ acts[-1], gk.sum(axis=0))]
+    grads = [gk.sum(axis=0), gk.T @ acts[-1]]
     for k in range(len(slopes) - 1, -1, -1):
         gk = (gk @ model.layers[k + 1].weights) * slopes[k]
-        grads.append((gk.T @ acts[k], gk.sum(axis=0)))
-    return grads[::-1]
-
-
-def add_gradients(a: list, b: list) -> list:
-    return [(aw + bw, ab + bb) for (aw, ab), (bw, bb) in zip(a, b)]
+        grads += [gk.sum(axis=0), gk.T @ acts[k]]
+    return np.concatenate([a.ravel() for a in grads[::-1]])
 
 
 @dataclass
@@ -259,16 +256,12 @@ def init_adam(model: ObjectiveModel, learning_rate: float = 1e-3) -> AdamState:
     )
 
 
-def adam_step(state: AdamState, model: ObjectiveModel, grads: list) -> None:
-    """One in-place Adam update of the whole parameter vector. Validates
-    gradients first so a non-finite gradient leaves both the state and the
-    parameters untouched."""
-    if len(grads) != len(model.layers):
-        raise GradientError("gradient structure does not match model layers")
-    for lyr, (dw, db) in zip(model.layers, grads):
-        if dw.shape != lyr.weights.shape or db.shape != lyr.bias.shape:
-            raise GradientError("gradient shapes do not match parameters")
-    grad = np.concatenate([np.ravel(a) for pair in grads for a in pair])
+def adam_step(state: AdamState, model: ObjectiveModel, grad: np.ndarray) -> None:
+    """One in-place Adam update of the whole parameter vector. Validates the
+    gradient first so a misshapen or non-finite one leaves both the state
+    and the parameters untouched."""
+    if getattr(grad, "shape", None) != model.params.shape:
+        raise GradientError("gradient shape does not match model.params")
     if not np.all(np.isfinite(grad)):
         raise GradientError("non-finite gradient; parameters left untouched")
     state.step_count += 1

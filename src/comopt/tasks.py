@@ -72,16 +72,15 @@ def bowl_task(dim: int = 8, bound: float = 2.0) -> TaskSpec:
     return cliff_task(dim, bound, penalty=0.0, name="bowl")
 
 
-def cliff_task(dim: int = 8, bound: float = 2.0, edge: float = 2.0,
-               penalty: float = 50.0, center: float = 0.0,
-               name: str = "cliff") -> TaskSpec:
-    """-||x - center||^2 on the box |x_i| <= bound, minus `penalty` wherever
-    max|x_i| > edge. The bowl's centre is the same scalar on every axis and
+def cliff_task(dim: int = 8, bound: float = 2.0, penalty: float = 50.0,
+               center: float = 0.0, name: str = "cliff") -> TaskSpec:
+    """-||x - center||^2, minus `penalty` wherever x leaves the box
+    |x_i| <= bound. The bowl's centre is the same scalar on every axis and
     must lie in the box; the worst in-box design is the opposite corner."""
     def batch_oracle(X: np.ndarray) -> np.ndarray:
         D = X - center
         values = -np.sum(D * D, axis=1)
-        values[np.abs(X).max(axis=1) > edge] -= penalty
+        values[np.abs(X).max(axis=1) > bound] -= penalty
         return values
 
     far = bound + abs(center)
@@ -100,7 +99,7 @@ def cliff_task(dim: int = 8, bound: float = 2.0, edge: float = 2.0,
 def edge_task(dim: int = 8, bound: float = 2.0) -> TaskSpec:
     """The cliff oracle centred on the box corner (bound, ..., bound): the
     optimum lies on the penalty boundary instead of inside the data."""
-    return cliff_task(dim, bound, edge=bound, center=bound, name="edge")
+    return cliff_task(dim, bound, center=bound, name="edge")
 
 
 def pwm_task(length: int = 6, alphabet: int = 4, seed: int = PWM_WEIGHT_SEED,

@@ -157,6 +157,12 @@ class TrainerConfig:
             raise ValueError("mining_steps must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        for key in ("ascent_rate", "tau", "adam_lr", "alpha_lr", "alpha_init"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+        if any(h < 1 for h in self.hidden):
+            raise ValueError("hidden widths must be >= 1")
         if self.ascent_rate is not None and self.ascent_rate <= 0.0:
             raise ValueError("ascent_rate must be positive")
         if self.tau is not None and self.tau <= 0.0:
@@ -249,11 +255,10 @@ def train(dataset: OfflineDataset, config: TrainerConfig):
             if not np.isfinite(mse) or (conservative and not np.isfinite(gap)):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch} (mse={mse}, gap={gap})")
-            grads = net.loss_gradients(model, Xb, g_data, cache)
+            grad = net.loss_gradients(model, Xb, g_data, cache)
             if conservative:
-                grads = net.add_gradients(grads, net.loss_gradients(
-                    model, X_mined, g_mined, cache_mined))
-            net.adam_step(adam, model, grads)
+                grad += net.loss_gradients(model, X_mined, g_mined, cache_mined)
+            net.adam_step(adam, model, grad)
             if conservative:
                 lagrange = dual_update(lagrange, gap)
             sums["mse"] += mse * nb

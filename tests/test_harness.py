@@ -330,10 +330,22 @@ class TestParseConfig:
         ("method = grad-min\nensemble_size = 0\n",
          "ensemble_size must be >= 1"),
         ("base_seed = -1\n", "base_seed must be >= 0"),
+        ("method = grad-naive\nascent_rate = nan\n",
+         "ascent_rate must be finite"),
+        ("ascent_rate = inf\n", "ascent_rate must be finite"),
+        ("tau = nan\n", "tau must be finite"),
+        ("tau = -inf\n", "tau must be finite"),
+        ("adam_lr = inf\n", "adam_lr must be finite"),
+        ("alpha_lr = nan\n", "alpha_lr must be finite"),
+        ("alpha_init = inf\n", "alpha_init must be finite"),
+        ("hidden = 0\n", "hidden widths must be >= 1"),
+        ("hidden = -3\n", "hidden widths must be >= 1"),
     ], ids=["trials", "budget", "stability_steps", "hidden", "budgets",
             "budgets_range", "task", "epochs", "keep_percentile", "tau",
             "adam_lr", "leak", "ensemble_size", "ensemble_size_grad_min",
-            "base_seed"])
+            "base_seed", "ascent_rate_nan", "ascent_rate_inf", "tau_nan",
+            "tau_minus_inf", "adam_lr_inf", "alpha_lr_nan", "alpha_init_inf",
+            "hidden_zero", "hidden_negative"])
     def test_invalid_values_rejected_at_parse_time(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_config(text)

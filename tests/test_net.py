@@ -141,20 +141,18 @@ class TestParamGradients:
 
     def test_linear_squared_error_chain_rule(self):
         # f(x) = w*x with w=1: d/dw of 0.5*(f-0)^2 at x=2 is (2-0)*2 = 4
-        grads = loss_gradients(linear_model(weight=1.0), np.array([[2.0]]),
-                               [2.0 - 0.0])
-        npt.assert_allclose(grads[0][0], [[4.0]])
-        npt.assert_allclose(grads[0][1], [2.0])
+        grad = loss_gradients(linear_model(weight=1.0), np.array([[2.0]]),
+                              [2.0 - 0.0])
+        npt.assert_allclose(grad, [4.0, 2.0])
 
     def test_signed_linear_loss_is_prediction_gradient(self):
         rng = np.random.default_rng(5)
         model = build_model(3, (6,), rng=rng)
         x = rng.normal(size=3)
-        grads = loss_gradients(model, x[None, :], [1.0])
+        grad = loss_gradients(model, x[None, :], [1.0])
         fd = _fd_param_gradients(lambda m: forward_batch(m, x[None])[0], model)
-        for (dw, db), (fw, fb) in zip(grads, fd):
-            assert _rel_err(dw, fw).max() < 1e-4
-            assert _rel_err(db, fb).max() < 1e-4
+        assert grad.shape == model.params.shape
+        assert _rel_err(grad, fd).max() < 1e-4
 
     def test_two_layer_matches_finite_differences(self):
         # dloss/dprediction comes from the trainer's own batch loss
@@ -163,12 +161,10 @@ class TestParamGradients:
         X = np.stack([x0, x0 + 0.5])
         y = rng.normal(size=2)
         _, _, g, _ = com_loss(forward_batch(model, X), y, None, 0.0)
-        grads = loss_gradients(model, X, g)
+        grad = loss_gradients(model, X, g)
         fd = _fd_param_gradients(
             lambda m: 0.5 * float(np.mean((forward_batch(m, X) - y) ** 2)), model)
-        for (dw, db), (fw, fb) in zip(grads, fd):
-            assert _rel_err(dw, fw).max() < 1e-4
-            assert _rel_err(db, fb).max() < 1e-4
+        assert _rel_err(grad, fd).max() < 1e-4
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -224,7 +220,7 @@ class TestInputGradient:
 
 
 def zero_gradients(model):
-    return [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
+    return np.zeros_like(model.params)
 
 
 class TestAdam:
@@ -248,8 +244,7 @@ class TestAdam:
 
     def test_first_step_moves_by_learning_rate(self):
         model, state = self.make()
-        grads = [(np.full((1, 3), 2.0), np.array([-3.0]))]
-        adam_step(state, model, grads)
+        adam_step(state, model, np.array([2.0, 2.0, 2.0, -3.0]))
         # bias-corrected first step is ~ -lr * sign(g)
         npt.assert_allclose(model.layers[0].weights, 1.0 - 1e-3, rtol=1e-6)
         npt.assert_allclose(model.layers[0].bias, 1e-3, rtol=1e-6)
@@ -258,20 +253,34 @@ class TestAdam:
         # hand-evaluated recurrence: each of the two steps with g=1 moves by
         # lr/(1+eps'), so the cumulative magnitude sits just under 2e-3
         model, state = self.make(1)
-        grads = [(np.ones((1, 1)), np.zeros(1))]
-        adam_step(state, model, grads)
-        adam_step(state, model, grads)
+        grad = np.array([1.0, 0.0])
+        adam_step(state, model, grad)
+        adam_step(state, model, grad)
         moved = abs(model.layers[0].weights[0, 0] - 1.0)
         assert 1.9e-3 <= moved <= 2.0e-3
 
     def test_nan_gradient_leaves_params_untouched(self):
         model, state = self.make()
         before = model.copy()
-        grads = [(np.full((1, 3), np.nan), np.zeros(1))]
         with pytest.raises(GradientError):
-            adam_step(state, model, grads)
+            adam_step(state, model, np.array([np.nan, np.nan, np.nan, 0.0]))
         npt.assert_array_equal(model.layers[0].weights, before.layers[0].weights)
         assert state.step_count == 0
+
+    def test_misshapen_gradient_leaves_params_and_moments_untouched(self):
+        model = build_model(3, (4,), rng=np.random.default_rng(2))
+        state = init_adam(model)
+        adam_step(state, model, np.ones_like(model.params))
+        snapshot = [a.tobytes() for a in (model.params, state.first_moment,
+                                          state.second_moment)]
+        per_layer = [(np.ones_like(l.weights), np.ones_like(l.bias))
+                     for l in model.layers]
+        for bad in (np.ones(model.params.size - 1), per_layer):
+            with pytest.raises(GradientError):
+                adam_step(state, model, bad)
+            assert [a.tobytes() for a in (model.params, state.first_moment,
+                                          state.second_moment)] == snapshot
+            assert state.step_count == 1
 
     def test_step_count_increments_by_one(self):
         model, state = self.make()
@@ -293,9 +302,7 @@ class TestAdam:
         model = build_model(4, (8,), rng=rng)
         state = init_adam(model)
         for _ in range(20):
-            g = [(rng.normal(size=l.weights.shape), rng.normal(size=l.bias.shape))
-                 for l in model.layers]
-            adam_step(state, model, g)
+            adam_step(state, model, rng.normal(size=model.params.shape))
         for lyr in model.layers:
             assert np.all(np.isfinite(lyr.weights)) and np.all(np.isfinite(lyr.bias))
 
@@ -374,12 +381,10 @@ class TestParameterVector:
         v = [0.0] * len(p)
         b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, 0.01
         for t in range(1, 6):
-            grads = [(rng.normal(size=l.weights.shape),
-                      rng.normal(size=l.bias.shape)) for l in model.layers]
-            adam_step(state, model, grads)
-            g = [float(x) for dw, db in grads for x in (*dw.ravel(), *db)]
+            grad = rng.normal(size=model.params.shape)
+            adam_step(state, model, grad)
             c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-            for i, gi in enumerate(g):
+            for i, gi in enumerate(grad.tolist()):
                 m[i] = m[i] * b1 + (1.0 - b1) * gi
                 v[i] = v[i] * b2 + (1.0 - b2) * gi * gi
                 p[i] = p[i] - lr * (m[i] / c1) / (math.sqrt(v[i] / c2) + eps)
@@ -404,8 +409,7 @@ class TestForwardCache:
         X = rng.normal(size=(11, 4))
         g = rng.normal(size=11)
         _, cache = net.forward_with_cache(model, X)
-        fresh = loss_gradients(model, X, g)
-        for (dw, db), (cw, cb) in zip(fresh, loss_gradients(model, X, g, cache)):
-            assert dw.tobytes() == cw.tobytes() and db.tobytes() == cb.tobytes()
+        assert (loss_gradients(model, X, g, cache).tobytes()
+                == loss_gradients(model, X, g).tobytes())
         assert (input_gradient_batch(model, X, cache).tobytes()
                 == input_gradient_batch(model, X).tobytes())

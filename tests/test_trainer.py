@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from comopt import net, trainer
-from comopt.acceptance import _fd_gradient
+from comopt.acceptance import _fd_gradient, _plain_regression
 from comopt.net import DenseLayer, ObjectiveModel, build_model
 from comopt.optimizer import ascend
 from comopt.trainer import (LagrangeState, OfflineDataset, TrainerConfig,
@@ -208,26 +208,12 @@ class TestDualUpdate:
 
 class TestTrain:
     def test_alpha_pinned_zero_equals_plain_regression(self):
-        # independent supervised loop re-implemented here as the oracle
+        # the independent supervised loop of criterion 3 is the oracle
         ds = toy_dataset()
         cfg = TrainerConfig(epochs=3, batch_size=8, mining_steps=2,
                             alpha_init=0.0, alpha_lr=0.0, hidden=(8,), seed=11)
         model, _ = train(ds, cfg)
-
-        rng = np.random.default_rng(11)
-        ref = build_model(ds.input_dim, (8,), 0.3, rng=rng)
-        adam = net.init_adam(ref, cfg.adam_lr)
-        for _ in range(cfg.epochs):
-            order = rng.permutation(len(ds))
-            for start in range(0, len(ds), cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                Xb, yb = ds.designs[idx], ds.scores[idx]
-                preds = net.forward_batch(ref, Xb)
-                grads = net.loss_gradients(ref, Xb, (preds - yb) / len(idx))
-                net.adam_step(adam, ref, grads)
-        for got, want in zip(model.layers, ref.layers):
-            npt.assert_array_equal(got.weights, want.weights)
-            npt.assert_array_equal(got.bias, want.bias)
+        assert model.params.tobytes() == _plain_regression(ds, cfg).params.tobytes()
 
     def test_mse_decreases_on_fittable_data(self):
         stats = fit_normalization(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
