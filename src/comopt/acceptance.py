@@ -21,8 +21,8 @@ import numpy as np
 from . import net
 from .baselines import train_naive
 from .fileio import write_rows
-from .harness import config_from, fit, normalized_score, run_experiment, \
-    run_trial, tau_sweep
+from .harness import config_from, fit, fit_all, normalized_score, \
+    run_experiment, run_trial, tau_sweep, worker_pool
 from .tasks import CurationConfig, all_sequences, curate_dataset, get_task, \
     sequence_scores
 from .trainer import TrainerConfig, _mine_endpoints
@@ -135,11 +135,15 @@ def criterion_2_conservatism(memo, fast=False):
     """Fixed large alpha must push the mined-vs-data prediction gap to at
     most 0.1; the dual variant must end with gap <= tau + 0.25."""
     runs = [("cliff", 4)] if fast else [("cliff", 50), ("pwm", PWM_EPOCHS)]
+    duals = [config_from({"task": name, "epochs": epochs})
+             for name, epochs in runs]
+    pairs = [({**dual, "alpha_init": 10.0, "alpha_lr": 0.0}, dual)
+             for dual in duals]
     details = []
     passed = True
-    for name, epochs in runs:
-        dual = config_from({"task": name, "epochs": epochs})
-        fixed = {**dual, "alpha_init": 10.0, "alpha_lr": 0.0}
+    fit_all([(cfg, 0) for pair in pairs for cfg in pair], memo)
+    for fixed, dual in pairs:
+        name = dual["task"]
         dataset, tcfg, model, _ = fit(fixed, 0, memo)
         mined = _mine_endpoints(model, dataset.designs,
                                 tcfg.resolved_eta(dataset), tcfg.mining_steps)
@@ -212,6 +216,8 @@ def _stability_trials(memo, task_name, trials, epochs):
     naive = {**coms, "method": "grad-naive"}
     rows = []
     curve_rows = []
+    fit_all([(cfg, trial) for trial in range(trials) for cfg in (coms, naive)],
+            memo)
     for trial in range(trials):
         row = {"trial": trial}
         for method, cfg in (("coms", coms), ("naive", naive)):
@@ -305,8 +311,9 @@ def _pwm_trials(memo, fast=False):
     cfg = config_from({"task": "pwm", "epochs": 6 if fast else PWM_EPOCHS,
                        "budget": DISCRETE_BUDGET,
                        "budgets": ",".join(map(str, DISCRETE_BUDGETS))})
-    return [run_trial(cfg, trial, memo)
-            for trial in range(2 if fast else DISCRETE_TRIALS)]
+    trials = range(2 if fast else DISCRETE_TRIALS)
+    fit_all([(cfg, trial) for trial in trials], memo)
+    return [run_trial(cfg, trial, memo) for trial in trials]
 
 
 def criterion_5_discrete(memo, fast=False):
@@ -445,22 +452,26 @@ CRITERIA = (
 def run_all(out_dir, fast=False) -> dict:
     """Run every acceptance criterion, print one PASS/FAIL line each, and
     write acceptance.json plus the desk-scale ablation curves each
-    criterion returns under `curves` (file name -> header, rows)."""
+    criterion returns under `curves` (file name -> header, rows). The
+    criteria's independent trainings run on one `worker_pool`."""
     os.makedirs(os.path.join(out_dir, "curves"), exist_ok=True)
     memo: dict = {}  # the fit memo every criterion passes to `fit`
     results = []
     t0 = time.monotonic()
-    for crit in CRITERIA:
-        if crit is criterion_8_protocol:
-            record = crit(memo, fast, work_dir=out_dir)
-        else:
-            record = crit(memo, fast)
-        status = "PASS" if record["passed"] else "FAIL"
-        print(f"criterion {record['id']} ({record['name']}): {status} "
-              f"- {record['detail']}", flush=True)
-        for name, (header, rows) in record.pop("curves", {}).items():
-            write_rows(os.path.join(out_dir, "curves", name), header, rows)
-        results.append(record)
+    # Opened first, so the workers start while criterion 1 runs.
+    with worker_pool():
+        for crit in CRITERIA:
+            if crit is criterion_8_protocol:
+                record = crit(memo, fast, work_dir=out_dir)
+            else:
+                record = crit(memo, fast)
+            status = "PASS" if record["passed"] else "FAIL"
+            print(f"criterion {record['id']} ({record['name']}): {status} "
+                  f"- {record['detail']}", flush=True)
+            for name, (header, rows) in record.pop("curves", {}).items():
+                write_rows(os.path.join(out_dir, "curves", name), header,
+                           rows)
+            results.append(record)
     total = time.monotonic() - t0
     all_passed = all(r["passed"] for r in results)
     summary = {

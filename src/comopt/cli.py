@@ -18,7 +18,8 @@ from .fileio import load_surrogate, save_surrogate, write_rows
 from .harness import (DEFAULT_CONFIG, METHODS, InvariantViolation,
                       budget_sweep, config_from, curation_config_from,
                       evaluate_budget, normalized_score, run_experiment,
-                      stability_sweep, tau_sweep, trainer_config_from)
+                      stability_sweep, tau_sweep, trainer_config_from,
+                      worker_pool)
 from .optimizer import produce_candidates, read_candidates, write_candidates
 from .tasks import (curate_dataset, get_task, read_dataset, task_names,
                     write_dataset)
@@ -130,7 +131,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_sweep_tau(args) -> int:
-    curves = tau_sweep(_config(args), 0, args.taus.split(","), args.t_max)
+    with worker_pool():
+        curves = tau_sweep(_config(args), 0, args.taus.split(","), args.t_max)
     os.makedirs(args.out_dir, exist_ok=True)
     for tau, curve in curves.items():
         write_rows(os.path.join(args.out_dir, f"stability_tau_{tau}.csv"),

@@ -8,9 +8,12 @@ curves at desk scale. `run_trial` is the one trial pipeline (curate ->
 train -> optimize -> evaluate -> sweeps), shared by `run_experiment`,
 `tau_sweep` and the acceptance criteria; `run_experiment` runs it for each
 trial of a flat key=value config file into a reproducible run directory.
+`fit_all` trains a batch of independent surrogates two at a time on the
+worker processes of an open `worker_pool`.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import asdict, dataclass, fields, replace
@@ -123,6 +126,8 @@ def tau_sweep(cfg: dict, trial: int, taus, t_max: int, memo=None) -> dict:
     configs = {tau: config_from({**cfg, "tau": tau, "stability_steps": t_max,
                                  "budget": 1, "budgets": ""})
                for tau in dict.fromkeys(float(t) for t in taus)}
+    memo = {} if memo is None else memo
+    fit_all([(tau_cfg, trial) for tau_cfg in configs.values()], memo)
     return {tau: run_trial(tau_cfg, trial, memo).stability
             for tau, tau_cfg in configs.items()}
 
@@ -260,11 +265,11 @@ def trainer_config_from(cfg: dict, seed: int) -> TrainerConfig:
     )
 
 
-def fit(cfg: dict, trial: int, memo: dict | None = None):
-    """Curate the trial's dataset and train `cfg["method"]` on it at seed
-    `base_seed + trial`; returns (dataset, trainer config, model, logs).
-    A `memo` dict skips trainings it has seen, keyed with step size and tau
-    resolved so "auto" matches the task default. Do not mutate the model."""
+def _prepare(cfg: dict, trial: int):
+    """The trial's curated dataset, its trainer config at seed
+    `base_seed + trial`, and the memo key of the surrogate `cfg["method"]`
+    trains on them, with step size and tau resolved so "auto" matches the
+    task default."""
     seed = cfg["base_seed"] + trial
     curation = curation_config_from(cfg, seed)
     dataset = curate_dataset(get_task(cfg["task"]), curation)
@@ -273,12 +278,169 @@ def fit(cfg: dict, trial: int, memo: dict | None = None):
                        tau=tcfg.resolved_tau(dataset))
     key = repr((cfg["task"], cfg["method"], cfg["ensemble_size"], curation,
                 resolved))
+    return dataset, tcfg, key
+
+
+def fit(cfg: dict, trial: int, memo: dict | None = None):
+    """Curate the trial's dataset and train `cfg["method"]` on it at seed
+    `base_seed + trial`; returns (dataset, trainer config, model, logs).
+    A `memo` dict skips trainings it has seen. Do not mutate the model."""
+    dataset, tcfg, key = _prepare(cfg, trial)
     if memo is not None and key in memo:
         return (dataset, tcfg, *memo[key])
     model, logs = METHODS[cfg["method"]](dataset, tcfg, cfg["ensemble_size"])
     if memo is not None:
         memo[key] = model, logs
     return dataset, tcfg, model, logs
+
+
+_BLAS_ENV = "OPENBLAS_NUM_THREADS"
+_pool = None  # the `_Workers` of the open `worker_pool`, else None
+
+
+def _trained(cfg: dict, trial: int):
+    """The (model, logs) `fit` trains without a memo: a pool worker's job."""
+    return fit(cfg, trial)[2:]
+
+
+def _serve(conn) -> None:
+    """A pool worker: run each (function, args) job the pipe brings and
+    send back (True, result) or (False, exception), until it brings None.
+    It lives in this module so that a starting worker loads comopt."""
+    while (job := conn.recv()) is not None:
+        fn, args = job
+        try:
+            reply = True, fn(*args)
+        except Exception as exc:  # raised again in the parent by `map`
+            reply = False, exc
+        conn.send(reply)
+
+
+class _Workers:
+    """Spawned worker processes, each serving jobs over its own pipe. They
+    start here, so the environment of this call is theirs. The parent runs
+    no thread for them and imports only the process and pipe modules."""
+
+    def __init__(self, count: int):
+        from multiprocessing import get_context
+
+        ctx = get_context("spawn")
+        self.procs, self.conns = [], []
+        try:
+            for _ in range(count):
+                ours, theirs = ctx.Pipe()
+                proc = ctx.Process(target=_serve, args=(theirs,), daemon=True)
+                proc.start()
+                theirs.close()
+                self.procs.append(proc)
+                self.conns.append(ours)
+        except BaseException:
+            self.close(finish=False)
+            raise
+
+    def map(self, fn, jobs) -> list:
+        """fn(*job) for each job, each sent to the next idle worker;
+        results in job order. A job's exception is raised here, and a
+        worker that dies raises ChildProcessError instead of hanging. Either
+        way every worker is terminated first, so no job still running can
+        hand a stale result to a later call."""
+        from multiprocessing.connection import wait
+
+        results = [None] * len(jobs)
+        todo = list(enumerate(jobs))[::-1]
+        idle = list(zip(self.conns, self.procs))
+        busy = {}
+        try:
+            while todo or busy:
+                while todo and idle:
+                    conn, proc = idle.pop()
+                    index, job = todo.pop()
+                    conn.send((fn, job))
+                    busy[conn] = index, proc
+                # A worker's pipe turns readable with its reply or, when
+                # the worker has died, at end of file.
+                for conn in wait(list(busy)):
+                    index, proc = busy.pop(conn)
+                    try:
+                        ok, value = conn.recv()
+                    except EOFError:
+                        proc.join()
+                        raise ChildProcessError(
+                            f"a pool worker died (exit code {proc.exitcode})"
+                        ) from None
+                    if not ok:
+                        raise value
+                    results[index] = value
+                    idle.append((conn, proc))
+        except BaseException:
+            self.close(finish=False)
+            raise
+        return results
+
+    def close(self, finish: bool) -> None:
+        """Stop every worker: after its last job when `finish`, else at once."""
+        for conn, proc in zip(self.conns, self.procs):
+            if finish:
+                with contextlib.suppress(OSError):  # the worker is gone
+                    conn.send(None)
+            else:
+                proc.terminate()
+        for conn, proc in zip(self.conns, self.procs):
+            proc.join()
+            conn.close()
+
+
+@contextlib.contextmanager
+def worker_pool():
+    """Hold `min(2, os.cpu_count())` spawned worker processes open for
+    `fit_all` while the block runs, and stop them when it ends; on an error
+    they are terminated, jobs and all. Yields the `_Workers`, or None when
+    no pool opens: inside an open pool no second one opens, and with fewer
+    than two cores none does. Each worker starts with
+    OPENBLAS_NUM_THREADS=1, since two workers already fill two cores; the
+    setting must be in place when a worker starts, before it loads numpy,
+    so the workers start here and the caller's environment is restored at
+    once."""
+    global _pool
+    count = min(2, os.cpu_count() or 1)
+    if _pool is not None or count < 2:
+        yield _pool
+        return
+    saved = os.environ.get(_BLAS_ENV)
+    os.environ[_BLAS_ENV] = "1"
+    try:
+        workers = _Workers(count)
+    finally:
+        if saved is None:
+            del os.environ[_BLAS_ENV]
+        else:
+            os.environ[_BLAS_ENV] = saved
+    finished = False
+    _pool = workers
+    try:
+        yield workers
+        finished = True
+    finally:
+        _pool = None
+        workers.close(finished)
+
+
+def fit_all(jobs, memo: dict) -> None:
+    """Train each distinct surrogate the (cfg, trial) `jobs` need and `memo`
+    lacks on the open `worker_pool`, and store its (model, logs) in `memo`
+    under the key `fit` looks up. With no pool open, or fewer than two to
+    train, it trains nothing and leaves them to `fit`, in-process. Training
+    is seeded and its results do not depend on the BLAS thread count, so
+    they are the same bits either way."""
+    if _pool is None:
+        return
+    missing = {}
+    for cfg, trial in jobs:
+        key = _prepare(cfg, trial)[2]
+        if key not in memo:
+            missing.setdefault(key, (cfg, trial))
+    if len(missing) > 1:
+        memo.update(zip(missing, _pool.map(_trained, list(missing.values()))))
 
 
 @dataclass
@@ -316,16 +478,20 @@ def run_trial(cfg: dict, trial: int, memo: dict | None = None) -> TrialResult:
 def run_experiment(config, out_dir) -> EvaluationReport:
     """`run_trial` for each trial; write the run directory (config copy,
     report.json, training_log.csv, candidates.csv, curves/*.csv). Fully
-    reproducible from config + base seed."""
+    reproducible from config + base seed. Two or more trials train on a
+    `worker_pool`, closed before the first trial's search."""
     cfg = config_from(config) if isinstance(config, dict) else parse_config(str(config))
     os.makedirs(out_dir, exist_ok=True)
     task = get_task(cfg["task"])
     budgets = int_list(cfg, "budgets")
 
+    memo: dict = {}
+    with worker_pool() if cfg["trials"] > 1 else contextlib.nullcontext():
+        fit_all([(cfg, trial) for trial in range(cfg["trials"])], memo)
     trials, logs_all, log_trials = [], [], []
     candidate_rows, stability_rows, budget_rows = [], [], []
     for trial in range(cfg["trials"]):
-        result = run_trial(cfg, trial)
+        result = run_trial(cfg, trial, memo)
         logs_all.extend(result.logs)
         log_trials.extend([trial] * len(result.logs))
         candidate_header, rows = candidate_table(result.candidates)

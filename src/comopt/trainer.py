@@ -246,6 +246,9 @@ def train(dataset: OfflineDataset, config: TrainerConfig):
             Xb, yb = X[idx], y[idx]
             nb = len(idx)
             preds, cache = net.forward_with_cache(model, Xb)
+            if not np.isfinite(preds).all():  # before mining ascends on them
+                raise TrainingError(
+                    f"non-finite loss at epoch {epoch} (non-finite predictions)")
             preds_mined = None
             if conservative:
                 X_mined = _mine_endpoints(model, Xb, eta, config.mining_steps)
