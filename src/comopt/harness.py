@@ -295,143 +295,106 @@ def fit(cfg: dict, trial: int, memo: dict | None = None):
 
 
 _BLAS_ENV = "OPENBLAS_NUM_THREADS"
-_pool = None  # the `_Workers` of the open `worker_pool`, else None
-
-
-def _trained(cfg: dict, trial: int):
-    """The (model, logs) `fit` trains without a memo: a pool worker's job."""
-    return fit(cfg, trial)[2:]
+_pool = None  # (pipe, process) per worker of the open `worker_pool`
+# A spawned worker imports comopt afresh and trains with this code. A
+# replacement of `train` made in this process (a profiler's or tracer's
+# wrapper, a test's spy) would not see the trainings the workers run, so no
+# pool opens while `train` is replaced. The code object is kept, not the
+# function: a tool that rebinds every module-level name bound to `train`
+# would rebind a kept function too.
+_TRAIN_CODE = train.__code__
 
 
 def _serve(conn) -> None:
-    """A pool worker: run each (function, args) job the pipe brings and
-    send back (True, result) or (False, exception), until it brings None.
-    It lives in this module so that a starting worker loads comopt."""
+    """A pool worker: train each (cfg, trial) job the pipe brings, as `fit`
+    does without a memo, and send back (True, (model, logs)) or (False,
+    exception), until the pipe brings None. It lives in this module, so a
+    starting worker imports comopt before its first job."""
     while (job := conn.recv()) is not None:
-        fn, args = job
         try:
-            reply = True, fn(*args)
-        except Exception as exc:  # raised again in the parent by `map`
+            reply = True, fit(*job)[2:]
+        except Exception as exc:  # raised again in the parent by `fit_all`
             reply = False, exc
         conn.send(reply)
 
 
-class _Workers:
-    """Spawned worker processes, each serving jobs over its own pipe. They
-    start here, so the environment of this call is theirs. The parent runs
-    no thread for them and imports only the process and pipe modules."""
+def _died(proc) -> ChildProcessError:
+    proc.join()
+    return ChildProcessError(f"a pool worker died (exit code {proc.exitcode})")
 
-    def __init__(self, count: int):
-        from multiprocessing import get_context
 
-        ctx = get_context("spawn")
-        self.procs, self.conns = [], []
-        try:
-            for _ in range(count):
-                ours, theirs = ctx.Pipe()
-                proc = ctx.Process(target=_serve, args=(theirs,), daemon=True)
-                proc.start()
-                theirs.close()
-                self.procs.append(proc)
-                self.conns.append(ours)
-        except BaseException:
-            self.close(finish=False)
-            raise
-
-    def map(self, fn, jobs) -> list:
-        """fn(*job) for each job, each sent to the next idle worker;
-        results in job order. A job's exception is raised here, and a
-        worker that dies raises ChildProcessError instead of hanging. Either
-        way every worker is terminated first, so no job still running can
-        hand a stale result to a later call."""
-        from multiprocessing.connection import wait
-
-        results = [None] * len(jobs)
-        todo = list(enumerate(jobs))[::-1]
-        idle = list(zip(self.conns, self.procs))
-        busy = {}
-        try:
-            while todo or busy:
-                while todo and idle:
-                    conn, proc = idle.pop()
-                    index, job = todo.pop()
-                    conn.send((fn, job))
-                    busy[conn] = index, proc
-                # A worker's pipe turns readable with its reply or, when
-                # the worker has died, at end of file.
-                for conn in wait(list(busy)):
-                    index, proc = busy.pop(conn)
-                    try:
-                        ok, value = conn.recv()
-                    except EOFError:
-                        proc.join()
-                        raise ChildProcessError(
-                            f"a pool worker died (exit code {proc.exitcode})"
-                        ) from None
-                    if not ok:
-                        raise value
-                    results[index] = value
-                    idle.append((conn, proc))
-        except BaseException:
-            self.close(finish=False)
-            raise
-        return results
-
-    def close(self, finish: bool) -> None:
-        """Stop every worker: after its last job when `finish`, else at once."""
-        for conn, proc in zip(self.conns, self.procs):
-            if finish:
-                with contextlib.suppress(OSError):  # the worker is gone
-                    conn.send(None)
-            else:
-                proc.terminate()
-        for conn, proc in zip(self.conns, self.procs):
-            proc.join()
-            conn.close()
+def _stop(workers, finish: bool) -> None:
+    """Stop the workers: each after its last job when `finish`, else at once."""
+    for conn, proc in workers:
+        if finish:
+            with contextlib.suppress(OSError):  # the worker is gone
+                conn.send(None)
+        else:
+            proc.terminate()
+    for conn, proc in workers:
+        proc.join()
+        conn.close()
 
 
 @contextlib.contextmanager
 def worker_pool():
     """Hold `min(2, os.cpu_count())` spawned worker processes open for
     `fit_all` while the block runs, and stop them when it ends; on an error
-    they are terminated, jobs and all. Yields the `_Workers`, or None when
-    no pool opens: inside an open pool no second one opens, and with fewer
-    than two cores none does. Each worker starts with
-    OPENBLAS_NUM_THREADS=1, since two workers already fill two cores; the
-    setting must be in place when a worker starts, before it loads numpy,
-    so the workers start here and the caller's environment is restored at
-    once."""
+    they are terminated, jobs and all. Yields the workers' (pipe, process)
+    pairs, or None when no pool opens: inside an open pool, on one core, or
+    while `train` is replaced in this process. The workers start here, with
+    OPENBLAS_NUM_THREADS=1 in their environment, since two workers already
+    fill two cores and the setting only counts when a worker loads numpy;
+    the caller's environment is restored once they have started. A process
+    pool from the standard library was not used: its two threads and their
+    allocations cost this process more memory than processes and pipes."""
     global _pool
     count = min(2, os.cpu_count() or 1)
-    if _pool is not None or count < 2:
+    if _pool is not None or count < 2 or train.__code__ is not _TRAIN_CODE:
         yield _pool
         return
+    from multiprocessing import get_context
+
+    ctx = get_context("spawn")
+    workers = []
     saved = os.environ.get(_BLAS_ENV)
-    os.environ[_BLAS_ENV] = "1"
     try:
-        workers = _Workers(count)
-    finally:
-        if saved is None:
-            del os.environ[_BLAS_ENV]
-        else:
-            os.environ[_BLAS_ENV] = saved
-    finished = False
-    _pool = workers
-    try:
+        os.environ[_BLAS_ENV] = "1"
+        try:
+            for _ in range(count):
+                ours, theirs = ctx.Pipe()
+                proc = ctx.Process(target=_serve, args=(theirs,), daemon=True)
+                proc.start()
+                theirs.close()
+                workers.append((ours, proc))
+        finally:
+            if saved is None:
+                del os.environ[_BLAS_ENV]
+            else:
+                os.environ[_BLAS_ENV] = saved
+        _pool = workers
         yield workers
-        finished = True
+    except BaseException:
+        _stop(workers, finish=False)
+        raise
+    else:
+        _stop(workers, finish=True)
     finally:
         _pool = None
-        workers.close(finished)
 
 
 def fit_all(jobs, memo: dict) -> None:
     """Train each distinct surrogate the (cfg, trial) `jobs` need and `memo`
-    lacks on the open `worker_pool`, and store its (model, logs) in `memo`
-    under the key `fit` looks up. With no pool open, or fewer than two to
-    train, it trains nothing and leaves them to `fit`, in-process. Training
-    is seeded and its results do not depend on the BLAS thread count, so
-    they are the same bits either way."""
+    lacks on the open `worker_pool`, each job sent to the next idle worker,
+    and store its (model, logs) in `memo` under the key `fit` looks up.
+    With no pool open, or fewer than two to train, it trains nothing and
+    leaves them to `fit`, in-process. Training is seeded and its results do
+    not depend on the BLAS thread count, so they are the same bits either
+    way. A job's exception is raised here, and a worker that dies raises
+    ChildProcessError instead of hanging; either way every worker is
+    terminated first, so no job still running can answer a later call.
+    Each job's dataset is curated three times: here for its key, by the
+    worker, and by `fit` when the trial runs."""
     if _pool is None:
         return
     missing = {}
@@ -439,8 +402,37 @@ def fit_all(jobs, memo: dict) -> None:
         key = _prepare(cfg, trial)[2]
         if key not in memo:
             missing.setdefault(key, (cfg, trial))
-    if len(missing) > 1:
-        memo.update(zip(missing, _pool.map(_trained, list(missing.values()))))
+    if len(missing) < 2:
+        return
+    from multiprocessing.connection import wait
+
+    todo = list(missing.items())[::-1]
+    idle, busy = list(_pool), {}
+    try:
+        while todo or busy:
+            while todo and idle:
+                conn, proc = idle.pop()
+                key, job = todo.pop()
+                try:
+                    conn.send(job)
+                except OSError:
+                    raise _died(proc) from None
+                busy[conn] = key, proc
+            # A worker's pipe turns readable with its reply or, once the
+            # worker has died, at end of file.
+            for conn in wait(list(busy)):
+                key, proc = busy.pop(conn)
+                try:
+                    ok, value = conn.recv()
+                except EOFError:
+                    raise _died(proc) from None
+                if not ok:
+                    raise value
+                memo[key] = value
+                idle.append((conn, proc))
+    except BaseException:
+        _stop(_pool, finish=False)
+        raise
 
 
 @dataclass

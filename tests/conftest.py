@@ -22,10 +22,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture()
 def train_spy(monkeypatch):
     """Records the TrainerConfig of every `trainer.train` call, whichever
-    module's name for it the call goes through. Trainings `harness.fit_all`
-    sends to pool workers escape a spy in this process, so each surrogate it
-    adds to the memo is recorded too: its job's TrainerConfig once per
-    network it trained (one training log each)."""
+    module's name for it the call goes through."""
     from comopt import acceptance, baselines, harness, trainer
 
     calls = []
@@ -35,20 +32,7 @@ def train_spy(monkeypatch):
         calls.append(config)
         return real(dataset, config)
 
-    real_fit_all = harness.fit_all
-
-    def fit_all_spy(jobs, memo):
-        before = set(memo)
-        real_fit_all(jobs, memo)
-        for cfg, trial in jobs:
-            _, config, key = harness._prepare(cfg, trial)
-            if key in memo and key not in before:
-                before.add(key)
-                calls.extend([config] * len(memo[key][1]))
-
     for module in (trainer, baselines, harness, acceptance):
         if getattr(module, "train", None) is real:
             monkeypatch.setattr(module, "train", spy)
-        if getattr(module, "fit_all", None) is real_fit_all:
-            monkeypatch.setattr(module, "fit_all", fit_all_spy)
     return calls

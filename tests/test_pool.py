@@ -1,12 +1,13 @@
 """The worker pool: surrogates trained on it equal in-process ones bitwise,
-its workers run one BLAS thread each, and no worker outlives a run, also
-when training fails in a worker."""
+its workers run one BLAS thread each, no worker outlives a run, also when
+training fails in a worker, and a replaced `train` keeps every training in
+this process."""
 import contextlib
 import multiprocessing
-import operator
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -30,8 +31,16 @@ def _params(model):
     return [m.params.tobytes() for m in members]
 
 
-def _no_training_here(dataset, config):
+def _no_training_here(*args):
     raise AssertionError("trained in the parent process")
+
+
+def _forbid_training_here(monkeypatch):
+    """Make every method fail if it trains in this process. The pool's
+    workers import their own `METHODS`, and `train` stays as it is, so the
+    pool still opens."""
+    monkeypatch.setattr(harness, "METHODS",
+                        dict.fromkeys(harness.METHODS, _no_training_here))
 
 
 def _files(root):
@@ -50,7 +59,7 @@ def test_pool_fits_equal_in_process_fits_bitwise(monkeypatch):
             for method in ("coms", "grad-min") for trial in (0, 1)]
     memo = {}
     with worker_pool():
-        monkeypatch.setattr(harness, "train", _no_training_here)
+        _forbid_training_here(monkeypatch)
         fit_all(jobs + jobs[:1], memo)  # a repeated job trains once
         monkeypatch.undo()
     assert len(memo) == len(jobs)
@@ -62,43 +71,73 @@ def test_pool_fits_equal_in_process_fits_bitwise(monkeypatch):
 
 
 def test_fit_all_without_a_pool_or_with_one_miss_trains_nothing(monkeypatch):
-    monkeypatch.setattr(harness, "train", _no_training_here)
+    _forbid_training_here(monkeypatch)
     cfg = config_from(TINY)
     memo = {}
     fit_all([(cfg, 0), (cfg, 1)], memo)
-    with worker_pool():
+    with worker_pool() as pool:
+        assert pool is not None
         fit_all([(cfg, 0), (cfg, 0)], memo)
     assert memo == {}
 
 
-def test_workers_run_one_blas_thread_and_parent_env_is_restored(monkeypatch):
+@pytest.mark.skipif(not os.path.exists("/proc/self/environ"),
+                    reason="reads a worker's start-up environment from /proc")
+def test_workers_start_with_one_blas_thread_and_parent_env_is_restored(
+        monkeypatch):
     for parent_value in ("3", None):
         if parent_value is None:
             monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         else:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", parent_value)
         with worker_pool() as pool:
-            # both workers start on entry, while the setting is in place
-            started = multiprocessing.active_children()
-            assert len(started) == 2
+            assert os.environ.get("OPENBLAS_NUM_THREADS") == parent_value
             with worker_pool() as inner:
                 assert inner is pool  # an open pool is reused, not nested
-            settings = pool.map(os.getenv, [("OPENBLAS_NUM_THREADS",)] * 6)
-            assert settings == ["1"] * 6
-            assert multiprocessing.active_children() == started
-            assert os.environ.get("OPENBLAS_NUM_THREADS") == parent_value
+            procs = [proc for _, proc in pool]
+            assert sorted(multiprocessing.active_children(),
+                          key=procs.index) == procs
+            # two jobs keep both workers busy, so both have started for sure
+            fit_all([(config_from(TINY), trial) for trial in (0, 1)], {})
+            for proc in procs:
+                environ = Path(f"/proc/{proc.pid}/environ").read_bytes()
+                assert b"\0OPENBLAS_NUM_THREADS=1\0" in b"\0" + environ
         assert multiprocessing.active_children() == []
 
 
-def test_a_failed_job_or_dead_worker_raises_and_stops_the_pool():
-    with worker_pool() as pool:
-        with pytest.raises(ZeroDivisionError):
-            pool.map(operator.truediv, [(1.0, 2.0), (1.0, 0.0), (3.0, 1.0)])
+def test_a_failed_job_raises_and_stops_the_pool(tmp_path):
+    diverging = config_from({**TINY, "task": "bowl", "adam_lr": 1e300})
+    with worker_pool():
+        with pytest.raises(TrainingError, match="non-finite loss at epoch"):
+            fit_all([(diverging, 0), (diverging, 1)], {})
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("when", ["idle", "training"])
+def test_a_dead_worker_raises_instead_of_hanging(when):
+    long = config_from({**TINY, "n_raw": 1000, "epochs": 500,
+                        "hidden": "64,64", "mining_steps": 10})  # ~7 s each
+    jobs = [(long, trial) for trial in (0, 1)]
     with worker_pool() as pool:
-        with pytest.raises(ChildProcessError, match="exit code 3"):
-            pool.map(os._exit, [(3,)])
+        proc = pool[0][1]
+        if when == "idle":
+            proc.kill()
+            proc.join()
+        else:
+            threading.Timer(1.0, proc.kill).start()
+        with pytest.raises(ChildProcessError, match="exit code -9"):
+            fit_all(jobs, {})
         assert multiprocessing.active_children() == []
+
+
+def test_a_replaced_train_keeps_every_training_in_process(tmp_path,
+                                                          train_spy):
+    with worker_pool() as pool:
+        assert pool is None
+        assert multiprocessing.active_children() == []
+    run_experiment(config_from({**TINY, "trials": 2, "budget": 2}),
+                   tmp_path / "spied")
+    assert [config.seed for config in train_spy] == [0, 1]
 
 
 def test_no_worker_outlives_run_experiment(tmp_path):
@@ -176,7 +215,7 @@ def test_sweep_tau_trains_its_taus_on_the_pool(tmp_path, monkeypatch):
              "--n-raw", "100", "--t-max", "4",
              "--epochs", "2", "--batch-size", "64", "--mining-steps", "3",
              "--hidden", "8"]
-    monkeypatch.setattr(harness, "train", _no_training_here)
+    _forbid_training_here(monkeypatch)
     assert cli.main(["sweep-tau", *flags, "--out-dir",
                      str(tmp_path / "pooled")]) == 0
     monkeypatch.undo()
