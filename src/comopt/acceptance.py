@@ -458,7 +458,6 @@ def run_all(out_dir, fast=False) -> dict:
     memo: dict = {}  # the fit memo every criterion passes to `fit`
     results = []
     t0 = time.monotonic()
-    # Opened first, so the workers start while criterion 1 runs.
     with worker_pool():
         for crit in CRITERIA:
             if crit is criterion_8_protocol:

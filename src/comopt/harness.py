@@ -9,7 +9,7 @@ train -> optimize -> evaluate -> sweeps), shared by `run_experiment`,
 `tau_sweep` and the acceptance criteria; `run_experiment` runs it for each
 trial of a flat key=value config file into a reproducible run directory.
 `fit_all` trains a batch of independent surrogates two at a time on the
-worker processes of an open `worker_pool`.
+process pool of an open `worker_pool`.
 """
 from __future__ import annotations
 
@@ -295,7 +295,7 @@ def fit(cfg: dict, trial: int, memo: dict | None = None):
 
 
 _BLAS_ENV = "OPENBLAS_NUM_THREADS"
-_pool = None  # (pipe, process) per worker of the open `worker_pool`
+_pool = None  # the executor of the open `worker_pool`
 # A spawned worker imports comopt afresh and trains with this code. A
 # replacement of `train` made in this process (a profiler's or tracer's
 # wrapper, a test's spy) would not see the trainings the workers run, so no
@@ -305,96 +305,56 @@ _pool = None  # (pipe, process) per worker of the open `worker_pool`
 _TRAIN_CODE = train.__code__
 
 
-def _serve(conn) -> None:
-    """A pool worker: train each (cfg, trial) job the pipe brings, as `fit`
-    does without a memo, and send back (True, (model, logs)) or (False,
-    exception), until the pipe brings None. It lives in this module, so a
-    starting worker imports comopt before its first job."""
-    while (job := conn.recv()) is not None:
-        try:
-            reply = True, fit(*job)[2:]
-        except Exception as exc:  # raised again in the parent by `fit_all`
-            reply = False, exc
-        conn.send(reply)
-
-
-def _died(proc) -> ChildProcessError:
-    proc.join()
-    return ChildProcessError(f"a pool worker died (exit code {proc.exitcode})")
-
-
-def _stop(workers, finish: bool) -> None:
-    """Stop the workers: each after its last job when `finish`, else at once."""
-    for conn, proc in workers:
-        if finish:
-            with contextlib.suppress(OSError):  # the worker is gone
-                conn.send(None)
-        else:
-            proc.terminate()
-    for conn, proc in workers:
-        proc.join()
-        conn.close()
+def _trained(job):
+    """One pool job: `fit(cfg, trial)` without a memo -> (model, logs)."""
+    return fit(*job)[2:]
 
 
 @contextlib.contextmanager
 def worker_pool():
-    """Hold `min(2, os.cpu_count())` spawned worker processes open for
-    `fit_all` while the block runs, and stop them when it ends; on an error
-    they are terminated, jobs and all. Yields the workers' (pipe, process)
-    pairs, or None when no pool opens: inside an open pool, on one core, or
-    while `train` is replaced in this process. The workers start here, with
-    OPENBLAS_NUM_THREADS=1 in their environment, since two workers already
-    fill two cores and the setting only counts when a worker loads numpy;
-    the caller's environment is restored once they have started. A process
-    pool from the standard library was not used: its two threads and their
-    allocations cost this process more memory than processes and pipes."""
+    """Hold a process pool of `min(2, os.cpu_count())` spawned workers open
+    for `fit_all` while the block runs, and shut it down when it ends.
+    Yields the pool, or None when no pool opens: inside an open pool, on one
+    core, or while `train` is replaced in this process. Each worker runs one
+    BLAS thread, since two workers already fill two cores. They start at the
+    first job, not here, so OPENBLAS_NUM_THREADS=1 stays in the environment
+    for the whole block; this process loaded its BLAS before, so only the
+    workers see it. The caller's value is restored when the block ends."""
     global _pool
     count = min(2, os.cpu_count() or 1)
     if _pool is not None or count < 2 or train.__code__ is not _TRAIN_CODE:
         yield _pool
         return
+    from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    ctx = get_context("spawn")
-    workers = []
+    _pool = ProcessPoolExecutor(count, mp_context=get_context("spawn"))
     saved = os.environ.get(_BLAS_ENV)
+    os.environ[_BLAS_ENV] = "1"
     try:
-        os.environ[_BLAS_ENV] = "1"
-        try:
-            for _ in range(count):
-                ours, theirs = ctx.Pipe()
-                proc = ctx.Process(target=_serve, args=(theirs,), daemon=True)
-                proc.start()
-                theirs.close()
-                workers.append((ours, proc))
-        finally:
-            if saved is None:
-                del os.environ[_BLAS_ENV]
-            else:
-                os.environ[_BLAS_ENV] = saved
-        _pool = workers
-        yield workers
-    except BaseException:
-        _stop(workers, finish=False)
-        raise
-    else:
-        _stop(workers, finish=True)
+        yield _pool
     finally:
+        _pool.shutdown(cancel_futures=True)
         _pool = None
+        if saved is None:
+            del os.environ[_BLAS_ENV]
+        else:
+            os.environ[_BLAS_ENV] = saved
 
 
 def fit_all(jobs, memo: dict) -> None:
     """Train each distinct surrogate the (cfg, trial) `jobs` need and `memo`
-    lacks on the open `worker_pool`, each job sent to the next idle worker,
-    and store its (model, logs) in `memo` under the key `fit` looks up.
-    With no pool open, or fewer than two to train, it trains nothing and
-    leaves them to `fit`, in-process. Training is seeded and its results do
-    not depend on the BLAS thread count, so they are the same bits either
-    way. A job's exception is raised here, and a worker that dies raises
-    ChildProcessError instead of hanging; either way every worker is
-    terminated first, so no job still running can answer a later call.
-    Each job's dataset is curated three times: here for its key, by the
-    worker, and by `fit` when the trial runs."""
+    lacks on the open `worker_pool`, and store its (model, logs) in `memo`
+    under the key `fit` looks up. With no pool open, or fewer than two to
+    train, it trains nothing and leaves them to `fit`, in-process. Training
+    is seeded and its results do not depend on the BLAS thread count, so
+    they are the same bits either way. A job's exception is raised here
+    once the pool has shut down, which waits for a job the other worker is
+    still running. A worker that dies raises ChildProcessError instead of
+    hanging, and the other worker is stopped at once; one that dies while
+    it is still starting is reported late, not as a hang: once the other
+    worker's job has returned. Each job's dataset is curated three times:
+    here for its key, by the worker, and by `fit` when the trial runs."""
     if _pool is None:
         return
     missing = {}
@@ -404,34 +364,14 @@ def fit_all(jobs, memo: dict) -> None:
             missing.setdefault(key, (cfg, trial))
     if len(missing) < 2:
         return
-    from multiprocessing.connection import wait
+    from concurrent.futures.process import BrokenProcessPool
 
-    todo = list(missing.items())[::-1]
-    idle, busy = list(_pool), {}
     try:
-        while todo or busy:
-            while todo and idle:
-                conn, proc = idle.pop()
-                key, job = todo.pop()
-                try:
-                    conn.send(job)
-                except OSError:
-                    raise _died(proc) from None
-                busy[conn] = key, proc
-            # A worker's pipe turns readable with its reply or, once the
-            # worker has died, at end of file.
-            for conn in wait(list(busy)):
-                key, proc = busy.pop(conn)
-                try:
-                    ok, value = conn.recv()
-                except EOFError:
-                    raise _died(proc) from None
-                if not ok:
-                    raise value
-                memo[key] = value
-                idle.append((conn, proc))
-    except BaseException:
-        _stop(_pool, finish=False)
+        memo.update(zip(missing, _pool.map(_trained, missing.values())))
+    except BaseException as exc:
+        _pool.shutdown(cancel_futures=True)
+        if isinstance(exc, BrokenProcessPool):
+            raise ChildProcessError(f"a pool worker died: {exc}") from exc
         raise
 
 

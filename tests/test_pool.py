@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,11 @@ def _forbid_training_here(monkeypatch):
     pool still opens."""
     monkeypatch.setattr(harness, "METHODS",
                         dict.fromkeys(harness.METHODS, _no_training_here))
+
+
+def _start_both_workers(memo):
+    """Two jobs keep both workers busy, so both have started for sure."""
+    fit_all([(config_from(TINY), trial) for trial in (0, 1)], memo)
 
 
 def _files(root):
@@ -91,17 +97,16 @@ def test_workers_start_with_one_blas_thread_and_parent_env_is_restored(
         else:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", parent_value)
         with worker_pool() as pool:
-            assert os.environ.get("OPENBLAS_NUM_THREADS") == parent_value
             with worker_pool() as inner:
                 assert inner is pool  # an open pool is reused, not nested
-            procs = [proc for _, proc in pool]
-            assert sorted(multiprocessing.active_children(),
-                          key=procs.index) == procs
-            # two jobs keep both workers busy, so both have started for sure
-            fit_all([(config_from(TINY), trial) for trial in (0, 1)], {})
-            for proc in procs:
+            assert multiprocessing.active_children() == []  # none started yet
+            _start_both_workers({})
+            workers = multiprocessing.active_children()
+            assert len(workers) == 2
+            for proc in workers:
                 environ = Path(f"/proc/{proc.pid}/environ").read_bytes()
                 assert b"\0OPENBLAS_NUM_THREADS=1\0" in b"\0" + environ
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == parent_value
         assert multiprocessing.active_children() == []
 
 
@@ -118,15 +123,17 @@ def test_a_dead_worker_raises_instead_of_hanging(when):
     long = config_from({**TINY, "n_raw": 1000, "epochs": 500,
                         "hidden": "64,64", "mining_steps": 10})  # ~7 s each
     jobs = [(long, trial) for trial in (0, 1)]
-    with worker_pool() as pool:
-        proc = pool[0][1]
+    with worker_pool():
+        _start_both_workers({})
+        proc = multiprocessing.active_children()[0]
         if when == "idle":
             proc.kill()
             proc.join()
         else:
             threading.Timer(1.0, proc.kill).start()
-        with pytest.raises(ChildProcessError, match="exit code -9"):
+        with pytest.raises(ChildProcessError, match="a pool worker died"):
             fit_all(jobs, {})
+        assert proc.exitcode == -9
         assert multiprocessing.active_children() == []
 
 
@@ -159,8 +166,37 @@ def test_worker_divergence_fails_the_command_with_message(tmp_path, capsys):
     assert multiprocessing.active_children() == []
 
 
+def test_a_dead_worker_fails_the_command_with_message(tmp_path, capsys):
+    config = _run_config(tmp_path, "task = cliff\nmethod = coms\ntrials = 2\n"
+                         "n_raw = 1000\nepochs = 500\nmining_steps = 10\n"
+                         "budget = 4\n")  # ~7 s per trial
+
+    run_over = threading.Event()
+
+    def kill_a_worker_mid_job():
+        while len(workers := multiprocessing.active_children()) < 2:
+            if run_over.wait(0.05):
+                return
+        time.sleep(1.0)
+        workers[0].kill()
+
+    killer = threading.Thread(target=kill_a_worker_mid_job, daemon=True)
+    killer.start()
+    try:
+        assert cli.main(["run", "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 1
+    finally:
+        run_over.set()
+        killer.join()
+    err = capsys.readouterr().err
+    assert "error: a pool worker died" in err
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
 def test_no_worker_outlives_run_all_that_raises(tmp_path, monkeypatch):
     def criterion_with_open_pool(memo, fast):
+        _start_both_workers(memo)
         assert len(multiprocessing.active_children()) == 2
         raise RuntimeError("criterion failed")
 
