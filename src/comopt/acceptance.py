@@ -21,8 +21,8 @@ import numpy as np
 from . import net
 from .baselines import train_naive
 from .fileio import write_rows
-from .harness import config_from, fit, fit_all, normalized_score, \
-    run_experiment, run_trial, tau_sweep, worker_pool
+from .harness import config_from, normalized_score, run_experiment, \
+    run_trials, tau_sweep, trainer_config_from, worker_pool
 from .tasks import CurationConfig, all_sequences, curate_dataset, get_task, \
     sequence_scores
 from .trainer import TrainerConfig, _mine_endpoints
@@ -133,28 +133,29 @@ def criterion_1_gradients(memo, fast=False):
 
 def criterion_2_conservatism(memo, fast=False):
     """Fixed large alpha must push the mined-vs-data prediction gap to at
-    most 0.1; the dual variant must end with gap <= tau + 0.25."""
-    runs = [("cliff", 4)] if fast else [("cliff", 50), ("pwm", PWM_EPOCHS)]
-    duals = [config_from({"task": name, "epochs": epochs})
-             for name, epochs in runs]
-    pairs = [({**dual, "alpha_init": 10.0, "alpha_lr": 0.0}, dual)
-             for dual in duals]
+    most 0.1; the dual variant must end with gap <= tau + 0.25. The dual
+    trials take the shape of criterion 4's cliff trial and of the discrete
+    trial of criteria 5, 6 and 8, which they equal, so each runs once."""
+    duals = [_stability_config("cliff", 4 if fast else 50)]
+    if not fast:
+        duals.append(_pwm_config())
+    jobs = [(cfg, 0) for dual in duals
+            for cfg in ({**dual, "alpha_init": 10.0, "alpha_lr": 0.0}, dual)]
+    runs = run_trials(jobs, memo)
     details = []
     passed = True
-    fit_all([(cfg, 0) for pair in pairs for cfg in pair], memo)
-    for fixed, dual in pairs:
-        name = dual["task"]
-        dataset, tcfg, model, _ = fit(fixed, 0, memo)
-        mined = _mine_endpoints(model, dataset.designs,
-                                tcfg.resolved_eta(dataset), tcfg.mining_steps)
+    for dual, fixed, dual_run in zip(duals, runs[::2], runs[1::2]):
+        tcfg = trainer_config_from(dual, dual["base_seed"])
+        model, designs = fixed.model, fixed.dataset.designs
+        mined = _mine_endpoints(model, designs, tcfg.resolved_eta(fixed.dataset),
+                                tcfg.mining_steps)
         gap = float(net.forward_batch(model, mined).mean()
-                    - net.forward_batch(model, dataset.designs).mean())
-        dataset, tcfg, _, logs = fit(dual, 0, memo)
-        final_gap = logs[0][-1]["gap"]
-        tau = tcfg.resolved_tau(dataset)
+                    - net.forward_batch(model, designs).mean())
+        final_gap = dual_run.logs[0][-1]["gap"]
+        tau = tcfg.resolved_tau(dual_run.dataset)
         ok = gap <= CONSERVATISM_GAP_TOL and final_gap <= tau + DUAL_GAP_SLACK
         passed = passed and ok
-        details.append(f"{name}: fixed-alpha gap {gap:.3f} (<= 0.1), "
+        details.append(f"{dual['task']}: fixed-alpha gap {gap:.3f} (<= 0.1), "
                        f"dual final gap {final_gap:.3f} (<= {tau + DUAL_GAP_SLACK:.2f})")
     return {
         "id": 2,
@@ -207,21 +208,26 @@ def _first_crossing(curve):
     return int(below[0]) if below.size else None
 
 
+def _stability_config(task_name, epochs):
+    """A COMs trial read only for its curve, so it searches one candidate."""
+    return config_from({"task": task_name, "epochs": epochs, "budget": 1,
+                        "stability_steps": STABILITY_T_MAX})
+
+
 def _stability_trials(memo, task_name, trials, epochs):
     """Per-trial finals and penalty crossings of COMs vs naive ascent from
-    the best dataset design, with the (header, rows) of their curves. Only
-    the curve is read, so each trial searches a single candidate."""
-    coms = config_from({"task": task_name, "epochs": epochs, "budget": 1,
-                        "stability_steps": STABILITY_T_MAX})
+    the best dataset design, with the (header, rows) of their curves."""
+    coms = _stability_config(task_name, epochs)
     naive = {**coms, "method": "grad-naive"}
+    methods = (("coms", coms), ("naive", naive))
+    runs = iter(run_trials([(cfg, trial) for trial in range(trials)
+                            for _, cfg in methods], memo))
     rows = []
     curve_rows = []
-    fit_all([(cfg, trial) for trial in range(trials) for cfg in (coms, naive)],
-            memo)
     for trial in range(trials):
         row = {"trial": trial}
-        for method, cfg in (("coms", coms), ("naive", naive)):
-            curve = run_trial(cfg, trial, memo).stability
+        for method, cfg in methods:
+            curve = next(runs).stability
             step = _first_crossing(curve)
             row[f"{method}_final"] = float(curve[-1])
             row[f"{method}_crossed"] = step is not None
@@ -305,15 +311,19 @@ def criterion_4_stability(memo, fast=False):
     }
 
 
+def _pwm_config(fast=False):
+    """The discrete trial of criteria 5, 6 and 8: budget-16 search with the
+    budget sweep over 1..16."""
+    return config_from({"task": "pwm", "epochs": 6 if fast else PWM_EPOCHS,
+                        "budget": DISCRETE_BUDGET,
+                        "budgets": ",".join(map(str, DISCRETE_BUDGETS))})
+
+
 def _pwm_trials(memo, fast=False):
-    """The discrete trials of criteria 5, 6 and 8: budget-16 search with
-    the budget sweep over 1..16; the memo trains each surrogate once."""
-    cfg = config_from({"task": "pwm", "epochs": 6 if fast else PWM_EPOCHS,
-                       "budget": DISCRETE_BUDGET,
-                       "budgets": ",".join(map(str, DISCRETE_BUDGETS))})
-    trials = range(2 if fast else DISCRETE_TRIALS)
-    fit_all([(cfg, trial) for trial in trials], memo)
-    return [run_trial(cfg, trial, memo) for trial in trials]
+    """The discrete trials of criteria 5, 6 and 8; the memo runs each once."""
+    return run_trials([(_pwm_config(fast), trial)
+                       for trial in range(2 if fast else DISCRETE_TRIALS)],
+                      memo)
 
 
 def criterion_5_discrete(memo, fast=False):
@@ -455,7 +465,7 @@ def run_all(out_dir, fast=False) -> dict:
     criterion returns under `curves` (file name -> header, rows). The
     criteria's independent trainings run on one `worker_pool`."""
     os.makedirs(os.path.join(out_dir, "curves"), exist_ok=True)
-    memo: dict = {}  # the fit memo every criterion passes to `fit`
+    memo: dict = {}  # the trial memo every criterion passes to `run_trials`
     results = []
     t0 = time.monotonic()
     with worker_pool():

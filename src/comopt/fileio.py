@@ -26,8 +26,8 @@ def write_rows(path, header, rows) -> None:
 
 def read_rows(path) -> tuple[list, np.ndarray]:
     """Header and float body of a numeric CSV. A file without data rows,
-    a row whose width differs from the header's and a non-finite cell are
-    each an error."""
+    a row whose width differs from the header's and a non-numeric or
+    non-finite cell are each an error."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 2:
@@ -38,7 +38,13 @@ def read_rows(path) -> tuple[list, np.ndarray]:
         if len(row) != len(header):
             raise ValueError(f"{path}: line {line} has {len(row)} cells, "
                              f"the header has {len(header)}")
-        cells = [float(v) for v in row]
+        cells = []
+        for v in row:
+            try:
+                cells.append(float(v))
+            except ValueError:
+                raise ValueError(f"{path}: line {line} has a non-numeric "
+                                 f"value {v!r}") from None
         if not np.all(np.isfinite(cells)):
             raise ValueError(f"{path}: line {line} has a non-finite value")
         values.append(cells)
@@ -70,15 +76,20 @@ def save_surrogate(model, path) -> None:
 
 def load_surrogate(path):
     """Load what `save_surrogate` wrote: an ObjectiveModel, or an Ensemble
-    when the archive holds members. A missing array is an error."""
+    when the archive holds members. A missing array and a non-finite weight
+    are errors."""
     from .baselines import Ensemble
 
     with np.load(path) as data:
         def member(prefix=""):
             n_layers = int(data[f"{prefix}n_layers"])
-            return ObjectiveModel(
+            model = ObjectiveModel(
                 [DenseLayer(data[f"{prefix}w{k}"], data[f"{prefix}b{k}"])
                  for k in range(n_layers)], float(data["leak"]))
+            if not np.isfinite(model.params).all():
+                raise ValueError(f"{path}: non-finite weight in surrogate "
+                                 f"archive")
+            return model
 
         try:
             if "n_members" not in data:

@@ -5,11 +5,11 @@ the withheld oracle and reports the max (100th percentile) and median
 (50th percentile), raw and normalized by the task's withheld score range.
 Stability, tau, and budget sweeps reproduce the corresponding ablation
 curves at desk scale. `run_trial` is the one trial pipeline (curate ->
-train -> optimize -> evaluate -> sweeps), shared by `run_experiment`,
-`tau_sweep` and the acceptance criteria; `run_experiment` runs it for each
-trial of a flat key=value config file into a reproducible run directory.
-`fit_all` trains a batch of independent surrogates two at a time on the
-process pool of an open `worker_pool`.
+train -> optimize -> evaluate -> sweeps). `run_trials` runs a batch of
+trials for `run_experiment`, `tau_sweep` and the acceptance criteria: each
+distinct trial once per memo, two at a time on the process pool of an open
+`worker_pool`. `run_experiment` runs every trial of a flat key=value config
+file into a reproducible run directory.
 """
 from __future__ import annotations
 
@@ -126,10 +126,9 @@ def tau_sweep(cfg: dict, trial: int, taus, t_max: int, memo=None) -> dict:
     configs = {tau: config_from({**cfg, "tau": tau, "stability_steps": t_max,
                                  "budget": 1, "budgets": ""})
                for tau in dict.fromkeys(float(t) for t in taus)}
-    memo = {} if memo is None else memo
-    fit_all([(tau_cfg, trial) for tau_cfg in configs.values()], memo)
-    return {tau: run_trial(tau_cfg, trial, memo).stability
-            for tau, tau_cfg in configs.items()}
+    runs = run_trials([(tau_cfg, trial) for tau_cfg in configs.values()],
+                      memo)
+    return {tau: run.stability for tau, run in zip(configs, runs)}
 
 
 @dataclass
@@ -183,9 +182,10 @@ DEFAULT_CONFIG = {
 }
 
 def parse_config(text: str) -> dict:
-    """Parse a flat key=value config file; unknown keys are an error."""
+    """Parse a flat key=value config file; unknown and repeated keys are
+    errors."""
     values = {}
-    unknown = []
+    unknown, repeated = [], []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -196,10 +196,14 @@ def parse_config(text: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in DEFAULT_CONFIG:
             unknown.append(key)
-            continue
+        elif key in values:
+            repeated.append(key)
         values[key] = val
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    if repeated:
+        raise ValueError("duplicate config keys: "
+                         + ", ".join(sorted(set(repeated))))
     cfg = dict(DEFAULT_CONFIG)
     cfg.update(values)
     # Each key takes the type of its default; "auto" keys hold a float or "auto".
@@ -265,35 +269,6 @@ def trainer_config_from(cfg: dict, seed: int) -> TrainerConfig:
     )
 
 
-def _prepare(cfg: dict, trial: int):
-    """The trial's curated dataset, its trainer config at seed
-    `base_seed + trial`, and the memo key of the surrogate `cfg["method"]`
-    trains on them, with step size and tau resolved so "auto" matches the
-    task default."""
-    seed = cfg["base_seed"] + trial
-    curation = curation_config_from(cfg, seed)
-    dataset = curate_dataset(get_task(cfg["task"]), curation)
-    tcfg = trainer_config_from(cfg, seed)
-    resolved = replace(tcfg, ascent_rate=tcfg.resolved_eta(dataset),
-                       tau=tcfg.resolved_tau(dataset))
-    key = repr((cfg["task"], cfg["method"], cfg["ensemble_size"], curation,
-                resolved))
-    return dataset, tcfg, key
-
-
-def fit(cfg: dict, trial: int, memo: dict | None = None):
-    """Curate the trial's dataset and train `cfg["method"]` on it at seed
-    `base_seed + trial`; returns (dataset, trainer config, model, logs).
-    A `memo` dict skips trainings it has seen. Do not mutate the model."""
-    dataset, tcfg, key = _prepare(cfg, trial)
-    if memo is not None and key in memo:
-        return (dataset, tcfg, *memo[key])
-    model, logs = METHODS[cfg["method"]](dataset, tcfg, cfg["ensemble_size"])
-    if memo is not None:
-        memo[key] = model, logs
-    return dataset, tcfg, model, logs
-
-
 _BLAS_ENV = "OPENBLAS_NUM_THREADS"
 _pool = None  # the executor of the open `worker_pool`
 # A spawned worker imports comopt afresh and trains with this code. A
@@ -305,15 +280,10 @@ _pool = None  # the executor of the open `worker_pool`
 _TRAIN_CODE = train.__code__
 
 
-def _trained(job):
-    """One pool job: `fit(cfg, trial)` without a memo -> (model, logs)."""
-    return fit(*job)[2:]
-
-
 @contextlib.contextmanager
 def worker_pool():
     """Hold a process pool of `min(2, os.cpu_count())` spawned workers open
-    for `fit_all` while the block runs, and shut it down when it ends.
+    for `run_trials` while the block runs, and shut it down when it ends.
     Yields the pool, or None when no pool opens: inside an open pool, on one
     core, or while `train` is replaced in this process. Each worker runs one
     BLAS thread, since two workers already fill two cores. They start at the
@@ -342,39 +312,6 @@ def worker_pool():
             os.environ[_BLAS_ENV] = saved
 
 
-def fit_all(jobs, memo: dict) -> None:
-    """Train each distinct surrogate the (cfg, trial) `jobs` need and `memo`
-    lacks on the open `worker_pool`, and store its (model, logs) in `memo`
-    under the key `fit` looks up. With no pool open, or fewer than two to
-    train, it trains nothing and leaves them to `fit`, in-process. Training
-    is seeded and its results do not depend on the BLAS thread count, so
-    they are the same bits either way. A job's exception is raised here
-    once the pool has shut down, which waits for a job the other worker is
-    still running. A worker that dies raises ChildProcessError instead of
-    hanging, and the other worker is stopped at once; one that dies while
-    it is still starting is reported late, not as a hang: once the other
-    worker's job has returned. Each job's dataset is curated three times:
-    here for its key, by the worker, and by `fit` when the trial runs."""
-    if _pool is None:
-        return
-    missing = {}
-    for cfg, trial in jobs:
-        key = _prepare(cfg, trial)[2]
-        if key not in memo:
-            missing.setdefault(key, (cfg, trial))
-    if len(missing) < 2:
-        return
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        memo.update(zip(missing, _pool.map(_trained, missing.values())))
-    except BaseException as exc:
-        _pool.shutdown(cancel_futures=True)
-        if isinstance(exc, BrokenProcessPool):
-            raise ChildProcessError(f"a pool worker died: {exc}") from exc
-        raise
-
-
 @dataclass
 class TrialResult:
     """What one trial of the protocol produced; `stability` and `budget`
@@ -389,13 +326,17 @@ class TrialResult:
     budget: np.ndarray | None
 
 
-def run_trial(cfg: dict, trial: int, memo: dict | None = None) -> TrialResult:
-    """One trial: `fit`, ascend to `cfg["budget"]` candidates at the
+def run_trial(cfg: dict, trial: int) -> TrialResult:
+    """One trial at seed `base_seed + trial`: curate the task's dataset,
+    train `cfg["method"]` on it, ascend to `cfg["budget"]` candidates at the
     trainer's step size and score them with the oracle; then the stability
     sweep when `stability_steps` > 0 and the budget sweep over `budgets`
-    when it lists any. `memo` is passed to `fit`."""
-    dataset, tcfg, model, logs = fit(cfg, trial, memo)
+    when it lists any."""
+    seed = cfg["base_seed"] + trial
     task = get_task(cfg["task"])
+    dataset = curate_dataset(task, curation_config_from(cfg, seed))
+    tcfg = trainer_config_from(cfg, seed)
+    model, logs = METHODS[cfg["method"]](dataset, tcfg, cfg["ensemble_size"])
     eta = tcfg.resolved_eta(dataset)
     candidates = produce_candidates(model, dataset, cfg["budget"], eta,
                                     tcfg.mining_steps)
@@ -407,23 +348,66 @@ def run_trial(cfg: dict, trial: int, memo: dict | None = None) -> TrialResult:
         budget_sweep(candidates, task, budgets) if budgets else None)
 
 
+def _trial_key(cfg: dict, trial: int) -> str:
+    """Everything `run_trial(cfg, trial)` depends on, read without curating:
+    the curation and trainer configs at seed `base_seed + trial`, with step
+    size and tau resolved so "auto" matches the task default, and every
+    other setting the trial reads."""
+    seed = cfg["base_seed"] + trial
+    task = get_task(cfg["task"])
+    tcfg = trainer_config_from(cfg, seed)
+    resolved = replace(tcfg, ascent_rate=tcfg.resolved_eta(task),
+                       tau=tcfg.resolved_tau(task))
+    return repr((cfg["task"], cfg["method"], cfg["ensemble_size"],
+                 curation_config_from(cfg, seed), resolved, cfg["budget"],
+                 cfg["stability_steps"], int_list(cfg, "budgets")))
+
+
+def run_trials(jobs, memo: dict | None = None) -> list:
+    """The `TrialResult` of each (cfg, trial) in the list `jobs`, in order.
+    Each distinct trial runs once per `memo`, which keeps every result; do
+    not mutate them. With a `worker_pool` open and two or more trials to
+    run, they run on it, otherwise in this process: the same bits either
+    way, since trials are seeded and do not depend on the BLAS thread
+    count. A pooled trial's exception is raised once the pool has shut
+    down, which waits for the other worker's running trial. A worker that
+    dies raises ChildProcessError instead of hanging, and the other worker
+    is stopped at once; one that dies while still starting is reported
+    once the other worker's trial has returned, not as a hang."""
+    memo = {} if memo is None else memo
+    keys = [_trial_key(cfg, trial) for cfg, trial in jobs]
+    missing = {key: job for key, job in zip(keys, jobs) if key not in memo}
+    if _pool is None or len(missing) < 2:
+        memo.update((key, run_trial(*job)) for key, job in missing.items())
+        return [memo[key] for key in keys]
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        memo.update(zip(missing, _pool.map(run_trial,
+                                           *zip(*missing.values()))))
+    except BaseException as exc:
+        _pool.shutdown(cancel_futures=True)
+        if isinstance(exc, BrokenProcessPool):
+            raise ChildProcessError(f"a pool worker died: {exc}") from exc
+        raise
+    return [memo[key] for key in keys]
+
+
 def run_experiment(config, out_dir) -> EvaluationReport:
-    """`run_trial` for each trial; write the run directory (config copy,
+    """`run_trials` for every trial; write the run directory (config copy,
     report.json, training_log.csv, candidates.csv, curves/*.csv). Fully
-    reproducible from config + base seed. Two or more trials train on a
-    `worker_pool`, closed before the first trial's search."""
+    reproducible from config + base seed. Two or more trials run on a
+    `worker_pool`."""
     cfg = config_from(config) if isinstance(config, dict) else parse_config(str(config))
     os.makedirs(out_dir, exist_ok=True)
     task = get_task(cfg["task"])
     budgets = int_list(cfg, "budgets")
 
-    memo: dict = {}
     with worker_pool() if cfg["trials"] > 1 else contextlib.nullcontext():
-        fit_all([(cfg, trial) for trial in range(cfg["trials"])], memo)
+        results = run_trials([(cfg, trial) for trial in range(cfg["trials"])])
     trials, logs_all, log_trials = [], [], []
     candidate_rows, stability_rows, budget_rows = [], [], []
-    for trial in range(cfg["trials"]):
-        result = run_trial(cfg, trial, memo)
+    for trial, result in enumerate(results):
         logs_all.extend(result.logs)
         log_trials.extend([trial] * len(result.logs))
         candidate_header, rows = candidate_table(result.candidates)

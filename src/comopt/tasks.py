@@ -247,10 +247,12 @@ def write_dataset(dataset: OfflineDataset, path) -> None:
 
 
 def read_dataset(path) -> OfflineDataset:
-    """Read what `write_dataset` wrote. Ragged rows, non-finite cells, a
-    sidecar key that is missing, sidecar stats whose length differs from the
-    design columns and a standard deviation that is not positive and finite
-    are errors. Sidecar keys beyond those are ignored."""
+    """Read what `write_dataset` wrote. Ragged rows, non-numeric or
+    non-finite cells, a sidecar key that is missing, sidecar stats whose
+    length differs from the design columns, a mean that is not finite, a
+    standard deviation that is not positive and finite and an `is_discrete`
+    that is not a JSON boolean are errors. Sidecar keys beyond those are
+    ignored."""
     header, raw = read_rows(path)
     sidecar = _sidecar_path(path)
     with open(sidecar) as fh:
@@ -264,10 +266,16 @@ def read_dataset(path) -> OfflineDataset:
         if len(meta[key]) != d:
             raise ValueError(f"{sidecar}: {key} has "
                              f"{len(meta[key])} entries for {d} design columns")
+    if not np.all(np.isfinite(np.append(meta["x_mean"], meta["y_mean"]))):
+        raise ValueError(f"{sidecar}: x_mean and y_mean entries must be "
+                         f"finite")
     stds = np.append(meta["x_std"], meta["y_std"])
     if not np.all(np.isfinite(stds) & (stds > 0.0)):
         raise ValueError(f"{sidecar}: x_std and y_std entries must be "
                          f"positive and finite")
+    if not isinstance(meta["is_discrete"], bool):
+        raise ValueError(f"{sidecar}: is_discrete must be true or false, "
+                         f"got {meta['is_discrete']!r}")
     stats = NormalizationStats(
         x_mean=np.array(meta["x_mean"]),
         x_std=np.array(meta["x_std"]),

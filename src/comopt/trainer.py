@@ -174,13 +174,15 @@ class TrainerConfig:
         if not 0.0 < self.leak < 1.0:
             raise ValueError("leak must lie in (0, 1)")
 
-    def resolved_eta(self, dataset: OfflineDataset) -> float:
+    def resolved_eta(self, dataset) -> float:
+        """Step size; `dataset` is an OfflineDataset or its TaskSpec."""
         if self.ascent_rate is not None:
             return float(self.ascent_rate)
         scale = DISCRETE_ETA_SCALE if dataset.is_discrete else CONTINUOUS_ETA_SCALE
         return scale * math.sqrt(dataset.input_dim)
 
-    def resolved_tau(self, dataset: OfflineDataset) -> float:
+    def resolved_tau(self, dataset) -> float:
+        """Tau; `dataset` is an OfflineDataset or its TaskSpec."""
         if self.tau is not None:
             return float(self.tau)
         return DISCRETE_TAU if dataset.is_discrete else CONTINUOUS_TAU

@@ -5,9 +5,9 @@ renamed or deleted function makes `tracing.install` raise and fails every
 benchmark run. Its net kernel spans count `len(X)` rows of a call's second
 argument, so every kernel in NET_KERNELS takes `(model, X)` first.
 `perfbench/checks.py` calls each task's oracle on one 1-D design.
-`acceptance.distinct_trainings` counts `tracing._train_key`s, so
-`harness.fit`'s memo must treat two trainings as the same exactly when
-those keys are equal. The benchmark's own tests live outside the default
+`acceptance.distinct_trainings` counts `tracing._train_key`s, so the memo
+of `harness.run_trials` must treat two trials of one shape as the same
+exactly when the keys of their trainings are equal. The benchmark's own tests live outside the default
 test paths, so these guards keep the contract in the main suite.
 """
 import importlib
@@ -74,17 +74,16 @@ def test_fit_memo_shares_an_entry_exactly_when_train_keys_match(monkeypatch):
     settings += [{"ascent_rate": 0.05 * math.sqrt(8)},
                  {"alpha_init": 10.0, "alpha_lr": 0.0},
                  {"alpha_init": 10.0, "alpha_lr": 0.0, "tau": 0.5}]
+    # every run has one shape: the default budget and no sweeps
     runs = [(harness.config_from({**base, **setting}), trial)
             for setting, trial in itertools.product(settings, (0, 1))]
 
-    for cfg, trial in runs:
-        harness.fit(cfg, trial)
+    for job in runs:
+        harness.run_trials([job])
     every_key = set(keys)
     assert len(keys) == len(runs)
     keys.clear()
-    memo = {}
-    for cfg, trial in runs:
-        harness.fit(cfg, trial, memo)
+    harness.run_trials(runs, {})
     assert len(keys) == len(set(keys))  # no training repeated
     assert set(keys) == every_key  # none merged into another
     assert len(every_key) < len(runs)  # the memo had work to do

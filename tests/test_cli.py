@@ -286,8 +286,8 @@ def test_reproduce_fast_smoke(tmp_path, monkeypatch, train_spy):
     assert data["fast"] is True
     assert len(data["criteria"]) == 8
     assert code in (0, 1)
-    # each distinct surrogate trains once: criterion 7's tau = 0.5 model is
-    # criterion 2's dual model; criterion 3's naive model and criterion 8's
+    # each distinct trial runs once: criterion 7's tau = 0.5 trial is
+    # criterion 2's dual trial; criterion 3's naive model and criterion 8's
     # same-seed reruns are the checks, so they train for themselves
     assert len(train_spy) == 12
     assert rerun_trainings == [1, 1]
@@ -327,6 +327,44 @@ def test_zero_x_std_fails_with_message(tmp_path, curated, capsys):
                      str(tmp_path / "m.npz"), *TRAIN_FLAGS]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "x_std and y_std" in err
+
+
+@pytest.mark.parametrize("key, value", [("x_mean", float("nan")),
+                                        ("y_mean", float("inf"))])
+def test_non_finite_sidecar_mean_fails_with_message(tmp_path, curated, capsys,
+                                                    key, value):
+    # used to train and fail later with a misleading loss or score error
+    def edit(meta):
+        meta[key] = [value] * 8 if key == "x_mean" else value
+
+    _edit_sidecar(curated, edit)
+    assert cli.main(["train", "--data", str(curated), "--out-model",
+                     str(tmp_path / "m.npz"), *TRAIN_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {curated}.meta.json: x_mean and y_mean")
+
+
+def test_non_boolean_is_discrete_fails_with_message(tmp_path, curated, capsys):
+    # "no" is truthy: it used to train a cliff dataset with the discrete step
+    _edit_sidecar(curated, lambda meta: meta.update(is_discrete="no"))
+    assert cli.main(["train", "--data", str(curated), "--out-model",
+                     str(tmp_path / "m.npz"), *TRAIN_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {curated}.meta.json: is_discrete must be "
+                          f"true or false, got 'no'")
+
+
+def test_non_finite_weight_fails_with_message(tmp_path, curated, capsys):
+    model = _train(tmp_path, curated)
+    with np.load(model) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays["w1"][0, 0] = np.nan
+    np.savez(model, **arrays)
+    assert cli.main(["optimize", "--model", str(model), "--data", str(curated),
+                     "--budget", "2", "--out", str(tmp_path / "c.csv"),
+                     *OPTIMIZE_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: non-finite weight")
 
 
 def test_archive_missing_a_layer_fails_with_message(tmp_path, curated, capsys):

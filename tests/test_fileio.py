@@ -78,6 +78,13 @@ class TestWriteRows:
         assert loaded.provenance.tolist() == list(range(6))
         assert loaded.surrogate_values.tobytes() == cands.surrogate_values.tobytes()
 
+    def test_non_numeric_cell_names_file_line_and_value(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x0,y\n1.0,2.0\n3.0,abc\n")
+        with pytest.raises(ValueError, match=r"d\.csv: line 3 has a "
+                                             r"non-numeric value 'abc'$"):
+            read_rows(path)
+
     def test_dataset_read_back_exactly(self, tmp_path):
         ds = curate_dataset(pwm_task(), CurationConfig(seed=1))
         path = tmp_path / "d.csv"

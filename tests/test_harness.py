@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from comopt.baselines import DEFAULT_ENSEMBLE_SIZE
 from comopt.harness import (DEFAULT_CONFIG, EvaluationReport,
-                            InvariantViolation, TrialEvaluation, budget_sweep,
-                            config_from, curation_config_from, evaluate_budget,
-                            fit, normalized_score, parse_config,
-                            run_experiment, run_trial, stability_sweep,
-                            tau_sweep, trainer_config_from)
+                            InvariantViolation, TrialEvaluation, _trial_key,
+                            budget_sweep, config_from, curation_config_from,
+                            evaluate_budget, normalized_score, parse_config,
+                            run_experiment, run_trial, run_trials,
+                            stability_sweep, tau_sweep, trainer_config_from)
 from comopt.fileio import write_rows
 from comopt.net import build_model
 from comopt.optimizer import CandidateSet, candidate_table
@@ -202,12 +202,12 @@ class TestRunTrial:
     def test_sweeps_run_only_when_the_config_asks(self, train_spy):
         cfg = config_from({**TINY, "epochs": 1, "budget": 4})
         memo = {}
-        plain = run_trial(cfg, 0, memo)
+        plain, swept = run_trials(
+            [(cfg, 0), (config_from({**cfg, "stability_steps": 3,
+                                     "budgets": "1,4"}), 0)], memo)
         assert plain.stability is None and plain.budget is None
         assert len(plain.candidates) == 4
-        swept = run_trial(config_from({**cfg, "stability_steps": 3,
-                                       "budgets": "1,4"}), 0, memo)
-        assert len(train_spy) == 1  # the memo reaches `fit`
+        assert len(memo) == len(train_spy) == 2  # two shapes, two trials
         assert len(swept.stability) == 4
         assert swept.budget[-1] == swept.evaluation.score_p100
         assert swept.evaluation == plain.evaluation
@@ -225,41 +225,59 @@ class TestRunTrial:
                 == (tmp_path / "want.csv").read_bytes())
 
 
-class TestFit:
+class TestRunTrials:
     def test_memo_trains_each_distinct_surrogate_once(self, train_spy):
         base = config_from({**TINY, "epochs": 1})
         memo = {}
         for tau in ("auto", 0.5):  # 0.5 is the continuous default
-            fit(config_from({**base, "tau": tau}), 0, memo)
+            run_trials([(config_from({**base, "tau": tau}), 0)], memo)
         assert len(train_spy) == 1
         variants = [{"trial": 1}, {"method": "grad-naive"},
                     {"ensemble_size": 3}, {"n_raw": 120}]
         for variant in variants:
             trial = variant.pop("trial", 0)
-            fit(config_from({**base, **variant}), trial, memo)
+            run_trials([(config_from({**base, **variant}), trial)], memo)
         assert len(train_spy) == 1 + len(variants)
         assert train_spy[1].seed == 1
 
-    def test_memo_returns_the_stored_fit(self):
+    def test_memo_returns_the_stored_trial(self):
         cfg = config_from({**TINY, "epochs": 1})
         memo = {}
-        first = fit(cfg, 0, memo)
-        again = fit(cfg, 0, memo)
-        assert again[2] is first[2] and again[3] is first[3]
-        assert np.array_equal(again[0].designs, first[0].designs)
+        first, again = run_trials([(cfg, 0), (cfg, 0)], memo)
+        assert again is first
+        assert run_trials([(cfg, 0)], memo)[0] is first
 
     def test_without_memo_every_call_trains(self, train_spy):
         cfg = config_from({**TINY, "epochs": 1})
-        fit(cfg, 0)
-        fit(cfg, 0)
+        run_trials([(cfg, 0)])
+        run_trials([(cfg, 0)])
         assert len(train_spy) == 2
 
-    def test_seed_is_base_seed_plus_trial(self):
+    def test_seed_is_base_seed_plus_trial(self, train_spy):
         cfg = config_from({**TINY, "epochs": 1, "base_seed": 5})
-        dataset, tcfg, _, _ = fit(cfg, 2)
-        assert tcfg == trainer_config_from(cfg, 7)
-        expected = fit(config_from({**cfg, "base_seed": 7}), 0)[0]
-        assert np.array_equal(dataset.designs, expected.designs)
+        result = run_trials([(cfg, 2)])[0]
+        assert train_spy == [trainer_config_from(cfg, 7)]
+        expected = run_trials([(config_from({**cfg, "base_seed": 7}), 0)])[0]
+        assert np.array_equal(result.dataset.designs, expected.dataset.designs)
+
+    def test_every_setting_of_a_trial_is_in_its_key(self):
+        # a setting missing from the key would merge two different trials
+        base = config_from({})
+        changed = {"task": "bowl", "method": "grad-naive", "base_seed": 1,
+                   "n_raw": 3000, "keep_percentile": 40.0, "budget": 8,
+                   "epochs": 10, "batch_size": 64, "mining_steps": 10,
+                   "ascent_rate": 0.1, "adam_lr": 0.01, "tau": 1.0,
+                   "alpha_lr": 0.1, "alpha_init": 1.0, "hidden": "32",
+                   "leak": 0.2, "ensemble_size": 3, "stability_steps": 5,
+                   "budgets": "1,2"}
+        assert set(changed) == set(DEFAULT_CONFIG) - {"trials"}
+        key = _trial_key(base, 0)
+        for name, value in changed.items():
+            assert _trial_key(config_from({**base, name: value}), 0) != key, \
+                name
+        assert _trial_key(config_from({**base, "trials": 3}), 0) == key
+        assert (_trial_key(config_from({**base, "base_seed": 3}), 1)
+                == _trial_key(config_from({**base, "base_seed": 4}), 0))
 
 
 class TestReportAggregation:
@@ -296,6 +314,12 @@ class TestParseConfig:
     def test_unknown_keys_listed(self):
         with pytest.raises(ValueError, match="unknown config keys: bogus, zkey"):
             parse_config("bogus = 1\nzkey = 2\ntask = bowl\n")
+
+    def test_repeated_keys_listed(self):
+        # a repeated key used to keep its last value silently
+        with pytest.raises(ValueError, match="duplicate config keys: budget, tau$"):
+            parse_config("tau = 1\nbudget = 4\ntau = 2\nbudget = 8\n"
+                         "tau = 3\ntask = bowl\n")
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# a comment\n\ntask = pwm  # inline\n")
@@ -403,7 +427,7 @@ class TestRunExperiment:
 
     def test_coms_logs_nonzero_alpha_on_active_constraint(self, tmp_path):
         # strong conservatism pressure: tiny tau forces alpha > 0
-        cfg = FAST_RUN + "tau = 0.001\nepochs = 5\n"
+        cfg = FAST_RUN.replace("epochs = 2", "epochs = 5") + "tau = 0.001\n"
         out = tmp_path / "coms"
         run_experiment(cfg, out)
         rows = (out / "training_log.csv").read_text().splitlines()[1:]

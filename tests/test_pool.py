@@ -1,5 +1,5 @@
-"""The worker pool: surrogates trained on it equal in-process ones bitwise,
-its workers run one BLAS thread each, no worker outlives a run, also when
+"""The worker pool: trials run on it equal in-process ones bitwise, its
+workers run one BLAS thread each, no worker outlives a run, also when
 training fails in a worker, and a replaced `train` keeps every training in
 this process."""
 import contextlib
@@ -15,7 +15,7 @@ import pytest
 
 from comopt import acceptance, cli, harness
 from comopt.fileio import write_rows
-from comopt.harness import (config_from, fit, fit_all, run_experiment,
+from comopt.harness import (config_from, run_experiment, run_trials,
                             tau_sweep, worker_pool)
 from comopt.trainer import TrainingError
 
@@ -44,9 +44,19 @@ def _forbid_training_here(monkeypatch):
                         dict.fromkeys(harness.METHODS, _no_training_here))
 
 
+def _bits(result):
+    """Every output of a trial, as bytes or exact text."""
+    return (_params(result.model), repr(result.logs),  # NaN gaps by repr
+            result.dataset.designs.tobytes(),
+            result.candidates.designs.tobytes(),
+            result.candidates.surrogate_values.tobytes(),
+            repr(result.evaluation), result.stability.tobytes(),
+            result.budget.tobytes())
+
+
 def _start_both_workers(memo):
-    """Two jobs keep both workers busy, so both have started for sure."""
-    fit_all([(config_from(TINY), trial) for trial in (0, 1)], memo)
+    """Two trials keep both workers busy, so both have started for sure."""
+    run_trials([(config_from(TINY), trial) for trial in (0, 1)], memo)
 
 
 def _files(root):
@@ -60,31 +70,33 @@ def _run_config(tmp_path, text, name="cfg.txt"):
     return path
 
 
-def test_pool_fits_equal_in_process_fits_bitwise(monkeypatch):
-    jobs = [(config_from({**TINY, "method": method}), trial)
+def test_pool_trials_equal_in_process_trials_bitwise(monkeypatch):
+    jobs = [(config_from({**TINY, "method": method, "budget": 4,
+                          "stability_steps": 5, "budgets": "1,2,4"}), trial)
             for method in ("coms", "grad-min") for trial in (0, 1)]
     memo = {}
     with worker_pool():
         _forbid_training_here(monkeypatch)
-        fit_all(jobs + jobs[:1], memo)  # a repeated job trains once
+        pooled = run_trials(jobs + jobs[:1], memo)  # a repeated job runs once
         monkeypatch.undo()
     assert len(memo) == len(jobs)
-    for cfg, trial in jobs:
-        _, _, pooled, pooled_logs = fit(cfg, trial, memo)
-        _, _, model, logs = fit(cfg, trial)
-        assert _params(pooled) == _params(model)
-        assert repr(pooled_logs) == repr(logs)  # NaN gaps compare by repr
+    assert pooled[-1] is pooled[0]
+    for got, want in zip(pooled, run_trials(jobs)):
+        assert _bits(got) == _bits(want)
 
 
-def test_fit_all_without_a_pool_or_with_one_miss_trains_nothing(monkeypatch):
+def test_run_trials_without_a_pool_or_with_one_miss_runs_in_process(
+        monkeypatch):
     _forbid_training_here(monkeypatch)
     cfg = config_from(TINY)
-    memo = {}
-    fit_all([(cfg, 0), (cfg, 1)], memo)
+    with pytest.raises(AssertionError, match="trained in the parent process"):
+        run_trials([(cfg, 0), (cfg, 1)])
     with worker_pool() as pool:
         assert pool is not None
-        fit_all([(cfg, 0), (cfg, 0)], memo)
-    assert memo == {}
+        with pytest.raises(AssertionError,
+                           match="trained in the parent process"):
+            run_trials([(cfg, 0), (cfg, 0)])
+        assert multiprocessing.active_children() == []  # none started
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/environ"),
@@ -114,7 +126,7 @@ def test_a_failed_job_raises_and_stops_the_pool(tmp_path):
     diverging = config_from({**TINY, "task": "bowl", "adam_lr": 1e300})
     with worker_pool():
         with pytest.raises(TrainingError, match="non-finite loss at epoch"):
-            fit_all([(diverging, 0), (diverging, 1)], {})
+            run_trials([(diverging, 0), (diverging, 1)])
         assert multiprocessing.active_children() == []
 
 
@@ -132,7 +144,7 @@ def test_a_dead_worker_raises_instead_of_hanging(when):
         else:
             threading.Timer(1.0, proc.kill).start()
         with pytest.raises(ChildProcessError, match="a pool worker died"):
-            fit_all(jobs, {})
+            run_trials(jobs)
         assert proc.exitcode == -9
         assert multiprocessing.active_children() == []
 
