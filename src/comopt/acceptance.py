@@ -22,7 +22,7 @@ from . import net
 from .baselines import train_naive
 from .fileio import write_rows
 from .harness import config_from, normalized_score, run_experiment, \
-    run_trials, tau_sweep, trainer_config_from, worker_pool
+    run_trials, submit_trials, tau_jobs, trainer_config_from, worker_pool
 from .tasks import CurationConfig, all_sequences, curate_dataset, get_task, \
     sequence_scores
 from .trainer import TrainerConfig, _mine_endpoints
@@ -53,14 +53,19 @@ PWM_EPOCHS = 100
 
 
 def _fd_param_gradients(loss_fn, model, h=1e-5):
-    """Central differences of a scalar loss over every entry of `params`."""
-    out = np.zeros_like(model.params)
+    """Central differences of a scalar loss over every entry of `params`,
+    perturbing one copy of the model in place; each entry is restored
+    before the next one moves."""
+    m = model.copy()
+    params = m.params
+    out = np.zeros_like(params)
     for i in range(out.size):
-        m = model.copy()
-        m.params[i] += h
+        saved = params[i]
+        params[i] += h
         hi = loss_fn(m)
-        m.params[i] -= 2 * h
+        params[i] -= 2 * h
         out[i] = (hi - loss_fn(m)) / (2 * h)
+        params[i] = saved
     return out
 
 
@@ -131,20 +136,25 @@ def criterion_1_gradients(memo, fast=False):
     }
 
 
-def criterion_2_conservatism(memo, fast=False):
-    """Fixed large alpha must push the mined-vs-data prediction gap to at
-    most 0.1; the dual variant must end with gap <= tau + 0.25. The dual
-    trials take the shape of criterion 4's cliff trial and of the discrete
-    trial of criteria 5, 6 and 8, which they equal, so each runs once."""
+def _conservatism_jobs(fast=False):
+    """Criterion 2's (fixed large alpha, dual) job pairs. The dual trials
+    take the shape of criterion 4's cliff trial and of the discrete trial
+    of criteria 5, 6 and 8, which they equal, so each runs once."""
     duals = [_stability_config("cliff", 4 if fast else 50)]
     if not fast:
         duals.append(_pwm_config())
-    jobs = [(cfg, 0) for dual in duals
+    return [(cfg, 0) for dual in duals
             for cfg in ({**dual, "alpha_init": 10.0, "alpha_lr": 0.0}, dual)]
+
+
+def criterion_2_conservatism(memo, fast=False):
+    """Fixed large alpha must push the mined-vs-data prediction gap to at
+    most 0.1; the dual variant must end with gap <= tau + 0.25."""
+    jobs = _conservatism_jobs(fast)
     runs = run_trials(jobs, memo)
     details = []
     passed = True
-    for dual, fixed, dual_run in zip(duals, runs[::2], runs[1::2]):
+    for (dual, _), fixed, dual_run in zip(jobs[1::2], runs[::2], runs[1::2]):
         tcfg = trainer_config_from(dual, dual["base_seed"])
         model, designs = fixed.model, fixed.dataset.designs
         mined = _mine_endpoints(model, designs, tcfg.resolved_eta(fixed.dataset),
@@ -214,25 +224,39 @@ def _stability_config(task_name, epochs):
                         "stability_steps": STABILITY_T_MAX})
 
 
-def _stability_trials(memo, task_name, trials, epochs):
+# Criterion 4's methods, by the name its rows give them.
+_STABILITY_METHODS = {"coms": "coms", "naive": "grad-naive"}
+
+
+def _stability_jobs(fast=False):
+    """Criterion 4's jobs per task: each trial's COMs job, then its naive
+    one."""
+    trials = 2 if fast else STABILITY_TRIALS
+    tasks = (STABILITY_TASK,) if fast else (STABILITY_TASK,
+                                            *STABILITY_DIAGNOSTIC_TASKS)
+    return {name: [({**_stability_config(name, 4 if fast else 50),
+                     "method": method}, trial)
+                   for trial in range(trials)
+                   for method in _STABILITY_METHODS.values()]
+            for name in tasks}
+
+
+def _stability_trials(memo, jobs):
     """Per-trial finals and penalty crossings of COMs vs naive ascent from
-    the best dataset design, with the (header, rows) of their curves."""
-    coms = _stability_config(task_name, epochs)
-    naive = {**coms, "method": "grad-naive"}
-    methods = (("coms", coms), ("naive", naive))
-    runs = iter(run_trials([(cfg, trial) for trial in range(trials)
-                            for _, cfg in methods], memo))
+    the best dataset design, with the (header, rows) of their curves, for
+    one task's `_stability_jobs`."""
+    runs = iter(run_trials(jobs, memo))
     rows = []
     curve_rows = []
-    for trial in range(trials):
+    for trial in range(len(jobs) // len(_STABILITY_METHODS)):
         row = {"trial": trial}
-        for method, cfg in methods:
+        for name, method in _STABILITY_METHODS.items():
             curve = next(runs).stability
             step = _first_crossing(curve)
-            row[f"{method}_final"] = float(curve[-1])
-            row[f"{method}_crossed"] = step is not None
-            row[f"{method}_first_cross_step"] = step
-            curve_rows.extend([trial, cfg["method"], t, score]
+            row[f"{name}_final"] = float(curve[-1])
+            row[f"{name}_crossed"] = step is not None
+            row[f"{name}_first_cross_step"] = step
+            curve_rows.extend([trial, method, t, score]
                               for t, score in enumerate(curve))
         rows.append(row)
     return rows, (["trial", "method", "step", "true_score"], curve_rows)
@@ -283,16 +307,11 @@ def criterion_4_stability(memo, fast=False):
     step are reported per task and trial in `metrics`, including COMs' own
     crossings past its trained horizon."""
     t0 = time.monotonic()
-    trials = 2 if fast else STABILITY_TRIALS
-    epochs = 4 if fast else 50
-    tasks = (STABILITY_TASK,) if fast else (STABILITY_TASK,
-                                            *STABILITY_DIAGNOSTIC_TASKS)
     per_task = {}
     details = []
     curves = {}
-    for name in tasks:
-        rows, curves[f"{name}_stability.csv"] = _stability_trials(
-            memo, name, trials, epochs)
+    for name, jobs in _stability_jobs(fast).items():
+        rows, curves[f"{name}_stability.csv"] = _stability_trials(memo, jobs)
         gated = name == STABILITY_TASK
         summary = _stability_summary(rows)
         per_task[name] = {"gated": gated, **summary}
@@ -319,11 +338,14 @@ def _pwm_config(fast=False):
                         "budgets": ",".join(map(str, DISCRETE_BUDGETS))})
 
 
+def _pwm_jobs(fast=False):
+    return [(_pwm_config(fast), trial)
+            for trial in range(2 if fast else DISCRETE_TRIALS)]
+
+
 def _pwm_trials(memo, fast=False):
     """The discrete trials of criteria 5, 6 and 8; the memo runs each once."""
-    return run_trials([(_pwm_config(fast), trial)
-                       for trial in range(2 if fast else DISCRETE_TRIALS)],
-                      memo)
+    return run_trials(_pwm_jobs(fast), memo)
 
 
 def criterion_5_discrete(memo, fast=False):
@@ -380,18 +402,23 @@ def criterion_6_budget_resilience(memo, fast=False):
     }
 
 
+def _tau_jobs(fast=False):
+    """Criterion 7's tau sweeps, trial by trial."""
+    cfg = config_from({"task": "cliff", "epochs": 4 if fast else 50})
+    return [job for trial in range(1 if fast else TAU_TRIALS)
+            for job in tau_jobs(cfg, trial, TAU_LIST[:2] if fast else TAU_LIST,
+                                STABILITY_T_MAX)]
+
+
 def criterion_7_tau_ordering(memo, fast=False):
     """More conservatism slack (larger tau) must not end below the most
     conservative setting on the cliff task, averaged over trials."""
-    taus = TAU_LIST[:2] if fast else TAU_LIST
-    trials = 1 if fast else TAU_TRIALS
-    cfg = config_from({"task": "cliff", "epochs": 4 if fast else 50})
-    finals = {tau: [] for tau in taus}
-    for trial in range(trials):
-        curves = tau_sweep(cfg, trial, taus, STABILITY_T_MAX, memo)
-        for tau, curve in curves.items():
-            finals[tau].append(float(curve[-1]))
-    lo, hi = min(taus), max(taus)
+    jobs = _tau_jobs(fast)
+    finals = {}
+    for (cfg, _), run in zip(jobs, run_trials(jobs, memo)):
+        finals.setdefault(cfg["tau"], []).append(float(run.stability[-1]))
+    trials = len(jobs) // len(finals)
+    lo, hi = min(finals), max(finals)
     lo_mean = float(np.mean(finals[lo]))
     hi_mean = float(np.mean(finals[hi]))
     passed = hi_mean >= lo_mean
@@ -459,21 +486,39 @@ CRITERIA = (
 )
 
 
+def _queued_jobs(fast=False):
+    """Every trial the criteria read, in the order they first read them:
+    criterion 2's, 4's, the discrete trials of 5, 6 and 8, then 7's. Each
+    criterion then waits only for the trials queued up to its own, and
+    criterion 2 checks its trials while the rest are still training, not
+    with every result held in memory."""
+    return [*_conservatism_jobs(fast),
+            *(job for jobs in _stability_jobs(fast).values() for job in jobs),
+            *_pwm_jobs(fast), *_tau_jobs(fast)]
+
+
 def run_all(out_dir, fast=False) -> dict:
     """Run every acceptance criterion, print one PASS/FAIL line each, and
-    write acceptance.json plus the desk-scale ablation curves each
-    criterion returns under `curves` (file name -> header, rows). The
-    criteria's independent trainings run on one `worker_pool`."""
+    write acceptance.json, with each criterion's wall `seconds`, plus the
+    desk-scale ablation curves each criterion returns under `curves` (file
+    name -> header, rows). The criteria's trials are all queued on one
+    `worker_pool` as it opens, before criterion 1, so the workers start
+    while criterion 1 runs and each criterion waits only for its own
+    trials. With no pool open they run in this process, each when a
+    criterion first reads it."""
     os.makedirs(os.path.join(out_dir, "curves"), exist_ok=True)
     memo: dict = {}  # the trial memo every criterion passes to `run_trials`
     results = []
     t0 = time.monotonic()
     with worker_pool():
+        submit_trials(_queued_jobs(fast), memo)
         for crit in CRITERIA:
+            start = time.monotonic()
             if crit is criterion_8_protocol:
                 record = crit(memo, fast, work_dir=out_dir)
             else:
                 record = crit(memo, fast)
+            record["seconds"] = time.monotonic() - start
             status = "PASS" if record["passed"] else "FAIL"
             print(f"criterion {record['id']} ({record['name']}): {status} "
                   f"- {record['detail']}", flush=True)

@@ -8,8 +8,10 @@ curves at desk scale. `run_trial` is the one trial pipeline (curate ->
 train -> optimize -> evaluate -> sweeps). `run_trials` runs a batch of
 trials for `run_experiment`, `tau_sweep` and the acceptance criteria: each
 distinct trial once per memo, two at a time on the process pool of an open
-`worker_pool`. `run_experiment` runs every trial of a flat key=value config
-file into a reproducible run directory.
+`worker_pool`. A memo holds one future per trial, so a caller that knows
+its trials ahead can queue them all with `submit_trials` and read each
+later through `run_trials`. `run_experiment` runs every trial of a flat
+key=value config file into a reproducible run directory.
 """
 from __future__ import annotations
 
@@ -117,18 +119,24 @@ def budget_sweep(candidates: CandidateSet, task: TaskSpec, budgets) -> np.ndarra
     return np.array([running_max[b - 1] for b in budgets])
 
 
-def tau_sweep(cfg: dict, trial: int, taus, t_max: int, memo=None) -> dict:
-    """The trial's t_max-step stability curve per distinct tau, keyed by
-    tau. Every tau is checked before the first training. Only the curve is
-    kept, so each trial searches a single candidate."""
+def tau_jobs(cfg: dict, trial: int, taus, t_max: int) -> list:
+    """The (cfg, trial) job of `tau_sweep` for each distinct tau, in order;
+    every tau is checked here. Only the curve is kept, so each trial
+    searches a single candidate."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    configs = {tau: config_from({**cfg, "tau": tau, "stability_steps": t_max,
-                                 "budget": 1, "budgets": ""})
-               for tau in dict.fromkeys(float(t) for t in taus)}
-    runs = run_trials([(tau_cfg, trial) for tau_cfg in configs.values()],
-                      memo)
-    return {tau: run.stability for tau, run in zip(configs, runs)}
+    return [(config_from({**cfg, "tau": tau, "stability_steps": t_max,
+                          "budget": 1, "budgets": ""}), trial)
+            for tau in dict.fromkeys(float(t) for t in taus)]
+
+
+def tau_sweep(cfg: dict, trial: int, taus, t_max: int, memo=None) -> dict:
+    """The trial's t_max-step stability curve per distinct tau of
+    `tau_jobs`, keyed by tau. Every tau is checked before the first
+    training."""
+    jobs = tau_jobs(cfg, trial, taus, t_max)
+    return {tau_cfg["tau"]: run.stability
+            for (tau_cfg, _), run in zip(jobs, run_trials(jobs, memo))}
 
 
 @dataclass
@@ -287,9 +295,10 @@ def worker_pool():
     Yields the pool, or None when no pool opens: inside an open pool, on one
     core, or while `train` is replaced in this process. Each worker runs one
     BLAS thread, since two workers already fill two cores. They start at the
-    first job, not here, so OPENBLAS_NUM_THREADS=1 stays in the environment
-    for the whole block; this process loaded its BLAS before, so only the
-    workers see it. The caller's value is restored when the block ends."""
+    first submitted job, not here, so OPENBLAS_NUM_THREADS=1 stays in the
+    environment for the whole block; this process loaded its BLAS before, so
+    only the workers see it. The caller's value is restored when the block
+    ends."""
     global _pool
     count = min(2, os.cpu_count() or 1)
     if _pool is not None or count < 2 or train.__code__ is not _TRAIN_CODE:
@@ -363,48 +372,88 @@ def _trial_key(cfg: dict, trial: int) -> str:
                  cfg["stability_steps"], int_list(cfg, "budgets")))
 
 
-def run_trials(jobs, memo: dict | None = None) -> list:
-    """The `TrialResult` of each (cfg, trial) in the list `jobs`, in order.
-    Each distinct trial runs once per `memo`, which keeps every result; do
-    not mutate them. With a `worker_pool` open and two or more trials to
-    run, they run on it, otherwise in this process: the same bits either
-    way, since trials are seeded and do not depend on the BLAS thread
-    count. A pooled trial's exception is raised once the pool has shut
-    down, which waits for the other worker's running trial. A worker that
-    dies raises ChildProcessError instead of hanging, and the other worker
-    is stopped at once; one that dies while still starting is reported
-    once the other worker's trial has returned, not as a hang."""
-    memo = {} if memo is None else memo
-    keys = [_trial_key(cfg, trial) for cfg, trial in jobs]
-    missing = {key: job for key, job in zip(keys, jobs) if key not in memo}
-    if _pool is None or len(missing) < 2:
-        memo.update((key, run_trial(*job)) for key, job in missing.items())
-        return [memo[key] for key in keys]
-    from concurrent.futures.process import BrokenProcessPool
-
+@contextlib.contextmanager
+def _pool_errors():
+    """On any exception, shut the open pool down (which waits for the
+    trials still running) and raise it; a dead worker's BrokenProcessPool
+    becomes ChildProcessError."""
     try:
-        memo.update(zip(missing, _pool.map(run_trial,
-                                           *zip(*missing.values()))))
+        yield
     except BaseException as exc:
+        if _pool is None:
+            raise
+        from concurrent.futures.process import BrokenProcessPool
+
         _pool.shutdown(cancel_futures=True)
         if isinstance(exc, BrokenProcessPool):
             raise ChildProcessError(f"a pool worker died: {exc}") from exc
         raise
-    return [memo[key] for key in keys]
+
+
+def submit_trials(jobs, memo: dict) -> None:
+    """Start every (cfg, trial) in `jobs` that `memo` lacks on the open
+    `worker_pool`, in job order, and return at once; the memo keeps each
+    trial's future under its key. Does nothing with no pool open: those
+    trials run in this process when `run_trials` first reads them."""
+    if _pool is None:
+        return
+    with _pool_errors():
+        for cfg, trial in jobs:
+            key = _trial_key(cfg, trial)
+            if key not in memo:
+                memo[key] = _pool.submit(run_trial, cfg, trial)
+
+
+def _ran(job):
+    """A finished future holding the in-process run of one job."""
+    from concurrent.futures import Future
+
+    future = Future()
+    future.set_result(run_trial(*job))
+    return future
+
+
+def run_trials(jobs, memo: dict | None = None) -> list:
+    """The `TrialResult` of each (cfg, trial) in the list `jobs`, in order.
+    Each distinct trial runs once per `memo`, which maps its key to a
+    `concurrent.futures.Future` of its result; do not mutate the results.
+    Trials already submitted are waited for. Of the rest, two or more run on
+    an open `worker_pool`, otherwise in this process: the same bits either
+    way, since trials are seeded and do not depend on the BLAS thread
+    count. A pooled trial's exception is raised, by the call that reads it,
+    once the pool has shut down, which waits for the trials still running.
+    A worker that dies raises ChildProcessError instead of hanging,
+    and the other worker is stopped at once; one that dies while still
+    starting is reported once the other worker's trial has returned, not as
+    a hang."""
+    memo = {} if memo is None else memo
+    keys = [_trial_key(cfg, trial) for cfg, trial in jobs]
+    missing = {key: job for key, job in zip(keys, jobs) if key not in memo}
+    if len(missing) > 1:
+        submit_trials(missing.values(), memo)
+    for key, job in missing.items():
+        if key not in memo:  # no pool, or a single miss
+            memo[key] = _ran(job)
+    with _pool_errors():
+        return [memo[key].result() for key in keys]
 
 
 def run_experiment(config, out_dir) -> EvaluationReport:
     """`run_trials` for every trial; write the run directory (config copy,
     report.json, training_log.csv, candidates.csv, curves/*.csv). Fully
     reproducible from config + base seed. Two or more trials run on a
-    `worker_pool`."""
+    `worker_pool`; a single trial runs here, with no pool or memo."""
     cfg = config_from(config) if isinstance(config, dict) else parse_config(str(config))
     os.makedirs(out_dir, exist_ok=True)
     task = get_task(cfg["task"])
     budgets = int_list(cfg, "budgets")
 
-    with worker_pool() if cfg["trials"] > 1 else contextlib.nullcontext():
-        results = run_trials([(cfg, trial) for trial in range(cfg["trials"])])
+    if cfg["trials"] == 1:
+        results = [run_trial(cfg, 0)]
+    else:
+        with worker_pool():
+            results = run_trials([(cfg, trial)
+                                  for trial in range(cfg["trials"])])
     trials, logs_all, log_trials = [], [], []
     candidate_rows, stability_rows, budget_rows = [], [], []
     for trial, result in enumerate(results):

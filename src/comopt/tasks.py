@@ -246,9 +246,15 @@ def write_dataset(dataset: OfflineDataset, path) -> None:
         fh.write("\n")
 
 
+def _is_number(value) -> bool:
+    """A JSON number as `json.load` returns it: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def read_dataset(path) -> OfflineDataset:
     """Read what `write_dataset` wrote. Ragged rows, non-numeric or
-    non-finite cells, a sidecar key that is missing, sidecar stats whose
+    non-finite cells, a sidecar key that is missing, sidecar stats that are
+    not JSON numbers (a list of them for `x_mean` and `x_std`) or whose
     length differs from the design columns, a mean that is not finite, a
     standard deviation that is not positive and finite and an `is_discrete`
     that is not a JSON boolean are errors. Sidecar keys beyond those are
@@ -261,6 +267,13 @@ def read_dataset(path) -> OfflineDataset:
                                "is_discrete") if key not in meta]
     if missing:
         raise ValueError(f"{sidecar}: missing key(s) {', '.join(missing)}")
+    for key in ("x_mean", "x_std", "y_mean", "y_std"):
+        per_column = key.startswith("x_")
+        values = meta[key] if per_column else [meta[key]]
+        if not (isinstance(values, list) and all(map(_is_number, values))):
+            kind = "a list of numbers" if per_column else "a number"
+            raise ValueError(f"{sidecar}: {key} must be {kind}, "
+                             f"got {meta[key]!r}")
     d = len(header) - 1
     for key in ("x_mean", "x_std"):
         if len(meta[key]) != d:

@@ -344,6 +344,22 @@ def test_non_finite_sidecar_mean_fails_with_message(tmp_path, curated, capsys,
     assert err.startswith(f"error: {curated}.meta.json: x_mean and y_mean")
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("x_mean", ["a"] * 8, "x_mean must be a list of numbers, got ['a'"),
+    ("y_std", "2", "y_std must be a number, got '2'"),
+    ("y_mean", None, "y_mean must be a number, got None"),
+    ("y_std", True, "y_std must be a number, got True"),  # was read as 1.0
+], ids=["strings", "string", "null", "boolean"])
+def test_non_number_sidecar_stat_fails_with_message(tmp_path, curated, capsys,
+                                                    key, value, message):
+    _edit_sidecar(curated, lambda meta: meta.update({key: value}))
+    assert cli.main(["train", "--data", str(curated), "--out-model",
+                     str(tmp_path / "m.npz"), *TRAIN_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {curated}.meta.json: {message}")
+    assert "Traceback" not in err
+
+
 def test_non_boolean_is_discrete_fails_with_message(tmp_path, curated, capsys):
     # "no" is truthy: it used to train a cliff dataset with the discrete step
     _edit_sidecar(curated, lambda meta: meta.update(is_discrete="no"))

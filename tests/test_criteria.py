@@ -1,11 +1,11 @@
 """The acceptance criteria's own logic, checked on stubbed trials so that
-nothing trains."""
+nothing trains, and criterion 1's finite-difference reference."""
 import os
 
 import numpy as np
 import pytest
 
-from comopt import acceptance
+from comopt import acceptance, net
 from comopt.harness import TrialEvaluation, TrialResult
 
 
@@ -37,3 +37,30 @@ def test_criterion_8_checks_each_discrete_sweep(tmp_path, monkeypatch,
     if problem:
         assert record["detail"] == problem
     assert train_spy == []
+
+
+def _fd_per_copy(loss_fn, model, h=1e-5):
+    """The finite differences as first written: a fresh copy per entry."""
+    out = np.zeros_like(model.params)
+    for i in range(out.size):
+        m = model.copy()
+        m.params[i] += h
+        hi = loss_fn(m)
+        m.params[i] -= 2 * h
+        out[i] = (hi - loss_fn(m)) / (2 * h)
+    return out
+
+
+@pytest.mark.parametrize("input_dim, hidden", [(3, ()), (5, (8,)),
+                                               (8, (16, 16))])
+def test_fd_gradients_in_place_equal_a_copy_per_entry(input_dim, hidden):
+    rng = np.random.default_rng(7)
+    model, x = acceptance._smooth_case(rng, input_dim, hidden)
+    before = model.params.tobytes()
+
+    def loss(m):
+        return 0.5 * (net.forward_batch(m, x[None])[0] - 0.3) ** 2
+
+    got = acceptance._fd_param_gradients(loss, model)
+    assert model.params.tobytes() == before
+    assert got.tobytes() == _fd_per_copy(loss, model).tobytes()

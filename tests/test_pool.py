@@ -1,7 +1,7 @@
 """The worker pool: trials run on it equal in-process ones bitwise, its
 workers run one BLAS thread each, no worker outlives a run, also when
-training fails in a worker, and a replaced `train` keeps every training in
-this process."""
+training fails in a worker, a replaced `train` keeps every training in
+this process, and the acceptance suite queues all its trials at once."""
 import contextlib
 import multiprocessing
 import os
@@ -272,3 +272,69 @@ def test_sweep_tau_trains_its_taus_on_the_pool(tmp_path, monkeypatch):
         write_rows(tmp_path / "in_process" / f"stability_tau_{tau}.csv",
                    ["step", "true_score"], enumerate(curve))
     assert _files(tmp_path / "pooled") == _files(tmp_path / "in_process")
+
+
+def _wait_for_both_workers(timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while len(workers := multiprocessing.active_children()) < 2:
+        assert time.monotonic() < deadline, "the workers never started"
+        time.sleep(0.01)
+    return workers
+
+
+def test_run_all_queues_every_trial_up_front(tmp_path, monkeypatch):
+    events = []
+
+    def submit_spy(jobs, memo):
+        events.append(("submit", len(memo)))
+        harness.submit_trials(jobs, memo)
+        events.append(("submitted", len(memo)))
+
+    def run_trials_spy(jobs, memo=None):
+        missing = [job for job in jobs if memo is None
+                   or harness._trial_key(*job) not in memo]
+        events.append(("run_trials", len(missing)))
+        return harness.run_trials(jobs, memo)
+
+    monkeypatch.setattr(acceptance, "submit_trials", submit_spy)
+    monkeypatch.setattr(acceptance, "run_trials", run_trials_spy)
+    summary = acceptance.run_all(str(tmp_path), fast=True)
+    # 9 distinct trials: 2 discrete, 4 of criterion 4, criterion 7's two
+    # taus (one equals criterion 2's dual trial) and criterion 2's fixed one
+    assert events[:2] == [("submit", 0), ("submitted", 9)]
+    assert [e for e in events[2:] if e[0] != "run_trials"] == []
+    assert [e for e in events[2:] if e[1]] == []  # every key found
+    assert len(events) > 2
+    assert all(r["seconds"] >= 0.0 for r in summary["criteria"])
+    assert multiprocessing.active_children() == []
+
+
+def test_a_queued_trial_that_raises_fails_run_all_from_its_criterion(
+        tmp_path, monkeypatch):
+    diverging = config_from({**TINY, "task": "bowl", "adam_lr": 1e300})
+    reached = []
+    monkeypatch.setattr(acceptance, "_conservatism_jobs",
+                        lambda fast: [(diverging, 0), (diverging, 1)])
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        acceptance.criterion_2_conservatism,
+        lambda memo, fast: reached.append(True)))
+    with pytest.raises(TrainingError, match="non-finite loss") as info:
+        acceptance.run_all(str(tmp_path), fast=True)
+    assert "criterion_2_conservatism" in {entry.name
+                                          for entry in info.traceback}
+    assert reached == []
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_worker_fails_run_all_with_child_process_error(
+        tmp_path, monkeypatch):
+    def kill_a_worker(memo, fast):
+        proc = _wait_for_both_workers()[0]
+        proc.kill()
+        proc.join()
+        run_trials(acceptance._queued_jobs(fast), memo)
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (kill_a_worker,))
+    with pytest.raises(ChildProcessError, match="a pool worker died"):
+        acceptance.run_all(str(tmp_path), fast=True)
+    assert multiprocessing.active_children() == []
