@@ -243,15 +243,16 @@ def _stability_jobs(fast=False):
 
 def _stability_trials(memo, jobs):
     """Per-trial finals and penalty crossings of COMs vs naive ascent from
-    the best dataset design, with the (header, rows) of their curves, for
-    one task's `_stability_jobs`."""
-    runs = iter(run_trials(jobs, memo))
+    the best dataset design, the (header, rows) of their curves, and the
+    sum of their trial seconds, for one task's `_stability_jobs`."""
+    runs = run_trials(jobs, memo)
+    curves = iter(run.stability for run in runs)
     rows = []
     curve_rows = []
     for trial in range(len(jobs) // len(_STABILITY_METHODS)):
         row = {"trial": trial}
         for name, method in _STABILITY_METHODS.items():
-            curve = next(runs).stability
+            curve = next(curves)
             step = _first_crossing(curve)
             row[f"{name}_final"] = float(curve[-1])
             row[f"{name}_crossed"] = step is not None
@@ -259,7 +260,8 @@ def _stability_trials(memo, jobs):
             curve_rows.extend([trial, method, t, score]
                               for t, score in enumerate(curve))
         rows.append(row)
-    return rows, (["trial", "method", "step", "true_score"], curve_rows)
+    return (rows, (["trial", "method", "step", "true_score"], curve_rows),
+            sum(run.seconds for run in runs))
 
 
 def _stability_summary(rows):
@@ -305,27 +307,30 @@ def criterion_4_stability(memo, fast=False):
     reported, ungated row: its curated data surrounds the optimum, so the
     precondition cannot hold there. Each method's finals and first crossing
     step are reported per task and trial in `metrics`, including COMs' own
-    crossings past its trained horizon."""
-    t0 = time.monotonic()
+    crossings past its trained horizon. Its trials' own `seconds` must sum
+    to under 300 s, so waiting for a worker does not count."""
     per_task = {}
     details = []
     curves = {}
+    trial_seconds = 0.0
     for name, jobs in _stability_jobs(fast).items():
-        rows, curves[f"{name}_stability.csv"] = _stability_trials(memo, jobs)
+        rows, curves[f"{name}_stability.csv"], seconds = _stability_trials(
+            memo, jobs)
+        trial_seconds += seconds
         gated = name == STABILITY_TASK
         summary = _stability_summary(rows)
         per_task[name] = {"gated": gated, **summary}
         details.append(_stability_detail(name, gated, summary))
-    elapsed = time.monotonic() - t0
     gate = per_task[STABILITY_TASK]
     passed = (gate["wins"] >= STABILITY_WIN_COUNT and gate["naive_falls"] >= 1
-              and elapsed < 300.0)
+              and trial_seconds < 300.0)
     return {
         "id": 4,
         "name": "stability separation",
         "passed": bool(passed),
-        "detail": f"{elapsed:.0f}s (< 300s). " + " | ".join(details),
-        "metrics": {"seconds": elapsed, "tasks": per_task},
+        "detail": (f"{trial_seconds:.0f}s of trial time (< 300s). "
+                   + " | ".join(details)),
+        "metrics": {"trial_seconds": trial_seconds, "tasks": per_task},
         "curves": curves,
     }
 

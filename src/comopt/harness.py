@@ -5,12 +5,9 @@ the withheld oracle and reports the max (100th percentile) and median
 (50th percentile), raw and normalized by the task's withheld score range.
 Stability, tau, and budget sweeps reproduce the corresponding ablation
 curves at desk scale. `run_trial` is the one trial pipeline (curate ->
-train -> optimize -> evaluate -> sweeps). `run_trials` runs a batch of
-trials for `run_experiment`, `tau_sweep` and the acceptance criteria: each
-distinct trial once per memo, two at a time on the process pool of an open
-`worker_pool`. A memo holds one future per trial, so a caller that knows
-its trials ahead can queue them all with `submit_trials` and read each
-later through `run_trials`. `run_experiment` runs every trial of a flat
+train -> optimize -> evaluate -> sweeps). `run_trials` runs each distinct
+trial once per memo, queued on the pool of an open `worker_pool`,
+otherwise in this process. `run_experiment` runs every trial of a flat
 key=value config file into a reproducible run directory.
 """
 from __future__ import annotations
@@ -18,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import time
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -324,7 +322,9 @@ def worker_pool():
 @dataclass
 class TrialResult:
     """What one trial of the protocol produced; `stability` and `budget`
-    are None unless the config asks for those sweeps."""
+    are None unless the config asks for those sweeps. `seconds` is the
+    trial's own wall time, curation through sweeps, in the process that
+    ran it."""
 
     dataset: OfflineDataset
     model: object
@@ -333,6 +333,7 @@ class TrialResult:
     evaluation: TrialEvaluation
     stability: np.ndarray | None
     budget: np.ndarray | None
+    seconds: float
 
 
 def run_trial(cfg: dict, trial: int) -> TrialResult:
@@ -341,6 +342,7 @@ def run_trial(cfg: dict, trial: int) -> TrialResult:
     trainer's step size and score them with the oracle; then the stability
     sweep when `stability_steps` > 0 and the budget sweep over `budgets`
     when it lists any."""
+    start = time.monotonic()
     seed = cfg["base_seed"] + trial
     task = get_task(cfg["task"])
     dataset = curate_dataset(task, curation_config_from(cfg, seed))
@@ -354,7 +356,8 @@ def run_trial(cfg: dict, trial: int) -> TrialResult:
         dataset, model, logs, candidates,
         evaluate_budget(candidates, task, cfg["budget"]),
         stability_sweep(model, task, dataset, eta, steps) if steps else None,
-        budget_sweep(candidates, task, budgets) if budgets else None)
+        budget_sweep(candidates, task, budgets) if budgets else None,
+        time.monotonic() - start)  # read last: arguments run in order
 
 
 def _trial_key(cfg: dict, trial: int) -> str:
@@ -391,10 +394,9 @@ def _pool_errors():
 
 
 def submit_trials(jobs, memo: dict) -> None:
-    """Start every (cfg, trial) in `jobs` that `memo` lacks on the open
+    """Queue every (cfg, trial) in `jobs` that `memo` lacks on the open
     `worker_pool`, in job order, and return at once; the memo keeps each
-    trial's future under its key. Does nothing with no pool open: those
-    trials run in this process when `run_trials` first reads them."""
+    trial's future under its key. Does nothing with no pool open."""
     if _pool is None:
         return
     with _pool_errors():
@@ -404,56 +406,40 @@ def submit_trials(jobs, memo: dict) -> None:
                 memo[key] = _pool.submit(run_trial, cfg, trial)
 
 
-def _ran(job):
-    """A finished future holding the in-process run of one job."""
-    from concurrent.futures import Future
-
-    future = Future()
-    future.set_result(run_trial(*job))
-    return future
-
-
 def run_trials(jobs, memo: dict | None = None) -> list:
-    """The `TrialResult` of each (cfg, trial) in the list `jobs`, in order.
-    Each distinct trial runs once per `memo`, which maps its key to a
-    `concurrent.futures.Future` of its result; do not mutate the results.
-    Trials already submitted are waited for. Of the rest, two or more run on
-    an open `worker_pool`, otherwise in this process: the same bits either
-    way, since trials are seeded and do not depend on the BLAS thread
-    count. A pooled trial's exception is raised, by the call that reads it,
-    once the pool has shut down, which waits for the trials still running.
-    A worker that dies raises ChildProcessError instead of hanging,
-    and the other worker is stopped at once; one that dies while still
-    starting is reported once the other worker's trial has returned, not as
-    a hang."""
+    """The `TrialResult` of each (cfg, trial) in the list `jobs`, in order,
+    each distinct trial run once per `memo`; do not mutate the results.
+    `submit_trials` queues the missing ones on an open `worker_pool`; a
+    trial still missing then runs in this process. The memo maps a key to
+    its result, or to the future of a trial still queued. A pooled trial's
+    exception is raised once the pool has shut down, which waits for the
+    trials still running; a worker that dies raises ChildProcessError."""
     memo = {} if memo is None else memo
-    keys = [_trial_key(cfg, trial) for cfg, trial in jobs]
-    missing = {key: job for key, job in zip(keys, jobs) if key not in memo}
-    if len(missing) > 1:
-        submit_trials(missing.values(), memo)
-    for key, job in missing.items():
-        if key not in memo:  # no pool, or a single miss
-            memo[key] = _ran(job)
+    submit_trials(jobs, memo)
+    results = []
     with _pool_errors():
-        return [memo[key].result() for key in keys]
+        for cfg, trial in jobs:
+            key = _trial_key(cfg, trial)
+            if key not in memo:
+                memo[key] = run_trial(cfg, trial)
+            elif not isinstance(memo[key], TrialResult):
+                memo[key] = memo[key].result()
+            results.append(memo[key])
+    return results
 
 
 def run_experiment(config, out_dir) -> EvaluationReport:
-    """`run_trials` for every trial; write the run directory (config copy,
-    report.json, training_log.csv, candidates.csv, curves/*.csv). Fully
-    reproducible from config + base seed. Two or more trials run on a
-    `worker_pool`; a single trial runs here, with no pool or memo."""
+    """`run_trials` for every trial, on a `worker_pool` opened when there
+    are two or more; write the run directory (config copy, report.json,
+    training_log.csv, candidates.csv, curves/*.csv). Fully reproducible
+    from config + base seed."""
     cfg = config_from(config) if isinstance(config, dict) else parse_config(str(config))
     os.makedirs(out_dir, exist_ok=True)
     task = get_task(cfg["task"])
     budgets = int_list(cfg, "budgets")
 
-    if cfg["trials"] == 1:
-        results = [run_trial(cfg, 0)]
-    else:
-        with worker_pool():
-            results = run_trials([(cfg, trial)
-                                  for trial in range(cfg["trials"])])
+    with worker_pool() if cfg["trials"] > 1 else contextlib.nullcontext():
+        results = run_trials([(cfg, trial) for trial in range(cfg["trials"])])
     trials, logs_all, log_trials = [], [], []
     candidate_rows, stability_rows, budget_rows = [], [], []
     for trial, result in enumerate(results):

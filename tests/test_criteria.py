@@ -9,10 +9,10 @@ from comopt import acceptance, net
 from comopt.harness import TrialEvaluation, TrialResult
 
 
-def _stub_trial(sweep):
+def _stub_trial(sweep=None, curve=None, seconds=0.0):
     return TrialResult(dataset=None, model=None, logs=[], candidates=None,
                        evaluation=TrialEvaluation(1.0, 0.5, 1.0, 0.5),
-                       stability=None, budget=np.array(sweep))
+                       stability=curve, budget=sweep, seconds=seconds)
 
 
 def _identical_runs(config, out_dir):
@@ -30,13 +30,35 @@ def _identical_runs(config, out_dir):
 def test_criterion_8_checks_each_discrete_sweep(tmp_path, monkeypatch,
                                                 train_spy, sweeps, problem):
     monkeypatch.setattr(acceptance, "_pwm_trials",
-                        lambda memo, fast: [_stub_trial(s) for s in sweeps])
+                        lambda memo, fast: [_stub_trial(np.array(s))
+                                            for s in sweeps])
     monkeypatch.setattr(acceptance, "run_experiment", _identical_runs)
     record = acceptance.criterion_8_protocol({}, work_dir=tmp_path)
     assert record["passed"] is (problem is None)
     if problem:
         assert record["detail"] == problem
     assert train_spy == []
+
+
+@pytest.mark.parametrize("total, passed", [(299.9, True), (300.0, False)])
+def test_criterion_4_gates_on_the_sum_of_its_trial_seconds(monkeypatch,
+                                                           total, passed):
+    jobs = acceptance._stability_jobs()
+    n = sum(len(task_jobs) for task_jobs in jobs.values())
+    curves = {"coms": np.array([0.0, 1.0]),  # coms wins every trial
+              "grad-naive": np.array([0.0, -60.0])}  # naive always falls
+
+    def stub_trials(task_jobs, memo):
+        return [_stub_trial(curve=curves[cfg["method"]], seconds=total / n)
+                for cfg, _ in task_jobs]
+
+    monkeypatch.setattr(acceptance, "run_trials", stub_trials)
+    record = acceptance.criterion_4_stability({})
+    gate = record["metrics"]["tasks"][acceptance.STABILITY_TASK]
+    assert (gate["wins"], gate["naive_falls"]) == (8, 8)
+    assert record["metrics"]["trial_seconds"] == pytest.approx(total)
+    assert record["passed"] is passed
+    assert record["detail"].startswith(f"{total:.0f}s of trial time (< 300s)")
 
 
 def _fd_per_copy(loss_fn, model, h=1e-5):

@@ -1,5 +1,6 @@
-"""The worker pool: trials run on it equal in-process ones bitwise, its
-workers run one BLAS thread each, no worker outlives a run, also when
+"""The worker pool: with one open every trial queues on it, a single one
+too, and otherwise runs in this process; trials run on it equal in-process
+ones bitwise, its workers run one BLAS thread each, no worker outlives a run, also when
 training fails in a worker, a replaced `train` keeps every training in
 this process, and the acceptance suite queues all its trials at once."""
 import contextlib
@@ -85,18 +86,32 @@ def test_pool_trials_equal_in_process_trials_bitwise(monkeypatch):
         assert _bits(got) == _bits(want)
 
 
-def test_run_trials_without_a_pool_or_with_one_miss_runs_in_process(
-        monkeypatch):
+def test_run_trials_without_a_pool_runs_in_process(monkeypatch):
     _forbid_training_here(monkeypatch)
     cfg = config_from(TINY)
     with pytest.raises(AssertionError, match="trained in the parent process"):
         run_trials([(cfg, 0), (cfg, 1)])
-    with worker_pool() as pool:
-        assert pool is not None
-        with pytest.raises(AssertionError,
-                           match="trained in the parent process"):
-            run_trials([(cfg, 0), (cfg, 0)])
-        assert multiprocessing.active_children() == []  # none started
+
+
+def test_a_single_miss_trains_on_an_open_pool(monkeypatch):
+    job = (config_from({**TINY, "budget": 4, "stability_steps": 5,
+                        "budgets": "1,2,4"}), 0)
+    with worker_pool():
+        _forbid_training_here(monkeypatch)
+        pooled = run_trials([job])[0]
+        monkeypatch.undo()
+    assert _bits(pooled) == _bits(run_trials([job])[0])
+
+
+def test_a_one_trial_run_experiment_queues_on_an_open_pool(tmp_path,
+                                                           monkeypatch):
+    cfg = config_from({**TINY, "trials": 1, "budget": 2})
+    with worker_pool():
+        _forbid_training_here(monkeypatch)
+        run_experiment(cfg, tmp_path / "pooled")
+        monkeypatch.undo()
+    run_experiment(cfg, tmp_path / "in_process")
+    assert _files(tmp_path / "pooled") == _files(tmp_path / "in_process")
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/environ"),
