@@ -1,8 +1,9 @@
 """The worker pool: with one open every trial queues on it, a single one
 too, and otherwise runs in this process; trials run on it equal in-process
-ones bitwise, its workers run one BLAS thread each, no worker outlives a run, also when
-training fails in a worker, a replaced `train` keeps every training in
-this process, and the acceptance suite queues all its trials at once."""
+ones bitwise, its workers run one BLAS thread each, no worker outlives a
+run, also when training fails in a worker, a replaced `train` keeps every
+training in this process, and the acceptance suite queues all its trials
+at once."""
 import contextlib
 import multiprocessing
 import os
