@@ -17,9 +17,9 @@ from . import acceptance
 from .fileio import load_surrogate, save_surrogate, write_rows
 from .harness import (DEFAULT_CONFIG, METHODS, InvariantViolation,
                       budget_sweep, config_from, curation_config_from,
-                      evaluate_budget, normalized_score, run_experiment,
-                      stability_sweep, tau_sweep, trainer_config_from,
-                      worker_pool)
+                      evaluate_budget, int_list, normalized_score,
+                      run_experiment, stability_sweep, tau_sweep,
+                      trainer_config_from, worker_pool)
 from .optimizer import produce_candidates, read_candidates, write_candidates
 from .tasks import (curate_dataset, get_task, read_dataset, task_names,
                     write_dataset)
@@ -143,8 +143,8 @@ def cmd_sweep_tau(args) -> int:
 
 def cmd_sweep_budget(args) -> int:
     task = get_task(args.task)
+    budgets = int_list({"budgets": args.budgets}, "budgets")
     candidates = read_candidates(args.candidates)
-    budgets = [int(b) for b in args.budgets.split(",")]
     sweep = budget_sweep(candidates, task, budgets)
     ascending = [p for _, p in sorted(zip(budgets, sweep))]
     if any(a > b + 1e-12 for a, b in zip(ascending, ascending[1:])):

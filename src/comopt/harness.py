@@ -101,6 +101,8 @@ def stability_sweep(model, task: TaskSpec, dataset: OfflineDataset,
     """Ascend from the dataset's best design for t_max steps (deliberately
     past the trained horizon) and return the withheld oracle's score of
     every iterate, steps 0..t_max."""
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
     x0 = select_initializations(dataset, 1).designs
     path = ascend(model, x0, eta, t_max, record=True)[:, 0]
     return oracle_eval_batch(task, dataset.stats.denormalize_x(path))
@@ -110,6 +112,8 @@ def budget_sweep(candidates: CandidateSet, task: TaskSpec, budgets) -> np.ndarra
     """p100 as a function of budget over nested prefixes of the candidates
     ranked by surrogate value (descending); monotone by construction."""
     budgets = [int(b) for b in budgets]
+    if not budgets:
+        raise ValueError("budgets must list at least one budget")
     if min(budgets) < 1 or max(budgets) > len(candidates):
         raise ValueError("budgets must lie in [1, candidate count]")
     running_max = np.maximum.accumulate(

@@ -159,24 +159,32 @@ def forward_batch(model: ObjectiveModel, X) -> np.ndarray:
 
 
 class GradientPlan:
-    """What the input gradient reads of a model, gathered once: the weights,
-    their transposed views and, for batches of n rows, each hidden bias and
-    the output weight row repeated over the n rows. numpy adds or multiplies
-    two (n, k) arrays several times faster than it broadcasts a (k,) row
-    over one, and gradient ascent does both at every step, so `ascend`
-    builds one plan per call and steps on the plan's `input_grad_batch`.
-    Without n the model's own vectors stand in for the rows, which gives the
-    same bits and copies nothing. The row copies are taken when the plan is
-    built: build a new plan after the parameters change."""
+    """What the input gradient reads of a model, gathered once: the weights
+    and, for batches of n rows, a row-major copy of each hidden layer's
+    transposed weights, each hidden bias and the output weight row repeated
+    over the n rows. OpenBLAS multiplies by a row-major matrix faster than
+    by a transposed view, and numpy adds or multiplies two (n, k) arrays
+    several times faster than it broadcasts a (k,) row over one; gradient
+    ascent does all three at every step, so `ascend` builds one plan per
+    call and steps on the plan's `input_grad_batch`. Without n the model's
+    own vectors and transposed views stand in, which copies nothing. On a
+    few rows (up to 18 at width 64 on OpenBLAS 0.3.31) a copy can round a
+    pre-activation one last bit away from the view; the input gradient reads
+    only the pre-activations' signs, so its bits move only where one lies
+    within an ulp of 0. The copies are taken when the plan is built: build a
+    new plan after the parameters change."""
 
     def __init__(self, model: ObjectiveModel, n: int | None = None):
         hidden = model.layers[:-1]
-        rows = (lambda v: v) if n is None else (lambda v: np.tile(v, (n, 1)))
         self.model = model
         self.weights = [lyr.weights for lyr in model.layers]
         self.weights_t = [lyr.weights.T for lyr in hidden]
-        self.biases = [rows(lyr.bias) for lyr in hidden]
-        self.out_row = rows(model.layers[-1].weights[0])
+        self.biases = [lyr.bias for lyr in hidden]
+        self.out_row = model.layers[-1].weights[0]
+        if n is not None:
+            self.weights_t = [np.ascontiguousarray(w) for w in self.weights_t]
+            self.biases = [np.tile(b, (n, 1)) for b in self.biases]
+            self.out_row = np.tile(self.out_row, (n, 1))
 
     def slopes(self, X: np.ndarray) -> list:
         """The hidden layers' slopes on X. The last hidden activation feeds

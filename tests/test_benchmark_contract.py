@@ -7,8 +7,9 @@ argument, so every kernel in NET_KERNELS takes `(model, X)` first.
 `perfbench/checks.py` calls each task's oracle on one 1-D design.
 `acceptance.distinct_trainings` counts `tracing._train_key`s, so the memo
 of `harness.run_trials` must treat two trials of one shape as the same
-exactly when the keys of their trainings are equal. The benchmark's own tests live outside the default
-test paths, so these guards keep the contract in the main suite.
+exactly when the keys of their trainings are equal. The default test paths
+also run the benchmark's own tests, `perfbench/test_perfbench.py`; these
+guards name, from comopt's side, each thing the benchmark relies on.
 """
 import importlib
 import inspect

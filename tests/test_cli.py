@@ -430,3 +430,27 @@ def test_sweep_budget_in_descending_order(tmp_path, curated):
     down = descending.read_text().splitlines()
     assert down[0] == up[0]
     assert down[1:] == up[:0:-1]
+
+
+@pytest.mark.parametrize("budgets, message", [
+    ("1.5", "budgets must be comma-separated integers, got '1.5'"),
+    (",", "budgets must list at least one budget")])
+def test_sweep_budget_rejects_malformed_budgets(tmp_path, budgets, message,
+                                                capsys):
+    cands = tmp_path / "c.csv"
+    cands.write_text("x0,provenance,surrogate_value\n0.5,0,1.0\n")
+    assert cli.main(["sweep-budget", "--candidates", str(cands), "--task",
+                     "bowl", "--budgets", budgets, "--out",
+                     str(tmp_path / "sweep.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_stability_rejects_a_non_positive_t_max(tmp_path, curated, capsys):
+    model = _train(tmp_path, curated)
+    curve = tmp_path / "curve.csv"
+    assert cli.main(["stability", "--model", str(model), "--data", str(curated),
+                     "--task", "cliff", "--t-max", "-3",
+                     "--out", str(curve)]) == 1
+    assert capsys.readouterr().err == "error: t_max must be >= 1\n"
+    assert not curve.exists()

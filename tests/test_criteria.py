@@ -1,12 +1,15 @@
 """The acceptance criteria's own logic, checked on stubbed trials so that
 nothing trains, and criterion 1's finite-difference reference."""
+import json
 import os
 
 import numpy as np
 import pytest
 
 from comopt import acceptance, net
-from comopt.harness import TrialEvaluation, TrialResult
+from comopt.harness import (TrialEvaluation, TrialResult, curation_config_from,
+                            trainer_config_from)
+from comopt.trainer import NormalizationStats, OfflineDataset
 
 
 def _stub_trial(sweep=None, curve=None, seconds=0.0):
@@ -59,6 +62,80 @@ def test_criterion_4_gates_on_the_sum_of_its_trial_seconds(monkeypatch,
     assert record["metrics"]["trial_seconds"] == pytest.approx(total)
     assert record["passed"] is passed
     assert record["detail"].startswith(f"{total:.0f}s of trial time (< 300s)")
+
+
+def _dataset(d, best=0.0, discrete=False):
+    """Three designs at the origin, scores in raw units up to `best`."""
+    stats = NormalizationStats(np.zeros(d), np.ones(d), 0.0, 1.0)
+    return OfflineDataset(np.zeros((3, d)), np.array([best - 2, best - 1, best]),
+                          stats, discrete)
+
+
+def test_criterion_2_fixed_alpha_trials_train_like_their_dual_and_search_once():
+    jobs = acceptance._conservatism_jobs()
+    assert [cfg["task"] for cfg, _ in jobs] == ["cliff", "cliff", "pwm", "pwm"]
+    for (fixed, trial), (dual, dual_trial) in zip(jobs[::2], jobs[1::2]):
+        assert trial == dual_trial == 0
+        assert (fixed["budget"], fixed["stability_steps"], fixed["budgets"]) \
+            == (1, 0, "")
+        want = trainer_config_from(dual, 0)
+        want.alpha_init, want.alpha_lr = 10.0, 0.0
+        assert trainer_config_from(fixed, 0) == want
+        assert curation_config_from(fixed, 0) == curation_config_from(dual, 0)
+
+
+def test_criterion_2_reports_its_gaps_per_task(monkeypatch):
+    # every mined point moves +1 in each coordinate of a linear net with
+    # weights 0.01, so each fixed-alpha gap is 0.01 * d
+    final_gaps = {"cliff": 0.6, "pwm": -88.0}
+
+    def stub_trials(jobs, memo):
+        runs = []
+        for cfg, _ in jobs:
+            d = 24 if cfg["task"] == "pwm" else 8
+            model = net.ObjectiveModel([net.DenseLayer(np.full((1, d), 0.01),
+                                                       np.zeros(1))])
+            runs.append(TrialResult(_dataset(d, discrete=cfg["task"] == "pwm"),
+                                    model, [[{"gap": final_gaps[cfg["task"]]}]],
+                                    None, None, None, None, 0.0))
+        return runs
+
+    monkeypatch.setattr(acceptance, "run_trials", stub_trials)
+    monkeypatch.setattr(acceptance, "_mine_endpoints",
+                        lambda model, X, eta, steps: X + 1.0)
+    record = acceptance.criterion_2_conservatism({})
+    tasks = record["metrics"]["tasks"]
+    assert list(tasks) == ["cliff", "pwm"]
+    assert tasks["cliff"] == {"fixed_alpha_gap": pytest.approx(0.08),
+                              "dual_final_gap": 0.6, "dual_gap_bound": 0.75}
+    assert tasks["pwm"] == {"fixed_alpha_gap": pytest.approx(0.24),
+                            "dual_final_gap": -88.0, "dual_gap_bound": 2.25}
+    assert record["passed"] is False  # pwm's fixed-alpha gap exceeds 0.1
+    assert record["detail"] == (
+        "cliff: fixed-alpha gap 0.080 (<= 0.1), dual final gap 0.600 "
+        "(<= 0.75); pwm: fixed-alpha gap 0.240 (<= 0.1), dual final gap "
+        "-88.000 (<= 2.25)")
+    json.dumps(record["metrics"])
+
+
+def test_criterion_5_reports_ranks_hits_and_beats(monkeypatch):
+    task = acceptance.get_task("pwm")
+    scores = acceptance.sequence_scores(
+        task, acceptance.all_sequences(*task.raw_shape))
+    top, bottom = float(scores.max()), float(scores.min())
+    # (best candidate's true score, best training score) per trial
+    trials = [(top + 1.0, top + 2.0), (top, bottom), (bottom - 1.0, bottom - 2.0)]
+    monkeypatch.setattr(acceptance, "_pwm_trials", lambda memo, fast: [
+        TrialResult(_dataset(24, best), None, [], None,
+                    TrialEvaluation(p100, p100, 1.0, 1.0), None, None, 0.0)
+        for p100, best in trials])
+    record = acceptance.criterion_5_discrete({})
+    rank_cut = int(acceptance.DISCRETE_TOP_FRACTION * len(scores))
+    assert record["metrics"] == {"ranks": [0, 0, len(scores)],
+                                 "rank_cut": rank_cut, "hits": 2, "beats": 2}
+    assert record["passed"] is False  # 2 of 3 is short of 6
+    assert record["detail"].endswith(f"ranks [0, 0, {len(scores)}]")
+    json.dumps(record["metrics"])
 
 
 def _fd_per_copy(loss_fn, model, h=1e-5):
