@@ -413,6 +413,9 @@ def criterion_6_budget_resilience(memo, fast=False):
                    f"{BUDGET_RESILIENCE_FRACTION:.0%} of its N={DISCRETE_BUDGET} "
                    f"value ({mean_curve[-1]:.3f}) at N={reach} "
                    f"(need <= {BUDGET_RESILIENCE_AT})"),
+        "metrics": {"monotone": monotone,
+                    "mean_normalized_p100": mean_curve.tolist(),
+                    "target": float(target), "reach": reach},
         "curves": {"pwm_budget.csv": (["budget", "mean_normalized_p100"],
                                       list(zip(DISCRETE_BUDGETS, mean_curve)))},
     }
@@ -434,16 +437,18 @@ def criterion_7_tau_ordering(memo, fast=False):
     for (cfg, _), run in zip(jobs, run_trials(jobs, memo)):
         finals.setdefault(cfg["tau"], []).append(float(run.stability[-1]))
     trials = len(jobs) // len(finals)
+    means = {tau: float(np.mean(values)) for tau, values in finals.items()}
     lo, hi = min(finals), max(finals)
-    lo_mean = float(np.mean(finals[lo]))
-    hi_mean = float(np.mean(finals[hi]))
-    passed = hi_mean >= lo_mean
+    passed = means[hi] >= means[lo]
     return {
         "id": 7,
         "name": "tau ordering",
         "passed": bool(passed),
         "detail": (f"final true score over {trials} trials: tau={hi} mean "
-                   f"{hi_mean:.2f} >= tau={lo} mean {lo_mean:.2f}: {passed}"),
+                   f"{means[hi]:.2f} >= tau={lo} mean {means[lo]:.2f}: "
+                   f"{passed}"),
+        "metrics": {"taus": [{"tau": tau, "finals": finals[tau],
+                              "mean": means[tau]} for tau in finals]},
         "curves": {"cliff_tau_finals.csv": (
             ["tau", "trial", "final_true_score"],
             [[tau, trial, v] for tau, values in finals.items()

@@ -11,15 +11,13 @@ from . import net
 from .net import ObjectiveModel
 from .trainer import OfflineDataset, TrainerConfig, train
 
-DEFAULT_ENSEMBLE_SIZE = 5
-
 
 @dataclass
 class Ensemble:
     """Independently seeded surrogates aggregated by min or mean."""
 
     members: list[ObjectiveModel]
-    aggregate: str = "mean"
+    aggregate: str
 
     def __post_init__(self):
         if not self.members:
@@ -42,17 +40,16 @@ class Ensemble:
         return preds.min(axis=0) if self.aggregate == "min" else preds.mean(axis=0)
 
     def input_grad_batch(self, X) -> np.ndarray:
-        if self.aggregate == "mean":
-            return np.stack([net.input_gradient_batch(m, X)
-                             for m in self.members]).mean(axis=0)
+        # One hidden pass per member yields its prediction and its gradient.
         # Min mode: subgradient of the pointwise minimum is the gradient of
-        # the active member; argmin breaks ties toward the lowest index. One
-        # hidden pass per member yields its prediction and its gradient.
+        # the active member; argmin breaks ties toward the lowest index.
         preds, grads = [], []
         for m in self.members:
             p, cache = net.forward_with_cache(m, X)
             preds.append(p)
             grads.append(net.input_gradient_batch(m, X, cache))
+        if self.aggregate == "mean":
+            return np.stack(grads).mean(axis=0)
         active = np.stack(preds).argmin(axis=0)
         return np.stack(grads)[active, np.arange(X.shape[0])]
 
@@ -72,7 +69,7 @@ def member_seed(base_seed: int, index: int) -> int:
 
 
 def train_ensemble(dataset: OfflineDataset, config: TrainerConfig,
-                   size: int = DEFAULT_ENSEMBLE_SIZE, aggregate: str = "mean"):
+                   size: int, aggregate: str):
     """Train `size` naive members differing only by seed."""
     if size < 1:
         raise ValueError("ensemble size must be >= 1")

@@ -26,32 +26,25 @@ from .tasks import (curate_dataset, get_task, read_dataset, task_names,
 from .trainer import TrainingError, write_training_log
 
 
-TRAINER_FLAGS = {
-    "--epochs": dict(type=int, default=DEFAULT_CONFIG["epochs"]),
-    "--batch-size": dict(type=int, default=DEFAULT_CONFIG["batch_size"]),
-    "--mining-steps": dict(
-        type=int, default=DEFAULT_CONFIG["mining_steps"],
-        help="ascent steps T shared by mining and optimization"),
-    "--ascent-rate": dict(
-        default=DEFAULT_CONFIG["ascent_rate"],
-        help="eta; 'auto' uses 0.05*sqrt(d) cont., 2.0*sqrt(d) disc."),
-    "--adam-lr": dict(type=float, default=DEFAULT_CONFIG["adam_lr"]),
-    "--tau": dict(
-        default=DEFAULT_CONFIG["tau"],
-        help="conservatism threshold; 'auto' is 0.5 cont., 2.0 disc."),
-    "--alpha-lr": dict(type=float, default=DEFAULT_CONFIG["alpha_lr"]),
-    "--alpha-init": dict(type=float, default=DEFAULT_CONFIG["alpha_init"]),
-    "--hidden": dict(default=DEFAULT_CONFIG["hidden"]),
-    "--seed": dict(type=int, default=DEFAULT_CONFIG["base_seed"],
-                   dest="base_seed", metavar="SEED"),
+# The trainer's config keys, which `train` and `sweep-tau` take as flags.
+_TRAINER_KEYS = ("epochs", "batch_size", "mining_steps", "ascent_rate",
+                 "adam_lr", "tau", "alpha_lr", "alpha_init", "hidden",
+                 "base_seed")
+_FLAG_HELP = {
+    "mining_steps": "ascent steps T shared by mining and optimization",
+    "ascent_rate": "eta; 'auto' uses 0.05*sqrt(d) cont., 2.0*sqrt(d) disc.",
+    "tau": "conservatism threshold; 'auto' is 0.5 cont., 2.0 disc.",
 }
 
 
-def _add_trainer_flags(p: argparse.ArgumentParser, flags=TRAINER_FLAGS) -> None:
-    """Add the named trainer flags, each stored under its config key; a
-    command takes only the flags it reads."""
-    for flag in flags:
-        p.add_argument(flag, **TRAINER_FLAGS[flag])
+def _add_config_flags(p: argparse.ArgumentParser, keys) -> None:
+    """A flag for each config key, `--seed` for base_seed, defaulting to the
+    key's default. No argparse type: a value given on the command line stays
+    text until `_config` types and checks it as a config file's would be."""
+    for key in keys:
+        flag = "--seed" if key == "base_seed" else "--" + key.replace("_", "-")
+        p.add_argument(flag, dest=key, default=DEFAULT_CONFIG[key],
+                       help=_FLAG_HELP.get(key))
 
 
 def _config(args) -> dict:
@@ -62,9 +55,9 @@ def _config(args) -> dict:
 
 
 def cmd_curate(args) -> int:
-    task = get_task(args.task)
-    dataset = curate_dataset(task, curation_config_from(_config(args),
-                                                        args.base_seed))
+    cfg = _config(args)
+    task = get_task(cfg["task"])
+    dataset = curate_dataset(task, curation_config_from(cfg, cfg["base_seed"]))
     dataset.validate()
     if dataset.raw_scores().max() >= task.y_max:
         raise InvariantViolation("curated dataset should leave headroom")
@@ -76,27 +69,28 @@ def cmd_curate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = read_dataset(args.data)
     cfg = _config(args)
-    config = trainer_config_from(cfg, args.base_seed)
+    dataset = read_dataset(args.data)
+    config = trainer_config_from(cfg, cfg["base_seed"])
     model, logs = METHODS[cfg["method"]](dataset, config, cfg["ensemble_size"])
     save_surrogate(model, args.out_model)
     if args.log:
         write_training_log(args.log, logs)
     final = logs[0][-1]
-    print(f"trained {args.method}: final mse {final['mse']:.4f}, "
+    print(f"trained {cfg['method']}: final mse {final['mse']:.4f}, "
           f"gap {final['gap']:.4f}, alpha {final['alpha']:.4f}")
     return 0
 
 
 def cmd_optimize(args) -> int:
+    cfg = _config(args)
     dataset = read_dataset(args.data)
     model = load_surrogate(args.model)
-    config = trainer_config_from(_config(args), 0)
+    config = trainer_config_from(cfg, 0)
     eta = config.resolved_eta(dataset)
-    candidates = produce_candidates(model, dataset, args.budget, eta,
+    candidates = produce_candidates(model, dataset, cfg["budget"], eta,
                                     config.mining_steps)
-    if len(candidates) != args.budget:
+    if len(candidates) != cfg["budget"]:
         raise InvariantViolation("candidate count must equal the budget")
     write_candidates(candidates, args.out)
     print(f"wrote {len(candidates)} candidates to {args.out}")
@@ -117,10 +111,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    task = get_task(args.task)
+    cfg = _config(args)
+    task = get_task(cfg["task"])
     dataset = read_dataset(args.data)
     model = load_surrogate(args.model)
-    config = trainer_config_from(_config(args), 0)
+    config = trainer_config_from(cfg, 0)
     curve = stability_sweep(model, task, dataset,
                             config.resolved_eta(dataset), args.t_max)
     if len(curve) != args.t_max + 1:
@@ -185,30 +180,24 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, **kwargs):
         return sub.add_parser(name, allow_abbrev=False, **kwargs)
 
-    d = DEFAULT_CONFIG
     p = command("curate", help="build an offline dataset from a task")
     p.add_argument("--task", required=True, choices=task_names())
-    p.add_argument("--n-raw", type=int, default=d["n_raw"])
-    p.add_argument("--keep-percentile", type=float, default=d["keep_percentile"])
-    _add_trainer_flags(p, ["--seed"])
+    _add_config_flags(p, ["n_raw", "keep_percentile", "base_seed"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curate)
 
     p = command("train", help="train a surrogate on a dataset CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--method", default=d["method"], choices=list(METHODS))
-    p.add_argument("--ensemble-size", type=int, default=d["ensemble_size"])
+    _add_config_flags(p, ["method", "ensemble_size", *_TRAINER_KEYS])
     p.add_argument("--out-model", required=True)
     p.add_argument("--log")
-    _add_trainer_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = command("optimize", help="produce budget-N candidates")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--budget", type=int, default=d["budget"])
+    _add_config_flags(p, ["budget", "mining_steps", "ascent_rate"])
     p.add_argument("--out", required=True)
-    _add_trainer_flags(p, ["--mining-steps", "--ascent-rate"])
     p.set_defaults(func=cmd_optimize)
 
     p = command("evaluate", help="score candidates with the oracle")
@@ -224,17 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=task_names())
     p.add_argument("--t-max", type=int, default=200)
     p.add_argument("--out", required=True)
-    _add_trainer_flags(p, ["--ascent-rate"])
+    _add_config_flags(p, ["ascent_rate"])
     p.set_defaults(func=cmd_stability)
 
     p = command("sweep-tau", help="stability curves across tau values")
     p.add_argument("--task", required=True, choices=task_names())
     p.add_argument("--taus", required=True, help="comma-separated tau values")
-    p.add_argument("--n-raw", type=int, default=d["n_raw"])
-    p.add_argument("--keep-percentile", type=float, default=d["keep_percentile"])
     p.add_argument("--t-max", type=int, default=200)
     p.add_argument("--out-dir", required=True)
-    _add_trainer_flags(p, [f for f in TRAINER_FLAGS if f != "--tau"])
+    _add_config_flags(p, ["n_raw", "keep_percentile",
+                          *(key for key in _TRAINER_KEYS if key != "tau")])
     p.set_defaults(func=cmd_sweep_tau)
 
     p = command("sweep-budget", help="p100 as a function of budget")

@@ -123,22 +123,29 @@ def budget_sweep(candidates: CandidateSet, task: TaskSpec, budgets) -> np.ndarra
 
 def tau_jobs(cfg: dict, trial: int, taus, t_max: int) -> list:
     """The (cfg, trial) job of `tau_sweep` for each distinct tau, in order;
-    every tau is checked here. Only the curve is kept, so each trial
-    searches a single candidate."""
+    every tau is checked here, and blank entries of `taus` are skipped.
+    Only the curve is kept, so each trial searches a single candidate."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    try:
+        values = [float(t) for t in taus if str(t).strip()]
+    except ValueError:
+        raise ValueError("taus must be comma-separated numbers, got "
+                         f"{','.join(map(str, taus))!r}") from None
+    if not values:
+        raise ValueError("taus must list at least one tau")
     return [(config_from({**cfg, "tau": tau, "stability_steps": t_max,
                           "budget": 1, "budgets": ""}), trial)
-            for tau in dict.fromkeys(float(t) for t in taus)]
+            for tau in dict.fromkeys(values)]
 
 
-def tau_sweep(cfg: dict, trial: int, taus, t_max: int, memo=None) -> dict:
+def tau_sweep(cfg: dict, trial: int, taus, t_max: int) -> dict:
     """The trial's t_max-step stability curve per distinct tau of
     `tau_jobs`, keyed by tau. Every tau is checked before the first
     training."""
     jobs = tau_jobs(cfg, trial, taus, t_max)
     return {tau_cfg["tau"]: run.stability
-            for (tau_cfg, _), run in zip(jobs, run_trials(jobs, memo))}
+            for (tau_cfg, _), run in zip(jobs, run_trials(jobs))}
 
 
 @dataclass
@@ -192,10 +199,9 @@ DEFAULT_CONFIG = {
 }
 
 def parse_config(text: str) -> dict:
-    """Parse a flat key=value config file; unknown and repeated keys are
-    errors."""
-    values = {}
-    unknown, repeated = [], []
+    """Parse a flat key=value config file and check it with `config_from`;
+    unknown and repeated keys are errors."""
+    values, repeated = {}, []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -203,25 +209,40 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"malformed config line {line!r} (expected key=value)")
         key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in DEFAULT_CONFIG:
-            unknown.append(key)
-        elif key in values:
+        key = key.strip()
+        if key in values:
             repeated.append(key)
         values[key] = val
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    if repeated:
+    # Unknown keys are reported first, by `config_from`.
+    if repeated and set(values) <= set(DEFAULT_CONFIG):
         raise ValueError("duplicate config keys: "
                          + ", ".join(sorted(set(repeated))))
+    return config_from(values)
+
+
+def config_from(values: dict) -> dict:
+    """The config a dict of values sets, checked and typed with each value
+    read as the text of its line in a config file; unknown keys are
+    errors and a missing key takes its default."""
+    unknown = sorted(set(values) - set(DEFAULT_CONFIG))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     cfg = dict(DEFAULT_CONFIG)
-    cfg.update(values)
+    cfg.update((key, str(value).strip()) for key, value in values.items())
     # Each key takes the type of its default; "auto" keys hold a float or "auto".
     for key, default in DEFAULT_CONFIG.items():
-        if isinstance(default, (int, float)):
-            cfg[key] = type(default)(cfg[key])
-        elif default == "auto" and cfg[key] != "auto":
-            cfg[key] = float(cfg[key])
+        if default == "auto" and cfg[key] != "auto":
+            kind, wanted = float, "a number or 'auto'"
+        elif isinstance(default, (int, float)):
+            kind = type(default)
+            wanted = "an integer" if kind is int else "a number"
+        else:
+            continue
+        try:
+            cfg[key] = kind(cfg[key])
+        except ValueError:
+            raise ValueError(f"{key} must be {wanted}, "
+                             f"got {cfg[key]!r}") from None
     if cfg["method"] not in METHODS:
         raise ValueError(f"unknown method {cfg['method']!r}; "
                          f"choose from {tuple(METHODS)}")
@@ -247,11 +268,6 @@ def int_list(cfg: dict, key: str) -> list:
     except ValueError:
         raise ValueError(f"{key} must be comma-separated integers, "
                          f"got {cfg[key]!r}") from None
-
-
-def config_from(values: dict) -> dict:
-    """A config dict checked and typed exactly as a config file would be."""
-    return parse_config(dump_config(values))
 
 
 def dump_config(cfg: dict) -> str:

@@ -159,32 +159,26 @@ def forward_batch(model: ObjectiveModel, X) -> np.ndarray:
 
 
 class GradientPlan:
-    """What the input gradient reads of a model, gathered once: the weights
-    and, for batches of n rows, a row-major copy of each hidden layer's
-    transposed weights, each hidden bias and the output weight row repeated
-    over the n rows. OpenBLAS multiplies by a row-major matrix faster than
-    by a transposed view, and numpy adds or multiplies two (n, k) arrays
-    several times faster than it broadcasts a (k,) row over one; gradient
-    ascent does all three at every step, so `ascend` builds one plan per
-    call and steps on the plan's `input_grad_batch`. Without n the model's
-    own vectors and transposed views stand in, which copies nothing. On a
-    few rows (up to 18 at width 64 on OpenBLAS 0.3.31) a copy can round a
-    pre-activation one last bit away from the view; the input gradient reads
-    only the pre-activations' signs, so its bits move only where one lies
-    within an ulp of 0. The copies are taken when the plan is built: build a
-    new plan after the parameters change."""
+    """What the input gradient reads of a model, gathered once for batches
+    of n rows: a row-major copy of each hidden layer's transposed weights,
+    each hidden bias and the output weight row repeated over the n rows.
+    OpenBLAS multiplies by a row-major matrix faster than by a transposed
+    view, and numpy adds or multiplies two (n, k) arrays several times
+    faster than it broadcasts a (k,) row over one; gradient ascent does all
+    three at every step, so `ascend` builds one plan per call and steps on
+    the plan's `input_grad_batch`. On a few rows (up to 18 at width 64 on
+    OpenBLAS 0.3.31) a copy can round a pre-activation one last bit away
+    from the view; the input gradient reads only the pre-activations'
+    signs, so its bits move only where one lies within an ulp of 0. The
+    copies are taken when the plan is built: build a new plan after the
+    parameters change."""
 
-    def __init__(self, model: ObjectiveModel, n: int | None = None):
+    def __init__(self, model: ObjectiveModel, n: int):
         hidden = model.layers[:-1]
         self.model = model
-        self.weights = [lyr.weights for lyr in model.layers]
-        self.weights_t = [lyr.weights.T for lyr in hidden]
-        self.biases = [lyr.bias for lyr in hidden]
-        self.out_row = model.layers[-1].weights[0]
-        if n is not None:
-            self.weights_t = [np.ascontiguousarray(w) for w in self.weights_t]
-            self.biases = [np.tile(b, (n, 1)) for b in self.biases]
-            self.out_row = np.tile(self.out_row, (n, 1))
+        self.weights_t = [np.ascontiguousarray(lyr.weights.T) for lyr in hidden]
+        self.biases = [np.tile(lyr.bias, (n, 1)) for lyr in hidden]
+        self.out_row = np.tile(model.layers[-1].weights[0], (n, 1))
 
     def slopes(self, X: np.ndarray) -> list:
         """The hidden layers' slopes on X. The last hidden activation feeds
@@ -197,17 +191,6 @@ class GradientPlan:
             slopes.append(s)
         return slopes
 
-    def backprop(self, X: np.ndarray, slopes: list) -> np.ndarray:
-        """d prediction / d input for every row of X, given its slopes."""
-        W = self.weights
-        if not slopes:
-            return np.ones((X.shape[0], 1)) @ W[0]
-        g = self.out_row * slopes[-1]
-        for k in range(len(slopes) - 1, 0, -1):
-            g = g @ W[k]
-            g *= slopes[k - 1]
-        return g @ W[0]
-
     def input_grad_batch(self, X) -> np.ndarray:
         """`input_gradient_batch` of the plan's model through this plan."""
         return input_gradient_batch(self.model, X, plan=self)
@@ -215,13 +198,23 @@ class GradientPlan:
 
 def input_gradient_batch(model: ObjectiveModel, X, cache=None,
                          plan: GradientPlan | None = None) -> np.ndarray:
-    """Exact d prediction / d input for every row of X, shape (n, input_dim).
-    `cache`, from `forward_with_cache(model, X)`, replaces the hidden pass;
-    `plan`, a `GradientPlan(model, len(X))`, replaces gathering one."""
+    """Exact d prediction / d input for every row of X, shape (n, input_dim),
+    backpropagated over the hidden slopes of `plan`, a
+    `GradientPlan(model, len(X))`; else of `cache`, from
+    `forward_with_cache(model, X)`; else of one hidden pass."""
     X = _as_batch(model, X)
-    if plan is None:
-        plan = GradientPlan(model)
-    return plan.backprop(X, plan.slopes(X) if cache is None else cache[2])
+    if plan is not None:
+        slopes, out_row = plan.slopes(X), plan.out_row
+    else:
+        slopes = (_hidden_pass(model, X) if cache is None else cache)[2]
+        out_row = model.layers[-1].weights[0]
+    if not slopes:
+        return np.ones((X.shape[0], 1)) @ model.layers[0].weights
+    g = out_row * slopes[-1]
+    for k in range(len(slopes) - 1, 0, -1):
+        g = g @ model.layers[k].weights
+        g *= slopes[k - 1]
+    return g @ model.layers[0].weights
 
 
 def loss_gradients(model: ObjectiveModel, X, dloss_dpred,

@@ -142,8 +142,7 @@ class TestEnsembleInputGradient:
         want = (grads[ens.member_predictions(X).argmin(axis=0), np.arange(5)]
                 if aggregate == "min" else grads.mean(axis=0))
         assert ens.input_grad_batch(X).tobytes() == want.tobytes()
-        # min mode takes each member's pass from `forward_with_cache`, mean
-        # mode from the slopes-only pass of the member's gradient plan
+        # both modes take each member's pass from `forward_with_cache`
         calls = []
         real_pass, real_slopes = net._hidden_pass, net.GradientPlan.slopes
 
@@ -205,11 +204,12 @@ class TestTrainEnsemble:
     def test_deterministic(self):
         ds = toy_dataset()
         cfg = TrainerConfig(epochs=2, batch_size=8, hidden=(8,), seed=3)
-        e1, _ = train_ensemble(ds, cfg, size=2)
-        e2, _ = train_ensemble(ds, cfg, size=2)
+        e1, _ = train_ensemble(ds, cfg, size=2, aggregate="mean")
+        e2, _ = train_ensemble(ds, cfg, size=2, aggregate="mean")
         for a, b in zip(e1.members, e2.members):
             npt.assert_array_equal(a.layers[0].weights, b.layers[0].weights)
 
     def test_size_validated(self):
         with pytest.raises(ValueError):
-            train_ensemble(toy_dataset(), TrainerConfig(), size=0)
+            train_ensemble(toy_dataset(), TrainerConfig(), size=0,
+                           aggregate="mean")

@@ -18,6 +18,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -45,6 +47,27 @@ def test_acceptance_mines_through_the_trainer():
     from comopt import acceptance, trainer
 
     assert acceptance._mine_endpoints is trainer._mine_endpoints
+
+
+def test_ascent_on_one_net_takes_one_planned_input_gradient_per_step(
+        monkeypatch):
+    # perfbench's net.input_grad_calls and mining counts read these calls
+    from comopt import net, optimizer
+
+    real = net.input_gradient_batch
+    plans = []
+
+    def spy(model, X, cache=None, plan=None):
+        plans.append(plan)
+        return real(model, X, cache, plan)
+
+    monkeypatch.setattr(net, "input_gradient_batch", spy)
+    model = net.build_model(3, (8, 8), rng=np.random.default_rng(0))
+    optimizer.ascend(model, np.random.default_rng(1).normal(size=(4, 3)),
+                     0.1, 5)
+    assert len(plans) == 5
+    assert isinstance(plans[0], net.GradientPlan)
+    assert all(plan is plans[0] for plan in plans)
 
 
 def test_every_oracle_scores_one_raw_design_as_a_python_float():

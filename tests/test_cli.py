@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from comopt import cli
-from comopt.harness import parse_config
+from comopt.harness import DEFAULT_CONFIG, parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -168,6 +169,19 @@ def test_sweep_tau_trains_each_distinct_tau_once(tmp_path, monkeypatch,
     assert "wrote 1 tau curves" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("taus, message", [
+    ("0.5,abc", "taus must be comma-separated numbers, got '0.5,abc'"),
+    ("", "taus must list at least one tau")], ids=["malformed", "empty"])
+def test_sweep_tau_rejects_malformed_taus(tmp_path, train_spy, taus, message,
+                                          capsys):
+    out_dir = tmp_path / "taus"
+    assert cli.main(["sweep-tau", "--task", "cliff", "--taus", taus,
+                     "--out-dir", str(out_dir), *TRAIN_FLAGS]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert train_spy == []
+    assert not out_dir.exists()
+
+
 def test_run_command(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text("task = bowl\nmethod = coms\ntrials = 1\nn_raw = 120\n"
@@ -222,6 +236,132 @@ def test_trainer_flags_checked_like_config_keys(tmp_path, curated, capsys):
                      "--out", str(tmp_path / "d.csv")]) == 1
     assert "base_seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "d.csv").exists()
+
+
+def _commands():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _flags(command):
+    """(flag, dest, default) of every option of a command but --help."""
+    return {(a.option_strings[0], a.dest, a.default)
+            for a in _commands()[command]._actions
+            if a.option_strings and a.dest != "help"}
+
+
+CURATION_FLAGS = {("--n-raw", "n_raw", 2000),
+                  ("--keep-percentile", "keep_percentile", 50.0)}
+# the trainer's flags but --tau, which sweep-tau sets per curve
+TRAINER_FLAG_SET = {
+    ("--epochs", "epochs", 50), ("--batch-size", "batch_size", 128),
+    ("--mining-steps", "mining_steps", 50),
+    ("--ascent-rate", "ascent_rate", "auto"), ("--adam-lr", "adam_lr", 1e-3),
+    ("--alpha-lr", "alpha_lr", 0.01), ("--alpha-init", "alpha_init", 0.0),
+    ("--hidden", "hidden", "64,64"), ("--seed", "base_seed", 0)}
+TASK, OUT = ("--task", "task", None), ("--out", "out", None)
+COMMAND_FLAGS = {
+    "curate": {TASK, OUT, ("--seed", "base_seed", 0), *CURATION_FLAGS},
+    "train": {("--data", "data", None), ("--method", "method", "coms"),
+              ("--ensemble-size", "ensemble_size", 5),
+              ("--out-model", "out_model", None), ("--log", "log", None),
+              ("--tau", "tau", "auto"), *TRAINER_FLAG_SET},
+    "optimize": {("--model", "model", None), ("--data", "data", None),
+                 ("--budget", "budget", 16), OUT,
+                 ("--mining-steps", "mining_steps", 50),
+                 ("--ascent-rate", "ascent_rate", "auto")},
+    "evaluate": {("--candidates", "candidates", None), TASK,
+                 ("--budget", "budget", None), OUT},
+    "stability": {("--model", "model", None), ("--data", "data", None), TASK,
+                  ("--t-max", "t_max", 200), OUT,
+                  ("--ascent-rate", "ascent_rate", "auto")},
+    "sweep-tau": {TASK, ("--taus", "taus", None), ("--t-max", "t_max", 200),
+                  ("--out-dir", "out_dir", None), *CURATION_FLAGS,
+                  *TRAINER_FLAG_SET},
+    "sweep-budget": {("--candidates", "candidates", None), TASK,
+                     ("--budgets", "budgets", "1,2,4,8,16"), OUT},
+    "run": {("--config", "config", None), OUT},
+    "reproduce": {("--out", "out", "reproduce_out"), ("--fast", "fast", False)},
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_each_command_keeps_its_flags_dests_and_defaults(command):
+    assert _flags(command) == COMMAND_FLAGS[command]
+
+
+def test_the_flag_table_covers_every_command():
+    assert set(_commands()) == set(COMMAND_FLAGS)
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: comopt {command}")
+
+
+@pytest.mark.parametrize("argv, line, message", [
+    (["train", "--epochs", "abc"], "epochs = abc",
+     "epochs must be an integer, got 'abc'"),
+    (["train", "--ascent-rate", "fast"], "ascent_rate = fast",
+     "ascent_rate must be a number or 'auto', got 'fast'"),
+    (["curate", "--task", "cliff", "--seed", "x"], "base_seed = x",
+     "base_seed must be an integer, got 'x'"),
+    (["curate", "--task", "cliff", "--n-raw", "1.5"], "n_raw = 1.5",
+     "n_raw must be an integer, got '1.5'"),
+], ids=["epochs", "ascent_rate", "seed", "n_raw"])
+def test_a_mistyped_value_fails_alike_from_a_flag_and_a_config_file(
+        tmp_path, curated, capsys, argv, line, message):
+    out = tmp_path / "out"
+    if argv[0] == "train":
+        argv = [*argv, "--data", str(curated), "--out-model", str(out)]
+    else:
+        argv = [*argv, "--out", str(out)]
+    config = tmp_path / "cfg.txt"
+    config.write_text(f"task = bowl\n{line}\n")
+    capsys.readouterr()
+    for args in (argv, ["run", "--config", str(config), "--out", str(out)]):
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_a_flag_value_cannot_set_another_key(tmp_path, curated, capsys):
+    # `leak` has no flag; written into a config line, this value would set it
+    out = tmp_path / "m.npz"
+    assert cli.main(["train", "--data", str(curated), "--hidden",
+                     "8\nleak = 0.9", "--out-model", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: hidden must be comma-separated "
+                                       "integers, got '8\\nleak = 0.9'\n")
+    assert not out.exists()
+
+
+def test_an_unknown_method_lists_the_methods(tmp_path, curated, capsys):
+    out = tmp_path / "m.npz"
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(curated), "--method", "bogus",
+                     "--out-model", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: unknown method 'bogus'; choose from ('coms',")
+    assert not out.exists()
+
+
+def test_readme_lists_each_commands_config_flags():
+    # a flag set from a config key defaults to that key's default
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    listed = {command: set(flags.split()) for command, flags
+              in re.findall(r"^- `([a-z-]+)`: `([^`]+)`", section, re.M)}
+    parsed = {}
+    for command in COMMAND_FLAGS:
+        flags = {flag for flag, dest, default in _flags(command)
+                 if DEFAULT_CONFIG.get(dest, object()) == default}
+        if flags:
+            parsed[command] = flags
+    assert listed == parsed
 
 
 def readme_config_blocks():

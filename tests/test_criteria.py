@@ -138,6 +138,43 @@ def test_criterion_5_reports_ranks_hits_and_beats(monkeypatch):
     json.dumps(record["metrics"])
 
 
+def test_criterion_6_reports_its_curve_target_and_reach(monkeypatch):
+    task = acceptance.get_task("pwm")
+
+    def raw(normalized):
+        return task.y_min + np.array(normalized) * (task.y_max - task.y_min)
+
+    # normalized p100 per budget 1..16; their mean first reaches 95% of its
+    # N=16 value, 0.95, at N=4
+    sweeps = [[0.4] * 3 + [1.0] * 13, [0.6] * 2 + [0.8] + [1.0] * 13]
+    monkeypatch.setattr(acceptance, "_pwm_trials", lambda memo, fast: [
+        _stub_trial(raw(sweep)) for sweep in sweeps])
+    record = acceptance.criterion_6_budget_resilience({})
+    metrics = record["metrics"]
+    assert metrics["monotone"] is True
+    assert metrics["mean_normalized_p100"] == pytest.approx(
+        [0.5, 0.5, 0.6] + [1.0] * 13)
+    assert metrics["target"] == pytest.approx(0.95)
+    assert metrics["reach"] == 4
+    assert record["passed"] is True
+    json.dumps(metrics)
+
+
+def test_criterion_7_reports_each_taus_finals_and_mean(monkeypatch):
+    def stub_trials(jobs, memo):
+        # trial t at tau ends at 10 * tau + t
+        return [_stub_trial(curve=np.array([0.0, 10.0 * cfg["tau"] + trial]))
+                for cfg, trial in jobs]
+
+    monkeypatch.setattr(acceptance, "run_trials", stub_trials)
+    record = acceptance.criterion_7_tau_ordering({})
+    assert record["metrics"] == {"taus": [
+        {"tau": tau, "finals": [10.0 * tau + t for t in range(4)],
+         "mean": 10.0 * tau + 1.5} for tau in acceptance.TAU_LIST]}
+    assert record["passed"] is True
+    json.dumps(record["metrics"])
+
+
 def _fd_per_copy(loss_fn, model, h=1e-5):
     """The finite differences as first written: a fresh copy per entry."""
     out = np.zeros_like(model.params)

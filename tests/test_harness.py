@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from comopt.baselines import DEFAULT_ENSEMBLE_SIZE
 from comopt.harness import (DEFAULT_CONFIG, EvaluationReport,
                             InvariantViolation, TrialEvaluation, _trial_key,
                             budget_sweep, config_from, curation_config_from,
@@ -297,13 +296,12 @@ class TestReportAggregation:
 
 class TestParseConfig:
     def test_default_config_agrees_with_library_defaults(self):
-        # DEFAULT_CONFIG (config files, CLI flags) and the dataclass and
-        # ensemble defaults (library calls) are two sources of defaults
+        # DEFAULT_CONFIG (config files, CLI flags) and the dataclass
+        # defaults (library calls) are two sources of defaults
         cfg = parse_config("")
         assert cfg == DEFAULT_CONFIG
         assert trainer_config_from(cfg, cfg["base_seed"]) == TrainerConfig()
         assert curation_config_from(cfg, cfg["base_seed"]) == CurationConfig()
-        assert DEFAULT_ENSEMBLE_SIZE == DEFAULT_CONFIG["ensemble_size"]
 
     def test_defaults_fill_missing(self):
         cfg = parse_config("task = bowl\n")
@@ -378,6 +376,16 @@ class TestParseConfig:
         assert config_from({"trials": 3}) == parse_config("trials = 3\n")
         with pytest.raises(ValueError, match="unknown config keys: widget"):
             config_from({"widget": 3})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("budget", "4\nleak = 0.9", "budget must be an integer"),
+        ("hidden", "8#x", "hidden must be comma-separated integers")])
+    def test_dict_value_cannot_add_a_key_or_cut_itself_short(self, key,
+                                                             value, message):
+        # as a config file's line, "4\nleak = 0.9" would also set leak and
+        # "8#x" would read 8; a dict value is the whole text of its line
+        with pytest.raises(ValueError, match=message):
+            config_from({key: value})
 
 
 FAST_RUN = """
