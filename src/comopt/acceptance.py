@@ -96,7 +96,7 @@ def _rel_err(a, b):
     return np.abs(a - b) / np.maximum(1e-3, np.maximum(np.abs(a), np.abs(b)))
 
 
-def criterion_1_gradients(memo, fast=False):
+def criterion_1_gradients(runs, fast=False):
     """Backprop vs central finite differences on random models and inputs."""
     t0 = time.monotonic()
     rng = np.random.default_rng(12345)
@@ -151,15 +151,14 @@ def _conservatism_jobs(fast=False):
                         dual)]
 
 
-def criterion_2_conservatism(memo, fast=False):
+def criterion_2_conservatism(runs, fast=False):
     """Fixed large alpha must push the mined-vs-data prediction gap to at
     most 0.1; the dual variant must end with gap <= tau + 0.25."""
-    jobs = _conservatism_jobs(fast)
-    runs = run_trials(jobs, memo)
     details = []
     per_task = {}
     passed = True
-    for (dual, _), fixed, dual_run in zip(jobs[1::2], runs[::2], runs[1::2]):
+    for (dual, _), fixed, dual_run in zip(_conservatism_jobs(fast)[1::2],
+                                          runs[::2], runs[1::2]):
         tcfg = trainer_config_from(dual, dual["base_seed"])
         model, designs = fixed.model, fixed.dataset.designs
         mined = _mine_endpoints(model, designs, tcfg.resolved_eta(fixed.dataset),
@@ -202,7 +201,7 @@ def _plain_regression(dataset, config):
     return model
 
 
-def criterion_3_baseline_equivalence(memo, fast=False):
+def criterion_3_baseline_equivalence(runs, fast=False):
     """The naive baseline, which pins alpha at zero in the conservative
     trainer, must reproduce plain supervised regression bitwise."""
     task = get_task("cliff")
@@ -238,27 +237,25 @@ _STABILITY_METHODS = {"coms": "coms", "naive": "grad-naive"}
 
 
 def _stability_jobs(fast=False):
-    """Criterion 4's jobs per task: each trial's COMs job, then its naive
-    one."""
+    """Criterion 4's jobs, task by task: each trial's COMs job, then its
+    naive one."""
     trials = 2 if fast else STABILITY_TRIALS
     tasks = (STABILITY_TASK,) if fast else (STABILITY_TASK,
                                             *STABILITY_DIAGNOSTIC_TASKS)
-    return {name: [({**_stability_config(name, 4 if fast else 50),
-                     "method": method}, trial)
-                   for trial in range(trials)
-                   for method in _STABILITY_METHODS.values()]
-            for name in tasks}
+    return [({**_stability_config(name, 4 if fast else 50), "method": method},
+             trial)
+            for name in tasks for trial in range(trials)
+            for method in _STABILITY_METHODS.values()]
 
 
-def _stability_trials(memo, jobs):
+def _stability_trials(runs):
     """Per-trial finals and penalty crossings of COMs vs naive ascent from
-    the best dataset design, the (header, rows) of their curves, and the
-    sum of their trial seconds, for one task's `_stability_jobs`."""
-    runs = run_trials(jobs, memo)
+    the best dataset design, and the (header, rows) of their curves, for
+    one task's runs of `_stability_jobs`."""
     curves = iter(run.stability for run in runs)
     rows = []
     curve_rows = []
-    for trial in range(len(jobs) // len(_STABILITY_METHODS)):
+    for trial in range(len(runs) // len(_STABILITY_METHODS)):
         row = {"trial": trial}
         for name, method in _STABILITY_METHODS.items():
             curve = next(curves)
@@ -269,8 +266,7 @@ def _stability_trials(memo, jobs):
             curve_rows.extend([trial, method, t, score]
                               for t, score in enumerate(curve))
         rows.append(row)
-    return (rows, (["trial", "method", "step", "true_score"], curve_rows),
-            sum(run.seconds for run in runs))
+    return rows, (["trial", "method", "step", "true_score"], curve_rows)
 
 
 def _stability_summary(rows):
@@ -306,7 +302,7 @@ def _stability_detail(name, gated, summary):
             f"{trials}")
 
 
-def criterion_4_stability(memo, fast=False):
+def criterion_4_stability(runs, fast=False):
     """Long-horizon ascent (t=200, four times the trained 50-step horizon)
     from the best dataset design. Gated on the `edge` task, whose withheld
     optimum lies on the penalty boundary, so naive ascent can overshoot it:
@@ -318,19 +314,20 @@ def criterion_4_stability(memo, fast=False):
     step are reported per task and trial in `metrics`, including COMs' own
     crossings past its trained horizon. Its trials' own `seconds` must sum
     to under 300 s, so waiting for a worker does not count."""
+    by_task = {}
+    for (cfg, _), run in zip(_stability_jobs(fast), runs):
+        by_task.setdefault(cfg["task"], []).append(run)
     per_task = {}
     details = []
     curves = {}
-    trial_seconds = 0.0
-    for name, jobs in _stability_jobs(fast).items():
-        rows, curves[f"{name}_stability.csv"], seconds = _stability_trials(
-            memo, jobs)
-        trial_seconds += seconds
+    for name, task_runs in by_task.items():
+        rows, curves[f"{name}_stability.csv"] = _stability_trials(task_runs)
         gated = name == STABILITY_TASK
         summary = _stability_summary(rows)
         per_task[name] = {"gated": gated, **summary}
         details.append(_stability_detail(name, gated, summary))
     gate = per_task[STABILITY_TASK]
+    trial_seconds = sum(run.seconds for run in runs)
     passed = (gate["wins"] >= STABILITY_WIN_COUNT and gate["naive_falls"] >= 1
               and trial_seconds < 300.0)
     return {
@@ -353,22 +350,17 @@ def _pwm_config(fast=False):
 
 
 def _pwm_jobs(fast=False):
+    """The discrete trials of criteria 5, 6 and 8."""
     return [(_pwm_config(fast), trial)
             for trial in range(2 if fast else DISCRETE_TRIALS)]
 
 
-def _pwm_trials(memo, fast=False):
-    """The discrete trials of criteria 5, 6 and 8; the memo runs each once."""
-    return run_trials(_pwm_jobs(fast), memo)
-
-
-def criterion_5_discrete(memo, fast=False):
+def criterion_5_discrete(runs, fast=False):
     """Brute-force check on the enumerable sequence task: the best decoded
     candidate must rank in the true top 5% of all sequences and strictly
     beat the best visible training sequence, each in >= 6 of 8 trials."""
     task = get_task("pwm")
     scores = sequence_scores(task, all_sequences(*task.raw_shape))
-    runs = _pwm_trials(memo, fast)
     rank_cut = int(DISCRETE_TOP_FRACTION * len(scores))
     ranks = [int((scores > run.evaluation.score_p100).sum()) for run in runs]
     hits = sum(rank < rank_cut for rank in ranks)
@@ -393,11 +385,10 @@ def _monotone(sweep):
     return all(a <= b + 1e-12 for a, b in zip(sweep, sweep[1:]))
 
 
-def criterion_6_budget_resilience(memo, fast=False):
+def criterion_6_budget_resilience(runs, fast=False):
     """Per-trial budget sweeps must be monotone, and the mean normalized
     p100 must reach 95% of its N=16 value at some N <= 8."""
     task = get_task("pwm")
-    runs = _pwm_trials(memo, fast)
     monotone = all(_monotone(run.budget) for run in runs)
     mean_curve = np.mean([[normalized_score(task, v) for v in run.budget]
                           for run in runs], axis=0)
@@ -429,14 +420,13 @@ def _tau_jobs(fast=False):
                                 STABILITY_T_MAX)]
 
 
-def criterion_7_tau_ordering(memo, fast=False):
+def criterion_7_tau_ordering(runs, fast=False):
     """More conservatism slack (larger tau) must not end below the most
     conservative setting on the cliff task, averaged over trials."""
-    jobs = _tau_jobs(fast)
     finals = {}
-    for (cfg, _), run in zip(jobs, run_trials(jobs, memo)):
+    for (cfg, _), run in zip(_tau_jobs(fast), runs):
         finals.setdefault(cfg["tau"], []).append(float(run.stability[-1]))
-    trials = len(jobs) // len(finals)
+    trials = len(runs) // len(finals)
     means = {tau: float(np.mean(values)) for tau, values in finals.items()}
     lo, hi = min(finals), max(finals)
     passed = means[hi] >= means[lo]
@@ -456,7 +446,7 @@ def criterion_7_tau_ordering(memo, fast=False):
     }
 
 
-def criterion_8_protocol(memo, fast=False, work_dir=None):
+def criterion_8_protocol(runs, fast=False, work_dir=None):
     """p100 >= p50 everywhere, monotone budget sweeps, exact normalization
     endpoints, and byte-identical same-seed reruns."""
     problems = []
@@ -466,7 +456,7 @@ def criterion_8_protocol(memo, fast=False, work_dir=None):
         if normalized_score(task, task.y_max) != 1.0:
             problems.append(f"{name} optimum does not normalize to 1.0")
     # p100 >= p50 and monotone budget sweeps on the discrete trials
-    for run in _pwm_trials(memo, fast):
+    for run in runs:
         if run.evaluation.score_p100 < run.evaluation.score_p50:
             problems.append("p100 < p50 in a discrete trial")
         if not _monotone(run.budget):
@@ -506,39 +496,38 @@ CRITERIA = (
     criterion_8_protocol,
 )
 
-
-def _queued_jobs(fast=False):
-    """Every trial the criteria read, in the order they first read them:
-    criterion 2's, 4's, the discrete trials of 5, 6 and 8, then 7's. Each
-    criterion then waits only for the trials queued up to its own, and
-    criterion 2 checks its trials while the rest are still training, not
-    with every result held in memory."""
-    return [*_conservatism_jobs(fast),
-            *(job for jobs in _stability_jobs(fast).values() for job in jobs),
-            *_pwm_jobs(fast), *_tau_jobs(fast)]
+# The job list of each criterion that reads trials, by criterion id; each
+# criterion is the judge of its list's `TrialResult`s, in job order. The
+# lists queue in this order, so each criterion waits only for the trials
+# queued up to its own, and criterion 2 checks its trials while the rest
+# are still training, not with every result held in memory.
+JOBS = {2: _conservatism_jobs, 4: _stability_jobs, 5: _pwm_jobs,
+        6: _pwm_jobs, 7: _tau_jobs, 8: _pwm_jobs}
 
 
 def run_all(out_dir, fast=False) -> dict:
     """Run every acceptance criterion, print one PASS/FAIL line each, and
     write acceptance.json, with each criterion's wall `seconds`, plus the
     desk-scale ablation curves each criterion returns under `curves` (file
-    name -> header, rows). The criteria's trials are all queued on one
-    `worker_pool` as it opens, before criterion 1, so the workers start
-    while criterion 1 runs and each criterion waits only for its own
-    trials. With no pool open they run in this process, each when a
-    criterion first reads it."""
+    name -> header, rows). Each list in `JOBS` is built once, and all their
+    trials are queued on one `worker_pool` as it opens, before criterion 1,
+    so the workers start while criterion 1 runs and each criterion waits
+    only for its own trials. With no pool open they run in this process,
+    each when `run_all` collects that criterion's trials."""
     os.makedirs(os.path.join(out_dir, "curves"), exist_ok=True)
-    memo: dict = {}  # the trial memo every criterion passes to `run_trials`
+    lists = {make: make(fast) for make in JOBS.values()}
+    memo: dict = {}  # runs each distinct trial of `lists` once
     results = []
     t0 = time.monotonic()
     with worker_pool():
-        submit_trials(_queued_jobs(fast), memo)
-        for crit in CRITERIA:
+        submit_trials([job for jobs in lists.values() for job in jobs], memo)
+        for k, crit in enumerate(CRITERIA, 1):
             start = time.monotonic()
+            runs = run_trials(lists[JOBS[k]], memo) if k in JOBS else []
             if crit is criterion_8_protocol:
-                record = crit(memo, fast, work_dir=out_dir)
+                record = crit(runs, fast, work_dir=out_dir)
             else:
-                record = crit(memo, fast)
+                record = crit(runs, fast)
             record["seconds"] = time.monotonic() - start
             status = "PASS" if record["passed"] else "FAIL"
             print(f"criterion {record['id']} ({record['name']}): {status} "

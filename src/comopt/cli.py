@@ -19,7 +19,7 @@ from .harness import (DEFAULT_CONFIG, METHODS, InvariantViolation,
                       budget_sweep, config_from, curation_config_from,
                       evaluate_budget, int_list, normalized_score,
                       run_experiment, stability_sweep, tau_sweep,
-                      trainer_config_from, worker_pool)
+                      trainer_config_from, typed, worker_pool)
 from .optimizer import produce_candidates, read_candidates, write_candidates
 from .tasks import (curate_dataset, get_task, read_dataset, task_names,
                     write_dataset)
@@ -98,9 +98,10 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    budget = None if args.budget is None else typed("budget", args.budget)
     task = get_task(args.task)
     candidates = read_candidates(args.candidates)
-    n = len(candidates) if args.budget is None else args.budget
+    n = len(candidates) if budget is None else budget
     ev = evaluate_budget(candidates, task, n)
     text = json.dumps({"task": args.task, "budget": n, **asdict(ev)}, indent=2)
     if args.out:
@@ -112,22 +113,24 @@ def cmd_evaluate(args) -> int:
 
 def cmd_stability(args) -> int:
     cfg = _config(args)
+    t_max = typed("t_max", args.t_max)
     task = get_task(cfg["task"])
     dataset = read_dataset(args.data)
     model = load_surrogate(args.model)
     config = trainer_config_from(cfg, 0)
     curve = stability_sweep(model, task, dataset,
-                            config.resolved_eta(dataset), args.t_max)
-    if len(curve) != args.t_max + 1:
+                            config.resolved_eta(dataset), t_max)
+    if len(curve) != t_max + 1:
         raise InvariantViolation("stability curve length must be t_max + 1")
     write_rows(args.out, ["step", "true_score"], enumerate(curve))
-    print(f"wrote stability curve ({args.t_max + 1} steps) to {args.out}")
+    print(f"wrote stability curve ({t_max + 1} steps) to {args.out}")
     return 0
 
 
 def cmd_sweep_tau(args) -> int:
     with worker_pool():
-        curves = tau_sweep(_config(args), 0, args.taus.split(","), args.t_max)
+        curves = tau_sweep(_config(args), 0, args.taus.split(","),
+                           typed("t_max", args.t_max))
     os.makedirs(args.out_dir, exist_ok=True)
     for tau, curve in curves.items():
         write_rows(os.path.join(args.out_dir, f"stability_tau_{tau}.csv"),
@@ -203,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("evaluate", help="score candidates with the oracle")
     p.add_argument("--candidates", required=True)
     p.add_argument("--task", required=True, choices=task_names())
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
@@ -211,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--task", required=True, choices=task_names())
-    p.add_argument("--t-max", type=int, default=200)
+    p.add_argument("--t-max", default=200)
     p.add_argument("--out", required=True)
     _add_config_flags(p, ["ascent_rate"])
     p.set_defaults(func=cmd_stability)
@@ -219,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sweep-tau", help="stability curves across tau values")
     p.add_argument("--task", required=True, choices=task_names())
     p.add_argument("--taus", required=True, help="comma-separated tau values")
-    p.add_argument("--t-max", type=int, default=200)
+    p.add_argument("--t-max", default=200)
     p.add_argument("--out-dir", required=True)
     _add_config_flags(p, ["n_raw", "keep_percentile",
                           *(key for key in _TRAINER_KEYS if key != "tau")])

@@ -220,6 +220,15 @@ def parse_config(text: str) -> dict:
     return config_from(values)
 
 
+def typed(key: str, value, kind=int, wanted=None):
+    """`value` as `kind`, or a ValueError that names `key`."""
+    try:
+        return kind(value)
+    except ValueError:
+        wanted = wanted or ("an integer" if kind is int else "a number")
+        raise ValueError(f"{key} must be {wanted}, got {value!r}") from None
+
+
 def config_from(values: dict) -> dict:
     """The config a dict of values sets, checked and typed with each value
     read as the text of its line in a config file; unknown keys are
@@ -232,17 +241,9 @@ def config_from(values: dict) -> dict:
     # Each key takes the type of its default; "auto" keys hold a float or "auto".
     for key, default in DEFAULT_CONFIG.items():
         if default == "auto" and cfg[key] != "auto":
-            kind, wanted = float, "a number or 'auto'"
+            cfg[key] = typed(key, cfg[key], float, "a number or 'auto'")
         elif isinstance(default, (int, float)):
-            kind = type(default)
-            wanted = "an integer" if kind is int else "a number"
-        else:
-            continue
-        try:
-            cfg[key] = kind(cfg[key])
-        except ValueError:
-            raise ValueError(f"{key} must be {wanted}, "
-                             f"got {cfg[key]!r}") from None
+            cfg[key] = typed(key, cfg[key], type(default))
     if cfg["method"] not in METHODS:
         raise ValueError(f"unknown method {cfg['method']!r}; "
                          f"choose from {tuple(METHODS)}")

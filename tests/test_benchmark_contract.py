@@ -5,6 +5,9 @@ renamed or deleted function makes `tracing.install` raise and fails every
 benchmark run. Its net kernel spans count `len(X)` rows of a call's second
 argument, so every kernel in NET_KERNELS takes `(model, X)` first.
 `perfbench/checks.py` calls each task's oracle on one 1-D design.
+`tracing.install` wraps each acceptance criterion by swapping the members
+of the flat `CRITERIA` tuple, and reads `acceptance.criterion_<k>_s` by
+that name prefix.
 `acceptance.distinct_trainings` counts `tracing._train_key`s, so the memo
 of `harness.run_trials` must treat two trials of one shape as the same
 exactly when the keys of their trainings are equal. The default test paths
@@ -47,6 +50,24 @@ def test_acceptance_mines_through_the_trainer():
     from comopt import acceptance, trainer
 
     assert acceptance._mine_endpoints is trainer._mine_endpoints
+
+
+def test_criteria_are_a_flat_tuple_named_in_id_order_with_their_job_lists():
+    from comopt import acceptance
+
+    assert type(acceptance.CRITERIA) is tuple
+    assert len(acceptance.CRITERIA) == 8
+    for k, crit in enumerate(acceptance.CRITERIA, 1):
+        assert inspect.isfunction(crit)
+        assert crit.__name__.startswith(f"criterion_{k}_"), crit.__name__
+        assert getattr(acceptance, crit.__name__) is crit
+    assert set(acceptance.JOBS) <= set(range(1, 9))
+    for make in acceptance.JOBS.values():
+        for fast in (True, False):
+            jobs = make(fast)
+            assert type(jobs) is list and jobs
+            assert all(type(cfg) is dict and type(trial) is int
+                       for cfg, trial in jobs)
 
 
 def test_ascent_on_one_net_takes_one_planned_input_gradient_per_step(

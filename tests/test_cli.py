@@ -379,6 +379,24 @@ def test_readme_configs_parse():
         parse_config(block)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["evaluate", "--candidates", "missing.csv", "--task", "cliff",
+      "--budget", "x", "--out"], "budget must be an integer, got 'x'"),
+    (["stability", "--model", "missing.npz", "--data", "missing.csv",
+      "--task", "cliff", "--t-max", "abc", "--out"],
+     "t_max must be an integer, got 'abc'"),
+    (["sweep-tau", "--task", "cliff", "--taus", "0.5", "--t-max", "abc",
+      "--out-dir"], "t_max must be an integer, got 'abc'"),
+], ids=["evaluate_budget", "stability_t_max", "sweep_tau_t_max"])
+def test_a_mistyped_integer_flag_fails_naming_its_key(tmp_path, capsys, argv,
+                                                      message):
+    # checked before any input is read, as a config key would be
+    out = tmp_path / "out"
+    assert cli.main([*argv, str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_evaluate_budget_too_large_fails(tmp_path, curated):
     model = tmp_path / "m.npz"
     cli.main(["train", "--data", str(curated), "--method", "grad-naive",

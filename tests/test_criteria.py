@@ -1,5 +1,6 @@
-"""The acceptance criteria's own logic, checked on stubbed trials so that
-nothing trains, and criterion 1's finite-difference reference."""
+"""The acceptance criteria's own logic, each judge called on stubbed trial
+results so that nothing trains, and criterion 1's finite-difference
+reference."""
 import json
 import os
 
@@ -32,11 +33,9 @@ def _identical_runs(config, out_dir):
 ], ids=["monotone_within_tolerance", "non_monotone"])
 def test_criterion_8_checks_each_discrete_sweep(tmp_path, monkeypatch,
                                                 train_spy, sweeps, problem):
-    monkeypatch.setattr(acceptance, "_pwm_trials",
-                        lambda memo, fast: [_stub_trial(np.array(s))
-                                            for s in sweeps])
     monkeypatch.setattr(acceptance, "run_experiment", _identical_runs)
-    record = acceptance.criterion_8_protocol({}, work_dir=tmp_path)
+    record = acceptance.criterion_8_protocol(
+        [_stub_trial(np.array(s)) for s in sweeps], work_dir=tmp_path)
     assert record["passed"] is (problem is None)
     if problem:
         assert record["detail"] == problem
@@ -44,19 +43,14 @@ def test_criterion_8_checks_each_discrete_sweep(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("total, passed", [(299.9, True), (300.0, False)])
-def test_criterion_4_gates_on_the_sum_of_its_trial_seconds(monkeypatch,
-                                                           total, passed):
+def test_criterion_4_gates_on_the_sum_of_its_trial_seconds(total, passed):
     jobs = acceptance._stability_jobs()
-    n = sum(len(task_jobs) for task_jobs in jobs.values())
     curves = {"coms": np.array([0.0, 1.0]),  # coms wins every trial
               "grad-naive": np.array([0.0, -60.0])}  # naive always falls
-
-    def stub_trials(task_jobs, memo):
-        return [_stub_trial(curve=curves[cfg["method"]], seconds=total / n)
-                for cfg, _ in task_jobs]
-
-    monkeypatch.setattr(acceptance, "run_trials", stub_trials)
-    record = acceptance.criterion_4_stability({})
+    record = acceptance.criterion_4_stability([
+        _stub_trial(curve=curves[cfg["method"]], seconds=total / len(jobs))
+        for cfg, _ in jobs])
+    assert list(record["metrics"]["tasks"]) == ["edge", "cliff"]
     gate = record["metrics"]["tasks"][acceptance.STABILITY_TASK]
     assert (gate["wins"], gate["naive_falls"]) == (8, 8)
     assert record["metrics"]["trial_seconds"] == pytest.approx(total)
@@ -88,22 +82,17 @@ def test_criterion_2_reports_its_gaps_per_task(monkeypatch):
     # every mined point moves +1 in each coordinate of a linear net with
     # weights 0.01, so each fixed-alpha gap is 0.01 * d
     final_gaps = {"cliff": 0.6, "pwm": -88.0}
-
-    def stub_trials(jobs, memo):
-        runs = []
-        for cfg, _ in jobs:
-            d = 24 if cfg["task"] == "pwm" else 8
-            model = net.ObjectiveModel([net.DenseLayer(np.full((1, d), 0.01),
-                                                       np.zeros(1))])
-            runs.append(TrialResult(_dataset(d, discrete=cfg["task"] == "pwm"),
-                                    model, [[{"gap": final_gaps[cfg["task"]]}]],
-                                    None, None, None, None, 0.0))
-        return runs
-
-    monkeypatch.setattr(acceptance, "run_trials", stub_trials)
+    runs = []
+    for cfg, _ in acceptance._conservatism_jobs():
+        d = 24 if cfg["task"] == "pwm" else 8
+        model = net.ObjectiveModel([net.DenseLayer(np.full((1, d), 0.01),
+                                                   np.zeros(1))])
+        runs.append(TrialResult(_dataset(d, discrete=cfg["task"] == "pwm"),
+                                model, [[{"gap": final_gaps[cfg["task"]]}]],
+                                None, None, None, None, 0.0))
     monkeypatch.setattr(acceptance, "_mine_endpoints",
                         lambda model, X, eta, steps: X + 1.0)
-    record = acceptance.criterion_2_conservatism({})
+    record = acceptance.criterion_2_conservatism(runs)
     tasks = record["metrics"]["tasks"]
     assert list(tasks) == ["cliff", "pwm"]
     assert tasks["cliff"] == {"fixed_alpha_gap": pytest.approx(0.08),
@@ -118,18 +107,17 @@ def test_criterion_2_reports_its_gaps_per_task(monkeypatch):
     json.dumps(record["metrics"])
 
 
-def test_criterion_5_reports_ranks_hits_and_beats(monkeypatch):
+def test_criterion_5_reports_ranks_hits_and_beats():
     task = acceptance.get_task("pwm")
     scores = acceptance.sequence_scores(
         task, acceptance.all_sequences(*task.raw_shape))
     top, bottom = float(scores.max()), float(scores.min())
     # (best candidate's true score, best training score) per trial
     trials = [(top + 1.0, top + 2.0), (top, bottom), (bottom - 1.0, bottom - 2.0)]
-    monkeypatch.setattr(acceptance, "_pwm_trials", lambda memo, fast: [
+    record = acceptance.criterion_5_discrete([
         TrialResult(_dataset(24, best), None, [], None,
                     TrialEvaluation(p100, p100, 1.0, 1.0), None, None, 0.0)
         for p100, best in trials])
-    record = acceptance.criterion_5_discrete({})
     rank_cut = int(acceptance.DISCRETE_TOP_FRACTION * len(scores))
     assert record["metrics"] == {"ranks": [0, 0, len(scores)],
                                  "rank_cut": rank_cut, "hits": 2, "beats": 2}
@@ -138,7 +126,7 @@ def test_criterion_5_reports_ranks_hits_and_beats(monkeypatch):
     json.dumps(record["metrics"])
 
 
-def test_criterion_6_reports_its_curve_target_and_reach(monkeypatch):
+def test_criterion_6_reports_its_curve_target_and_reach():
     task = acceptance.get_task("pwm")
 
     def raw(normalized):
@@ -147,9 +135,8 @@ def test_criterion_6_reports_its_curve_target_and_reach(monkeypatch):
     # normalized p100 per budget 1..16; their mean first reaches 95% of its
     # N=16 value, 0.95, at N=4
     sweeps = [[0.4] * 3 + [1.0] * 13, [0.6] * 2 + [0.8] + [1.0] * 13]
-    monkeypatch.setattr(acceptance, "_pwm_trials", lambda memo, fast: [
-        _stub_trial(raw(sweep)) for sweep in sweeps])
-    record = acceptance.criterion_6_budget_resilience({})
+    record = acceptance.criterion_6_budget_resilience(
+        [_stub_trial(raw(sweep)) for sweep in sweeps])
     metrics = record["metrics"]
     assert metrics["monotone"] is True
     assert metrics["mean_normalized_p100"] == pytest.approx(
@@ -160,14 +147,11 @@ def test_criterion_6_reports_its_curve_target_and_reach(monkeypatch):
     json.dumps(metrics)
 
 
-def test_criterion_7_reports_each_taus_finals_and_mean(monkeypatch):
-    def stub_trials(jobs, memo):
-        # trial t at tau ends at 10 * tau + t
-        return [_stub_trial(curve=np.array([0.0, 10.0 * cfg["tau"] + trial]))
-                for cfg, trial in jobs]
-
-    monkeypatch.setattr(acceptance, "run_trials", stub_trials)
-    record = acceptance.criterion_7_tau_ordering({})
+def test_criterion_7_reports_each_taus_finals_and_mean():
+    # trial t at tau ends at 10 * tau + t
+    record = acceptance.criterion_7_tau_ordering([
+        _stub_trial(curve=np.array([0.0, 10.0 * cfg["tau"] + trial]))
+        for cfg, trial in acceptance._tau_jobs()])
     assert record["metrics"] == {"taus": [
         {"tau": tau, "finals": [10.0 * tau + t for t in range(4)],
          "mean": 10.0 * tau + 1.5} for tau in acceptance.TAU_LIST]}

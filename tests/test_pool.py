@@ -223,8 +223,8 @@ def test_a_dead_worker_fails_the_command_with_message(tmp_path, capsys):
 
 
 def test_no_worker_outlives_run_all_that_raises(tmp_path, monkeypatch):
-    def criterion_with_open_pool(memo, fast):
-        _start_both_workers(memo)
+    def criterion_with_open_pool(runs, fast):
+        _start_both_workers({})
         assert len(multiprocessing.active_children()) == 2
         raise RuntimeError("criterion failed")
 
@@ -325,32 +325,71 @@ def test_run_all_queues_every_trial_up_front(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+class _Queued(Exception):
+    pass
+
+
+def _jobs_queued_by_run_all(tmp_path, monkeypatch, fast):
+    """The jobs `run_all` queues as it opens the pool; nothing trains."""
+    def submit_spy(jobs, memo):
+        raise _Queued(list(jobs))
+
+    monkeypatch.setattr(acceptance, "submit_trials", submit_spy)
+    with pytest.raises(_Queued) as info:
+        acceptance.run_all(str(tmp_path), fast=fast)
+    return info.value.args[0]
+
+
+def test_run_all_queues_the_same_trials_in_the_same_order(tmp_path,
+                                                          monkeypatch):
+    jobs = _jobs_queued_by_run_all(tmp_path, monkeypatch, fast=True)
+    distinct = {}
+    for job in jobs:
+        distinct.setdefault(harness._trial_key(*job), job)
+    assert len(jobs) == 10
+    assert [(cfg["task"], cfg["method"], cfg["tau"], cfg["alpha_init"], trial)
+            for cfg, trial in distinct.values()] == [
+        ("cliff", "coms", "auto", 10.0, 0), ("cliff", "coms", "auto", 0.0, 0),
+        ("edge", "coms", "auto", 0.0, 0), ("edge", "grad-naive", "auto", 0.0, 0),
+        ("edge", "coms", "auto", 0.0, 1), ("edge", "grad-naive", "auto", 0.0, 1),
+        ("pwm", "coms", "auto", 0.0, 0), ("pwm", "coms", "auto", 0.0, 1),
+        ("cliff", "coms", 0.05, 0.0, 0)]
+    jobs = _jobs_queued_by_run_all(tmp_path, monkeypatch, fast=False)
+    assert len(jobs) == 56
+    assert len({harness._trial_key(*job) for job in jobs}) == 50
+    assert multiprocessing.active_children() == []
+
+
 def test_a_queued_trial_that_raises_fails_run_all_from_its_criterion(
         tmp_path, monkeypatch):
     diverging = config_from({**TINY, "task": "bowl", "adam_lr": 1e300})
     reached = []
-    monkeypatch.setattr(acceptance, "_conservatism_jobs",
+
+    def criterion(runs, fast):
+        reached.append(len(reached) + 1)
+        return {"id": len(reached), "name": "stub", "passed": True,
+                "detail": ""}
+
+    monkeypatch.setitem(acceptance.JOBS, 2,
                         lambda fast: [(diverging, 0), (diverging, 1)])
-    monkeypatch.setattr(acceptance, "CRITERIA", (
-        acceptance.criterion_2_conservatism,
-        lambda memo, fast: reached.append(True)))
-    with pytest.raises(TrainingError, match="non-finite loss") as info:
+    monkeypatch.setattr(acceptance, "CRITERIA", (criterion,) * 3)
+    with pytest.raises(TrainingError, match="non-finite loss"):
         acceptance.run_all(str(tmp_path), fast=True)
-    assert "criterion_2_conservatism" in {entry.name
-                                          for entry in info.traceback}
-    assert reached == []
+    assert reached == [1]  # criterion 1 ran; 2 and 3 did not
     assert multiprocessing.active_children() == []
 
 
 def test_a_killed_worker_fails_run_all_with_child_process_error(
         tmp_path, monkeypatch):
-    def kill_a_worker(memo, fast):
+    def kill_a_worker(runs, fast):
         proc = _wait_for_both_workers()[0]
         proc.kill()
         proc.join()
-        run_trials(acceptance._queued_jobs(fast), memo)
+        return {"id": 1, "name": "stub", "passed": True, "detail": ""}
 
-    monkeypatch.setattr(acceptance, "CRITERIA", (kill_a_worker,))
+    # criterion 2's trials, collected next, were queued on the dead pool
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        kill_a_worker, acceptance.criterion_2_conservatism))
     with pytest.raises(ChildProcessError, match="a pool worker died"):
         acceptance.run_all(str(tmp_path), fast=True)
     assert multiprocessing.active_children() == []
