@@ -133,6 +133,10 @@ def criterion_1_gradients(runs, fast=False):
         "detail": (f"max relative error {worst:.3e} over "
                    f"{pairs} pairs x {len(architectures)} architectures "
                    f"(tol {GRADIENT_TOL:.0e}), {elapsed:.1f}s (< 10s)"),
+        "metrics": {"max_relative_error": float(worst),
+                    "tolerance": GRADIENT_TOL, "pairs": pairs,
+                    "architectures": len(architectures),
+                    "elapsed_seconds": elapsed},
     }
 
 
@@ -153,7 +157,9 @@ def _conservatism_jobs(fast=False):
 
 def criterion_2_conservatism(runs, fast=False):
     """Fixed large alpha must push the mined-vs-data prediction gap to at
-    most 0.1; the dual variant must end with gap <= tau + 0.25."""
+    most 0.1; the dual variant must end with gap <= tau + 0.25. Also
+    reports, ungated, how far the fixed-alpha check's mining moved (mean
+    ||x_T - x_0|| in normalised units) and its largest |prediction| there."""
     details = []
     per_task = {}
     passed = True
@@ -163,15 +169,18 @@ def criterion_2_conservatism(runs, fast=False):
         model, designs = fixed.model, fixed.dataset.designs
         mined = _mine_endpoints(model, designs, tcfg.resolved_eta(fixed.dataset),
                                 tcfg.mining_steps)
-        gap = float(net.forward_batch(model, mined).mean()
-                    - net.forward_batch(model, designs).mean())
+        preds_mined = net.forward_batch(model, mined)
+        gap = float(preds_mined.mean() - net.forward_batch(model, designs).mean())
         final_gap = dual_run.logs[0][-1]["gap"]
         bound = tcfg.resolved_tau(dual_run.dataset) + DUAL_GAP_SLACK
         ok = gap <= CONSERVATISM_GAP_TOL and final_gap <= bound
         passed = passed and ok
-        per_task[dual["task"]] = {"fixed_alpha_gap": gap,
-                                  "dual_final_gap": final_gap,
-                                  "dual_gap_bound": bound}
+        displacement = np.linalg.norm(mined - designs, axis=1).mean()
+        per_task[dual["task"]] = {
+            "fixed_alpha_gap": gap, "dual_final_gap": final_gap,
+            "dual_gap_bound": bound,
+            "mined_displacement": float(displacement),
+            "mined_max_abs_prediction": float(np.abs(preds_mined).max())}
         details.append(f"{dual['task']}: fixed-alpha gap {gap:.3f} (<= 0.1), "
                        f"dual final gap {final_gap:.3f} (<= {bound:.2f})")
     return {
@@ -216,6 +225,7 @@ def criterion_3_baseline_equivalence(runs, fast=False):
         "passed": bool(same),
         "detail": "alpha==0 trainer and naive baseline parameters are "
                   + ("bitwise identical" if same else "DIFFERENT"),
+        "metrics": {"bitwise_identical": bool(same)},
     }
 
 
@@ -470,7 +480,8 @@ def criterion_8_protocol(runs, fast=False, work_dir=None):
     run_b = os.path.join(base, "identity_b")
     run_experiment(config, run_a)
     run_experiment(config, run_b)
-    for fname in ("report.json", "training_log.csv", "candidates.csv"):
+    compared = ("report.json", "training_log.csv", "candidates.csv")
+    for fname in compared:
         with open(os.path.join(run_a, fname), "rb") as fa, \
                 open(os.path.join(run_b, fname), "rb") as fb:
             if fa.read() != fb.read():
@@ -482,6 +493,7 @@ def criterion_8_protocol(runs, fast=False, work_dir=None):
         "passed": bool(passed),
         "detail": "all protocol invariants hold" if passed
                   else "; ".join(problems),
+        "metrics": {"problems": problems, "files_compared": list(compared)},
     }
 
 

@@ -153,9 +153,34 @@ def forward_with_cache(model: ObjectiveModel, X):
     return (acts[-1] @ out.weights.T + out.bias)[:, 0], cache
 
 
+# Large batches are walked in blocks of BLOCK_ROWS rows, the trainer's
+# default batch, so a pass's temporaries do not grow with the batch. A
+# remainder under MIN_TAIL_ROWS joins the block before it: OpenBLAS picks
+# its kernel by row count, and a block that small could round differently
+# from the whole batch.
+BLOCK_ROWS = 128
+MIN_TAIL_ROWS = 32
+
+
+def row_blocks(n: int) -> list:
+    """Slices that cover rows 0..n in order: blocks of BLOCK_ROWS, the last
+    one holding any remainder under MIN_TAIL_ROWS. A batch of up to
+    BLOCK_ROWS + MIN_TAIL_ROWS - 1 rows, or none, is one block."""
+    starts = list(range(0, n, BLOCK_ROWS)) or [0]
+    if len(starts) > 1 and n - starts[-1] < MIN_TAIL_ROWS:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def forward_batch(model: ObjectiveModel, X) -> np.ndarray:
-    """Surrogate predictions for a batch of designs, shape (n,)."""
-    return forward_with_cache(model, X)[0]
+    """Surrogate predictions for a batch of designs, shape (n,): one
+    `forward_with_cache` per block of `row_blocks`, each prediction
+    bitwise equal to one pass over the whole batch."""
+    X = _as_batch(model, X)
+    out = np.empty(len(X))
+    for rows in row_blocks(len(X)):
+        out[rows] = forward_with_cache(model, X[rows])[0]
+    return out
 
 
 class GradientPlan:
@@ -165,13 +190,14 @@ class GradientPlan:
     OpenBLAS multiplies by a row-major matrix faster than by a transposed
     view, and numpy adds or multiplies two (n, k) arrays several times
     faster than it broadcasts a (k,) row over one; gradient ascent does all
-    three at every step, so `ascend` builds one plan per call and steps on
-    the plan's `input_grad_batch`. On a few rows (up to 18 at width 64 on
-    OpenBLAS 0.3.31) a copy can round a pre-activation one last bit away
-    from the view; the input gradient reads only the pre-activations'
-    signs, so its bits move only where one lies within an ulp of 0. The
-    copies are taken when the plan is built: build a new plan after the
-    parameters change."""
+    three at every step. So `ascend` builds one plan per block of
+    `row_blocks`, whose repeats then span at most one block's rows, and
+    steps that block on the plan's `input_grad_batch`. On a few rows (up
+    to 18 at width 64 on OpenBLAS 0.3.31) a copy can round a
+    pre-activation one last bit away from the view; the input gradient
+    reads only the pre-activations' signs, so its bits move only where one
+    lies within an ulp of 0. The copies are taken when the plan is built:
+    build a new plan after the parameters change."""
 
     def __init__(self, model: ObjectiveModel, n: int):
         hidden = model.layers[:-1]

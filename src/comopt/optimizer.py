@@ -39,31 +39,42 @@ def input_grad_batch(model, X) -> np.ndarray:
 
 def ascend(model, X0, eta: float, steps: int, record: bool = False) -> np.ndarray:
     """Run x_{t+1} = x_t + eta * grad(x_t) for `steps` steps on every row of
-    the (n, d) batch X0 at once. Returns the (n, d) endpoints, or with
-    `record` every iterate as (steps + 1, n, d). A non-finite start row
-    raises ValueError and a non-finite gradient GradientError. On a single
-    net every step reuses one `net.GradientPlan` built for the n rows."""
+    the (n, d) batch X0. Returns the (n, d) endpoints, or with `record`
+    every iterate as (steps + 1, n, d). A non-finite start row raises
+    ValueError and a non-finite gradient GradientError. The rows ascend
+    block by block (`net.row_blocks`), all steps of a block before the
+    next, into one output array, so the working set does not grow with n;
+    every row ends bitwise where one pass over the whole batch would put
+    it. On a single net each block's steps reuse one `net.GradientPlan`
+    built for its rows."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if eta <= 0.0:
         raise ValueError("step size must be positive")
-    X = np.asarray(X0, dtype=np.float64)
-    if isinstance(model, ObjectiveModel):
-        X = net._as_batch(model, X)
-        model = net.GradientPlan(model, len(X))
-    if not np.all(np.isfinite(X)):
+    X0 = np.asarray(X0, dtype=np.float64)
+    single = isinstance(model, ObjectiveModel)
+    if single:
+        X0 = net._as_batch(model, X0)
+    if not np.all(np.isfinite(X0)):
         raise ValueError("gradient ascent needs finite start rows")
-    path = [X]
-    for _ in range(steps):
-        G = input_grad_batch(model, X)
-        if not np.all(np.isfinite(G)):
-            raise GradientError("non-finite gradient during gradient ascent")
-        step = eta * G  # the step's one new array; X is added in place
-        step += X
-        X = step
+    out = np.empty((steps + 1, *X0.shape) if record else X0.shape)
+    for rows in net.row_blocks(len(X0)):
+        X = X0[rows]
+        grad_of = net.GradientPlan(model, len(X)) if single else model
         if record:
-            path.append(X)
-    return np.stack(path) if record else X
+            out[0, rows] = X
+        for t in range(1, steps + 1):
+            G = input_grad_batch(grad_of, X)
+            if not np.all(np.isfinite(G)):
+                raise GradientError("non-finite gradient during gradient ascent")
+            step = eta * G  # the step's one new array; X is added in place
+            step += X
+            X = step
+            if record:
+                out[t, rows] = X
+        if not record:
+            out[rows] = X
+    return out
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Shared test infrastructure: collects acceptance-criterion outcomes so the
-end of the pytest run prints one PASS/FAIL line per criterion, and a spy
-that counts trainings."""
+end of the pytest run prints one PASS/FAIL line per criterion, a spy
+that counts trainings, and a probe of a call's peak memory."""
+import tracemalloc
+
 import pytest
 
 _CRITERION_LINES: dict[int, str] = {}
@@ -36,3 +38,20 @@ def train_spy(monkeypatch):
         if getattr(module, "train", None) is real:
             monkeypatch.setattr(module, "train", spy)
     return calls
+
+
+@pytest.fixture()
+def traced_peak():
+    """Peak bytes that numpy and Python allocate while a callable runs,
+    after a first call that warms any caches, so only the call's own arrays
+    count."""
+    def peak(fn) -> int:
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

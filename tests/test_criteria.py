@@ -39,7 +39,42 @@ def test_criterion_8_checks_each_discrete_sweep(tmp_path, monkeypatch,
     assert record["passed"] is (problem is None)
     if problem:
         assert record["detail"] == problem
+    assert record["metrics"] == {
+        "problems": [problem] if problem else [],
+        "files_compared": ["report.json", "training_log.csv",
+                           "candidates.csv"]}
+    json.dumps(record["metrics"])
     assert train_spy == []
+
+
+def test_criterion_1_reports_its_worst_error_tolerance_pairs_and_time():
+    record = acceptance.criterion_1_gradients([], fast=True)
+    metrics = record["metrics"]
+    assert set(metrics) == {"max_relative_error", "tolerance", "pairs",
+                            "architectures", "elapsed_seconds"}
+    assert (metrics["tolerance"], metrics["pairs"],
+            metrics["architectures"]) == (acceptance.GRADIENT_TOL, 5, 3)
+    assert 0.0 <= metrics["max_relative_error"] <= acceptance.GRADIENT_TOL
+    assert 0.0 < metrics["elapsed_seconds"] < 10.0
+    assert record["passed"] is True
+    assert record["detail"].startswith(
+        f"max relative error {metrics['max_relative_error']:.3e} over 5 pairs"
+        " x 3 architectures")
+    json.dumps(metrics)
+
+
+@pytest.mark.parametrize("shift, same", [(0.0, True), (1e-300, False)])
+def test_criterion_3_reports_its_bitwise_flag(monkeypatch, shift, same):
+    # a shift far below one ulp of any nonzero weight still moves a zero bias
+    model = net.build_model(2, (4,), rng=np.random.default_rng(0))
+    other = model.copy()
+    other.params[-1] += shift
+    monkeypatch.setattr(acceptance, "train_naive", lambda ds, cfg: (model, []))
+    monkeypatch.setattr(acceptance, "_plain_regression", lambda ds, cfg: other)
+    record = acceptance.criterion_3_baseline_equivalence([])
+    assert record["metrics"] == {"bitwise_identical": same}
+    assert record["passed"] is same
+    json.dumps(record["metrics"])
 
 
 @pytest.mark.parametrize("total, passed", [(299.9, True), (300.0, False)])
@@ -95,10 +130,15 @@ def test_criterion_2_reports_its_gaps_per_task(monkeypatch):
     record = acceptance.criterion_2_conservatism(runs)
     tasks = record["metrics"]["tasks"]
     assert list(tasks) == ["cliff", "pwm"]
+    # each mined point lies sqrt(d) from its start and predicts 0.01 * d
     assert tasks["cliff"] == {"fixed_alpha_gap": pytest.approx(0.08),
-                              "dual_final_gap": 0.6, "dual_gap_bound": 0.75}
+                              "dual_final_gap": 0.6, "dual_gap_bound": 0.75,
+                              "mined_displacement": pytest.approx(np.sqrt(8)),
+                              "mined_max_abs_prediction": pytest.approx(0.08)}
     assert tasks["pwm"] == {"fixed_alpha_gap": pytest.approx(0.24),
-                            "dual_final_gap": -88.0, "dual_gap_bound": 2.25}
+                            "dual_final_gap": -88.0, "dual_gap_bound": 2.25,
+                            "mined_displacement": pytest.approx(np.sqrt(24)),
+                            "mined_max_abs_prediction": pytest.approx(0.24)}
     assert record["passed"] is False  # pwm's fixed-alpha gap exceeds 0.1
     assert record["detail"] == (
         "cliff: fixed-alpha gap 0.080 (<= 0.1), dual final gap 0.600 "

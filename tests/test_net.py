@@ -413,3 +413,49 @@ class TestForwardCache:
                 == loss_gradients(model, X, g).tobytes())
         assert (input_gradient_batch(model, X, cache).tobytes()
                 == input_gradient_batch(model, X).tobytes())
+
+
+# Every row count from 129 to 700, where blocks and remainders of every size
+# occur, and three large batches.
+BLOCKED_ROW_COUNTS = [*range(129, 701), 1000, 2048, 4096]
+
+
+class TestRowBlocks:
+    """Large batches run in blocks of 128 rows; a remainder under 32 rows
+    joins the block before it, so no block is small enough for OpenBLAS to
+    round it differently from the whole batch."""
+
+    @pytest.mark.parametrize("n, sizes", [
+        (0, [0]), (1, [1]), (128, [128]), (159, [159]), (160, [128, 32]),
+        (287, [128, 159]), (288, [128, 128, 32]), (1000, [128] * 7 + [104]),
+        (4096, [128] * 32)])
+    def test_block_sizes(self, n, sizes):
+        assert [s.stop - s.start for s in net.row_blocks(n)] == sizes
+
+    def test_blocks_cover_every_row_once_in_order(self):
+        for n in range(0, 1100):
+            blocks = net.row_blocks(n)
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            for a, b in zip(blocks, blocks[1:]):
+                assert a.stop == b.start
+            sizes = [s.stop - s.start for s in blocks]
+            assert all(k == 128 for k in sizes[:-1])
+            assert len(blocks) == 1 or 32 <= sizes[-1] < 160
+
+    @pytest.mark.parametrize("d", [8, 24])
+    def test_blocked_forward_equals_one_pass_bitwise(self, d):
+        rng = np.random.default_rng(d)
+        model = build_model(d, (64, 64), rng=rng)
+        X = rng.normal(size=(max(BLOCKED_ROW_COUNTS), d))
+        for n in BLOCKED_ROW_COUNTS:
+            want = net.forward_with_cache(model, X[:n])[0]
+            assert forward_batch(model, X[:n]).tobytes() == want.tobytes(), n
+
+    def test_forward_working_set_does_not_grow_with_rows(self, traced_peak):
+        # one pass over all 4,096 rows peaked at 12.7 MB
+        rng = np.random.default_rng(9)
+        model = build_model(24, (64, 64), rng=rng)
+        X = rng.normal(size=(4096, 24))
+        out_bytes = 4096 * 8
+        bound = traced_peak(lambda: forward_batch(model, X[:128])) + 2 * out_bytes
+        assert traced_peak(lambda: forward_batch(model, X)) < bound

@@ -101,9 +101,9 @@ class FixedGradient:
 
 
 class TestAscendOnOneNet:
-    """On a single net `ascend` builds one gradient plan per call: weights,
-    row-major copies of their transposes, and the hidden biases and output
-    row repeated over the batch's rows."""
+    """On a single net `ascend` builds one gradient plan per block of rows:
+    weights, row-major copies of their transposes, and the hidden biases
+    and output row repeated over the block's rows."""
 
     def test_plan_holds_row_major_copies_taken_when_built(self):
         model = build_model(8, (64, 64), rng=np.random.default_rng(7))
@@ -174,6 +174,63 @@ class TestAscendOnOneNet:
                       FixedGradient()):
             with pytest.raises(ValueError, match="finite start rows"):
                 ascend(model, X0, 0.1, 2)
+
+
+def _one_plan_ascent(model, X0, eta, steps):
+    """Every iterate of ascent on all rows at once, through one
+    `GradientPlan` built for them, as (steps + 1, n, d)."""
+    plan = GradientPlan(model, len(X0))
+    path = [X0]
+    for _ in range(steps):
+        step = eta * plan.input_grad_batch(path[-1])
+        step += path[-1]
+        path.append(step)
+    return np.stack(path)
+
+
+class TestBlockedAscent:
+    """`ascend` walks the rows in the blocks of `net.row_blocks`, each with
+    its own plan, and every iterate stays bitwise what one plan over all
+    rows gives."""
+
+    @pytest.mark.parametrize("d", [8, 24])
+    def test_blocked_ascent_equals_one_plan_over_all_rows(self, d):
+        rng = np.random.default_rng(d)
+        model = build_model(d, (64, 64), rng=rng)
+        X = rng.normal(size=(4096, d))
+        for n in [*range(129, 701, 7), 1000, 2048, 4096]:
+            want = _one_plan_ascent(model, X[:n], 0.3, 3)[-1]
+            assert ascend(model, X[:n], 0.3, 3).tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("n", [287, 300])  # 2 blocks; 3 with a tail
+    def test_recorded_path_keeps_row_order_and_shape(self, n):
+        rng = np.random.default_rng(n)
+        model = build_model(8, (64, 64), rng=rng)
+        X0 = rng.normal(size=(n, 8))
+        path = ascend(model, X0, 0.3, 4, record=True)
+        assert path.shape == (5, n, 8)
+        assert path.tobytes() == _one_plan_ascent(model, X0, 0.3, 4).tobytes()
+        assert path[-1].tobytes() == ascend(model, X0, 0.3, 4).tobytes()
+
+    def test_min_ensemble_ascends_in_blocks_like_one_pass(self):
+        rng = np.random.default_rng(12)
+        ens = Ensemble([build_model(8, (64, 64), rng=rng) for _ in range(3)],
+                       "min")
+        X = rng.normal(size=(256, 8))
+        want = X
+        for _ in range(3):
+            step = 0.3 * ens.input_grad_batch(want)
+            step += want
+            want = step
+        assert ascend(ens, X, 0.3, 3).tobytes() == want.tobytes()
+
+    def test_working_set_does_not_grow_with_rows(self, traced_peak):
+        # one plan over all 4,096 rows peaked at 18.7 MB
+        rng = np.random.default_rng(9)
+        model = build_model(24, (64, 64), rng=rng)
+        X = rng.normal(size=(4096, 24))
+        bound = traced_peak(lambda: ascend(model, X[:128], 0.3, 3)) + 2 * X.nbytes
+        assert traced_peak(lambda: ascend(model, X, 0.3, 3)) < bound
 
 
 class TestSelectInitializations:
