@@ -32,11 +32,8 @@ class Ensemble:
     def input_dim(self) -> int:
         return self.members[0].input_dim
 
-    def member_predictions(self, X) -> np.ndarray:
-        return np.stack([net.forward_batch(m, X) for m in self.members])
-
     def predict_batch(self, X) -> np.ndarray:
-        preds = self.member_predictions(X)
+        preds = np.stack([net.forward_batch(m, X) for m in self.members])
         return preds.min(axis=0) if self.aggregate == "min" else preds.mean(axis=0)
 
     def input_grad_batch(self, X) -> np.ndarray:

@@ -76,16 +76,22 @@ def save_surrogate(model, path) -> None:
 
 def load_surrogate(path):
     """Load what `save_surrogate` wrote: an ObjectiveModel, or an Ensemble
-    when the archive holds members. A missing array and a non-finite weight
-    are errors."""
+    when the archive holds members. A missing array, a count or leak that is
+    not a number, and a non-finite weight are errors."""
     from .baselines import Ensemble
 
     with np.load(path) as data:
+        def scalar(key, kind):
+            try:
+                return kind(data[key])
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}: {key} is not a number") from None
+
         def member(prefix=""):
-            n_layers = int(data[f"{prefix}n_layers"])
+            n_layers = scalar(f"{prefix}n_layers", int)
             model = ObjectiveModel(
                 [DenseLayer(data[f"{prefix}w{k}"], data[f"{prefix}b{k}"])
-                 for k in range(n_layers)], float(data["leak"]))
+                 for k in range(n_layers)], scalar("leak", float))
             if not np.isfinite(model.params).all():
                 raise ValueError(f"{path}: non-finite weight in surrogate "
                                  f"archive")
@@ -95,7 +101,7 @@ def load_surrogate(path):
             if "n_members" not in data:
                 return member()
             return Ensemble([member(f"m{m}_")
-                             for m in range(int(data["n_members"]))],
+                             for m in range(scalar("n_members", int))],
                             str(data["aggregate"]))
         except KeyError as exc:
             raise ValueError(f"{path}: incomplete surrogate archive "

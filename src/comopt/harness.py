@@ -310,20 +310,22 @@ _TRAIN_CODE = train.__code__
 @contextlib.contextmanager
 def worker_pool():
     """Hold a process pool of `min(2, os.cpu_count())` spawned workers open
-    for `run_trials` while the block runs, and shut it down when it ends.
-    Yields the pool, or None when no pool opens: inside an open pool, on one
-    core, or while `train` is replaced in this process. Each worker runs one
-    BLAS thread, since two workers already fill two cores. They start at the
+    for `run_trials` while the block runs. As the block ends, also on an
+    exception, stop the pool once its running trials finish, so no worker
+    outlives the block; a dead worker raises ChildProcessError here. Yields
+    the pool, or None when no pool opens: inside an open pool, on one core,
+    or while `train` is replaced in this process. Each worker runs one BLAS
+    thread, since two workers already fill two cores. They start at the
     first submitted job, not here, so OPENBLAS_NUM_THREADS=1 stays in the
     environment for the whole block; this process loaded its BLAS before, so
-    only the workers see it. The caller's value is restored when the block
-    ends."""
+    only the workers see it. The caller's value is restored at the end."""
     global _pool
     count = min(2, os.cpu_count() or 1)
     if _pool is not None or count < 2 or train.__code__ is not _TRAIN_CODE:
         yield _pool
         return
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
 
     _pool = ProcessPoolExecutor(count, mp_context=get_context("spawn"))
@@ -331,6 +333,8 @@ def worker_pool():
     os.environ[_BLAS_ENV] = "1"
     try:
         yield _pool
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a pool worker died: {exc}") from exc
     finally:
         _pool.shutdown(cancel_futures=True)
         _pool = None
@@ -396,35 +400,16 @@ def _trial_key(cfg: dict, trial: int) -> str:
                  cfg["stability_steps"], int_list(cfg, "budgets")))
 
 
-@contextlib.contextmanager
-def _pool_errors():
-    """On any exception, shut the open pool down (which waits for the
-    trials still running) and raise it; a dead worker's BrokenProcessPool
-    becomes ChildProcessError."""
-    try:
-        yield
-    except BaseException as exc:
-        if _pool is None:
-            raise
-        from concurrent.futures.process import BrokenProcessPool
-
-        _pool.shutdown(cancel_futures=True)
-        if isinstance(exc, BrokenProcessPool):
-            raise ChildProcessError(f"a pool worker died: {exc}") from exc
-        raise
-
-
 def submit_trials(jobs, memo: dict) -> None:
     """Queue every (cfg, trial) in `jobs` that `memo` lacks on the open
     `worker_pool`, in job order, and return at once; the memo keeps each
     trial's future under its key. Does nothing with no pool open."""
     if _pool is None:
         return
-    with _pool_errors():
-        for cfg, trial in jobs:
-            key = _trial_key(cfg, trial)
-            if key not in memo:
-                memo[key] = _pool.submit(run_trial, cfg, trial)
+    for cfg, trial in jobs:
+        key = _trial_key(cfg, trial)
+        if key not in memo:
+            memo[key] = _pool.submit(run_trial, cfg, trial)
 
 
 def run_trials(jobs, memo: dict | None = None) -> list:
@@ -433,19 +418,18 @@ def run_trials(jobs, memo: dict | None = None) -> list:
     `submit_trials` queues the missing ones on an open `worker_pool`; a
     trial still missing then runs in this process. The memo maps a key to
     its result, or to the future of a trial still queued. A pooled trial's
-    exception is raised once the pool has shut down, which waits for the
-    trials still running; a worker that dies raises ChildProcessError."""
+    exception is raised here; leaving the `worker_pool` block stops the pool
+    and turns a dead worker's BrokenProcessPool into ChildProcessError."""
     memo = {} if memo is None else memo
     submit_trials(jobs, memo)
     results = []
-    with _pool_errors():
-        for cfg, trial in jobs:
-            key = _trial_key(cfg, trial)
-            if key not in memo:
-                memo[key] = run_trial(cfg, trial)
-            elif not isinstance(memo[key], TrialResult):
-                memo[key] = memo[key].result()
-            results.append(memo[key])
+    for cfg, trial in jobs:
+        key = _trial_key(cfg, trial)
+        if key not in memo:
+            memo[key] = run_trial(cfg, trial)
+        elif not isinstance(memo[key], TrialResult):
+            memo[key] = memo[key].result()
+        results.append(memo[key])
     return results
 
 

@@ -22,12 +22,6 @@ def _slope(z: np.ndarray, leak: float) -> np.ndarray:
     return s
 
 
-def leaky_relu(z, leak: float = 0.3) -> np.ndarray:
-    """Elementwise z if z >= 0 else leak * z, as z times its exact slope."""
-    z = np.asarray(z, dtype=np.float64)
-    return z * _slope(z, leak)
-
-
 @dataclass
 class DenseLayer:
     """One affine layer; weights are (fan_out, fan_in), bias is (fan_out,)."""

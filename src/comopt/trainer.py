@@ -14,7 +14,7 @@ uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,24 +108,9 @@ class OfflineDataset:
                 raise ValueError("normalized scores must have std ~ 1")
 
 
-@dataclass
-class LagrangeState:
-    """Dual variable for the conservatism constraint gap <= tau."""
-
-    alpha: float = 0.0
-    tau: float = CONTINUOUS_TAU
-    alpha_lr: float = 0.01
-
-    def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
-
-
-def dual_update(state: LagrangeState, gap: float) -> LagrangeState:
-    """Dual ascent on the constraint violation, clipped at zero:
-    alpha <- max(0, alpha + alpha_lr * (gap - tau))."""
-    alpha = max(0.0, state.alpha + state.alpha_lr * (gap - state.tau))
-    return replace(state, alpha=alpha)
+def dual_update(alpha: float, gap: float, tau: float, alpha_lr: float) -> float:
+    """One dual ascent step on the constraint gap <= tau, clipped at zero."""
+    return max(0.0, alpha + alpha_lr * (gap - tau))
 
 
 @dataclass
@@ -233,8 +218,7 @@ def train(dataset: OfflineDataset, config: TrainerConfig):
     rng = np.random.default_rng(config.seed)
     model = net.build_model(dataset.input_dim, config.hidden, config.leak, rng=rng)
     adam = net.init_adam(model, config.adam_lr)
-    lagrange = LagrangeState(alpha=config.alpha_init, tau=tau,
-                             alpha_lr=config.alpha_lr)
+    alpha = config.alpha_init
     conservative = not (config.alpha_init == 0.0 and config.alpha_lr == 0.0)
 
     X, y = dataset.designs, dataset.scores
@@ -256,7 +240,7 @@ def train(dataset: OfflineDataset, config: TrainerConfig):
                 X_mined = _mine_endpoints(model, Xb, eta, config.mining_steps)
                 preds_mined, cache_mined = net.forward_with_cache(model, X_mined)
             mse, gap, g_data, g_mined = com_loss(preds, yb, preds_mined,
-                                                 lagrange.alpha)
+                                                 alpha)
             if not np.isfinite(mse) or (conservative and not np.isfinite(gap)):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch} (mse={mse}, gap={gap})")
@@ -265,7 +249,7 @@ def train(dataset: OfflineDataset, config: TrainerConfig):
                 grad += net.loss_gradients(model, X_mined, g_mined, cache_mined)
             net.adam_step(adam, model, grad)
             if conservative:
-                lagrange = dual_update(lagrange, gap)
+                alpha = dual_update(alpha, gap, tau, config.alpha_lr)
             sums["mse"] += mse * nb
             sums["pred_data"] += float(preds.mean()) * nb
             if conservative:
@@ -275,7 +259,7 @@ def train(dataset: OfflineDataset, config: TrainerConfig):
             "epoch": epoch,
             "mse": sums["mse"] / n,
             "gap": sums["gap"] / n if conservative else math.nan,
-            "alpha": lagrange.alpha,
+            "alpha": alpha,
             "mean_pred_data": sums["pred_data"] / n,
             "mean_pred_mined": sums["pred_mined"] / n if conservative else math.nan,
         }

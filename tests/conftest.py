@@ -1,9 +1,13 @@
 """Shared test infrastructure: collects acceptance-criterion outcomes so the
 end of the pytest run prints one PASS/FAIL line per criterion, a spy
-that counts trainings, and a probe of a call's peak memory."""
+that counts trainings, a probe of a call's peak memory, and the small
+stub models several test modules ascend on."""
 import tracemalloc
 
+import numpy as np
 import pytest
+
+from comopt.net import DenseLayer, ObjectiveModel
 
 _CRITERION_LINES: dict[int, str] = {}
 
@@ -55,3 +59,21 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+def linear_model(weights=1.0, bias=0.0):
+    """f(x) = weights . x + bias as a one-layer net."""
+    w = np.atleast_2d(np.asarray(weights, dtype=float))
+    return ObjectiveModel([DenseLayer(w, np.array([bias]))])
+
+
+class QuadraticStub:
+    """f(x) = -(x - 1)^2 in 1-d; enough of the model protocol for ascent."""
+
+    input_dim = 1
+
+    def predict_batch(self, X):
+        return -(X[:, 0] - 1.0) ** 2
+
+    def input_grad_batch(self, X):
+        return -2.0 * (X - 1.0)

@@ -6,14 +6,15 @@ from hypothesis import given, strategies as st
 from comopt import net
 from comopt.acceptance import _fd_gradient
 from comopt.baselines import Ensemble, train_ensemble, train_naive
-from comopt.net import DenseLayer, ObjectiveModel, build_model
+from comopt.net import build_model
 from comopt.optimizer import ascend, input_grad_batch, predict_batch
 from comopt.trainer import OfflineDataset, TrainerConfig, fit_normalization, train
+from conftest import linear_model
 
 
-def linear_member(weights, bias=0.0):
-    w = np.atleast_2d(np.asarray(weights, dtype=float))
-    return ObjectiveModel([DenseLayer(w, np.array([bias]))])
+def member_predictions(ens, X):
+    """Each member's predictions, one row per member."""
+    return np.stack([net.forward_batch(m, X) for m in ens.members])
 
 
 def predict_one(model, x):
@@ -34,13 +35,13 @@ def toy_dataset(n=24, dim=2, seed=0):
 
 class TestEnsembleForward:
     def test_single_member_equals_member(self):
-        member = linear_member([2.0], bias=1.0)
+        member = linear_model([2.0], bias=1.0)
         ens = Ensemble([member], "mean")
         x = np.array([3.0])
         assert predict_one(ens, x) == predict_one(member, x)
 
     def test_min_and_mean_of_constant_members(self):
-        members = [linear_member([0.0], bias=1.0), linear_member([0.0], bias=3.0)]
+        members = [linear_model([0.0], bias=1.0), linear_model([0.0], bias=3.0)]
         x = np.array([0.0])
         assert predict_one(Ensemble(members, "min"), x) == 1.0
         assert predict_one(Ensemble(members, "mean"), x) == 2.0
@@ -75,29 +76,29 @@ class TestEnsembleForward:
 
     def test_mismatched_input_dims_rejected(self):
         with pytest.raises(ValueError):
-            Ensemble([linear_member([1.0]), linear_member([1.0, 2.0])], "mean")
+            Ensemble([linear_model([1.0]), linear_model([1.0, 2.0])], "mean")
 
 
 class TestEnsembleInputGradient:
     def test_single_member_gradient(self):
-        member = linear_member([2.0, -3.0])
+        member = linear_model([2.0, -3.0])
         ens = Ensemble([member], "min")
         npt.assert_allclose(gradient_one(ens, np.zeros(2)), [2.0, -3.0])
 
     def test_mean_mode_averages_linear_members(self):
-        ens = Ensemble([linear_member([1.0, 0.0]), linear_member([3.0, 2.0])],
+        ens = Ensemble([linear_model([1.0, 0.0]), linear_model([3.0, 2.0])],
                        "mean")
         npt.assert_allclose(gradient_one(ens, np.zeros(2)), [2.0, 1.0])
 
     def test_min_mode_uses_strictly_lowest_member(self):
-        low = linear_member([5.0], bias=-10.0)
-        high = linear_member([-1.0], bias=10.0)
+        low = linear_model([5.0], bias=-10.0)
+        high = linear_model([-1.0], bias=10.0)
         ens = Ensemble([high, low], "min")
         npt.assert_allclose(gradient_one(ens, np.zeros(1)), [5.0])
 
     def test_min_mode_tie_goes_to_lowest_index(self):
-        a = linear_member([1.0], bias=0.0)
-        b = linear_member([-7.0], bias=0.0)
+        a = linear_model([1.0], bias=0.0)
+        b = linear_model([-7.0], bias=0.0)
         ens = Ensemble([a, b], "min")
         npt.assert_allclose(gradient_one(ens, np.zeros(1)), [1.0])
 
@@ -122,7 +123,7 @@ class TestEnsembleInputGradient:
         members = [build_model(2, (8,), rng=rng) for _ in range(4)]
         ens = Ensemble(members, "min")
         X = rng.normal(size=(40, 2)) * 3.0
-        active = ens.member_predictions(X).argmin(axis=0)
+        active = member_predictions(ens, X).argmin(axis=0)
         assert len(set(active)) > 1
         G = ens.input_grad_batch(X)
         for i, x in enumerate(X):
@@ -139,7 +140,7 @@ class TestEnsembleInputGradient:
                        aggregate)
         X = rng.normal(size=(5, 2))
         grads = np.stack([net.input_gradient_batch(m, X) for m in ens.members])
-        want = (grads[ens.member_predictions(X).argmin(axis=0), np.arange(5)]
+        want = (grads[member_predictions(ens, X).argmin(axis=0), np.arange(5)]
                 if aggregate == "min" else grads.mean(axis=0))
         assert ens.input_grad_batch(X).tobytes() == want.tobytes()
         # both modes take each member's pass from `forward_with_cache`

@@ -56,6 +56,22 @@ class TestSurrogateIO:
         for got, want in zip(loaded.members, members):
             assert_same_net(got, want)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_layers", [1, 2]), ("leak", ["x"]), ("leak", "x"),
+        ("n_members", [2, 2])])
+    def test_malformed_scalar_is_an_error_naming_the_file(self, tmp_path,
+                                                          key, value):
+        rng = np.random.default_rng(7)
+        members = [build_model(2, (3,), rng=rng) for _ in range(2)]
+        model = Ensemble(members, "min") if key == "n_members" else members[0]
+        path = tmp_path / "bad.npz"
+        save_surrogate(model, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        np.savez(path, **{**arrays, key: np.array(value)})
+        with pytest.raises(ValueError, match=rf"bad\.npz: {key} is not a number$"):
+            load_surrogate(path)
+
 
 class TestWriteRows:
     def test_floats_use_repr_and_crlf(self, tmp_path):

@@ -360,6 +360,8 @@ class TestParseConfig:
         ("adam_lr = inf\n", "adam_lr must be finite"),
         ("alpha_lr = nan\n", "alpha_lr must be finite"),
         ("alpha_init = inf\n", "alpha_init must be finite"),
+        ("alpha_init = -1\n", "alpha_init and alpha_lr must be >= 0"),
+        ("alpha_lr = -1\n", "alpha_init and alpha_lr must be >= 0"),
         ("hidden = 0\n", "hidden widths must be >= 1"),
         ("hidden = -3\n", "hidden widths must be >= 1"),
     ], ids=["trials", "budget", "stability_steps", "hidden", "budgets",
@@ -367,7 +369,8 @@ class TestParseConfig:
             "adam_lr", "leak", "ensemble_size", "ensemble_size_grad_min",
             "base_seed", "ascent_rate_nan", "ascent_rate_inf", "tau_nan",
             "tau_minus_inf", "adam_lr_inf", "alpha_lr_nan", "alpha_init_inf",
-            "hidden_zero", "hidden_negative"])
+            "alpha_init_negative", "alpha_lr_negative", "hidden_zero",
+            "hidden_negative"])
     def test_invalid_values_rejected_at_parse_time(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_config(text)

@@ -13,16 +13,19 @@ from comopt.acceptance import (_fd_gradient, _fd_param_gradients, _rel_err,
 from comopt.fileio import load_surrogate, save_surrogate
 from comopt.net import (DenseLayer, GradientError, ObjectiveModel, adam_step,
                         build_model, forward_batch, init_adam,
-                        input_gradient_batch, leaky_relu, loss_gradients)
+                        input_gradient_batch, loss_gradients)
 from comopt.trainer import com_loss
-
-
-def linear_model(weight=1.0, bias=0.0):
-    return ObjectiveModel([DenseLayer(np.array([[weight]]), np.array([bias]))])
+from conftest import linear_model
 
 SPECIAL = np.array([-np.inf, -1e300, -2.5, -5e-324, -0.0, 0.0, 5e-324, 0.7,
                     1e300, np.inf, np.nan])
 EDGE_LEAKS = [5e-324, 1e-9, 0.1, 0.3, 0.5, 0.7, np.nextafter(1.0, 0.0)]
+
+
+def leaky_relu(z, leak):
+    """The activation `_hidden_pass` forms: z times its exact slope."""
+    z = np.asarray(z, dtype=np.float64)
+    return z * net._slope(z, leak)
 
 
 def assert_slope_exact(z, leak):
@@ -83,7 +86,7 @@ class TestForward:
             forward_batch(model, [np.zeros(4), np.ones(4)]), [3.5, 3.5])
 
     def test_single_linear_layer(self):
-        assert forward_batch(linear_model(weight=2.0), [[3.0]])[0] == 6.0
+        assert forward_batch(linear_model(2.0), [[3.0]])[0] == 6.0
 
     def test_one_hidden_unit_negative_input_uses_leak(self):
         model = ObjectiveModel([
@@ -141,7 +144,7 @@ class TestParamGradients:
 
     def test_linear_squared_error_chain_rule(self):
         # f(x) = w*x with w=1: d/dw of 0.5*(f-0)^2 at x=2 is (2-0)*2 = 4
-        grad = loss_gradients(linear_model(weight=1.0), np.array([[2.0]]),
+        grad = loss_gradients(linear_model(1.0), np.array([[2.0]]),
                               [2.0 - 0.0])
         npt.assert_allclose(grad, [4.0, 2.0])
 

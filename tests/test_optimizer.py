@@ -7,36 +7,20 @@ from hypothesis import given, strategies as st
 
 from comopt import net
 from comopt.baselines import Ensemble
-from comopt.net import (DenseLayer, GradientError, GradientPlan, ObjectiveModel,
-                        build_model, forward_batch, input_gradient_batch)
+from comopt.net import (GradientError, GradientPlan, build_model, forward_batch,
+                        input_gradient_batch)
 from comopt.optimizer import (CandidateSet, ascend, predict_batch,
                               produce_candidates, read_candidates,
                               select_initializations, write_candidates)
 from comopt.tasks import decode_sequences, encode_sequences
 from comopt.trainer import OfflineDataset, fit_normalization
-
-
-def linear_model(weights, bias=0.0):
-    w = np.atleast_2d(np.asarray(weights, dtype=float))
-    return ObjectiveModel([DenseLayer(w, np.array([bias]))])
+from conftest import QuadraticStub, linear_model
 
 
 def dataset_from(raw_x, raw_y, **kw):
     stats = fit_normalization(raw_x, raw_y)
     return OfflineDataset(stats.normalize_x(raw_x), stats.normalize_y(raw_y),
                           stats, **kw)
-
-
-class Quad:
-    """f(x) = -(x - 1)^2 in 1-d; enough of the model protocol for ascent."""
-
-    input_dim = 1
-
-    def predict_batch(self, X):
-        return -(X[:, 0] - 1.0) ** 2
-
-    def input_grad_batch(self, X):
-        return -2.0 * (X - 1.0)
 
 
 class TestOptimizeOne:
@@ -55,7 +39,7 @@ class TestOptimizeOne:
         npt.assert_allclose(path[:, 0, 0], [0.0, 0.3, 0.6], atol=1e-12)
 
     def test_quadratic_final_point(self):
-        endpoint = ascend(Quad(), np.array([[0.0]]), 0.1, 3)
+        endpoint = ascend(QuadraticStub(), np.array([[0.0]]), 0.1, 3)
         assert endpoint[0, 0] == pytest.approx(0.488, abs=1e-12)
 
     def test_nonfinite_gradient_raises(self):

@@ -140,10 +140,10 @@ def test_workers_start_with_one_blas_thread_and_parent_env_is_restored(
 
 def test_a_failed_job_raises_and_stops_the_pool(tmp_path):
     diverging = config_from({**TINY, "task": "bowl", "adam_lr": 1e300})
-    with worker_pool():
-        with pytest.raises(TrainingError, match="non-finite loss at epoch"):
+    with pytest.raises(TrainingError, match="non-finite loss at epoch"):
+        with worker_pool():
             run_trials([(diverging, 0), (diverging, 1)])
-        assert multiprocessing.active_children() == []
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("when", ["idle", "training"])
@@ -151,18 +151,18 @@ def test_a_dead_worker_raises_instead_of_hanging(when):
     long = config_from({**TINY, "n_raw": 1000, "epochs": 500,
                         "hidden": "64,64", "mining_steps": 10})  # ~7 s each
     jobs = [(long, trial) for trial in (0, 1)]
-    with worker_pool():
-        _start_both_workers({})
-        proc = multiprocessing.active_children()[0]
-        if when == "idle":
-            proc.kill()
-            proc.join()
-        else:
-            threading.Timer(1.0, proc.kill).start()
-        with pytest.raises(ChildProcessError, match="a pool worker died"):
+    with pytest.raises(ChildProcessError, match="a pool worker died"):
+        with worker_pool():
+            _start_both_workers({})
+            proc = multiprocessing.active_children()[0]
+            if when == "idle":
+                proc.kill()
+                proc.join()
+            else:
+                threading.Timer(1.0, proc.kill).start()
             run_trials(jobs)
-        assert proc.exitcode == -9
-        assert multiprocessing.active_children() == []
+    assert proc.exitcode == -9
+    assert multiprocessing.active_children() == []
 
 
 def test_a_replaced_train_keeps_every_training_in_process(tmp_path,

@@ -10,25 +10,9 @@ from comopt import net, trainer
 from comopt.acceptance import _fd_gradient, _plain_regression
 from comopt.net import DenseLayer, ObjectiveModel, build_model
 from comopt.optimizer import ascend
-from comopt.trainer import (LagrangeState, OfflineDataset, TrainerConfig,
-                            _mine_endpoints, com_loss, dual_update,
-                            fit_normalization, train)
-
-
-def linear_model(weight=1.0, bias=0.0):
-    return ObjectiveModel([DenseLayer(np.array([[weight]]), np.array([bias]))])
-
-
-class QuadraticStub:
-    """f(x) = -(x - 1)^2 in 1-d; enough of the model protocol for ascent."""
-
-    input_dim = 1
-
-    def predict_batch(self, X):
-        return -(X[:, 0] - 1.0) ** 2
-
-    def input_grad_batch(self, X):
-        return -2.0 * (X - 1.0)
+from comopt.trainer import (OfflineDataset, TrainerConfig, _mine_endpoints,
+                            com_loss, dual_update, fit_normalization, train)
+from conftest import QuadraticStub, linear_model
 
 
 def toy_dataset(n=32, dim=2, seed=0):
@@ -177,33 +161,27 @@ class TestComLoss:
 
 
 class TestDualUpdate:
+    TAU, LR = 0.5, 0.01
+
     def test_gap_equal_tau_leaves_alpha(self):
-        state = LagrangeState(alpha=0.3, tau=0.5, alpha_lr=0.01)
-        assert dual_update(state, 0.5).alpha == 0.3
+        assert dual_update(0.3, 0.5, self.TAU, self.LR) == 0.3
 
     def test_clip_at_zero(self):
-        state = LagrangeState(alpha=0.0, tau=0.5, alpha_lr=0.01)
-        assert dual_update(state, 0.5 - 5.0).alpha == 0.0
+        assert dual_update(0.0, 0.5 - 5.0, self.TAU, self.LR) == 0.0
 
     def test_substitution(self):
-        state = LagrangeState(alpha=0.5, tau=0.5, alpha_lr=0.01)
-        assert dual_update(state, 1.5).alpha == pytest.approx(0.51)
+        assert dual_update(0.5, 1.5, self.TAU, self.LR) == pytest.approx(0.51)
 
     @given(st.floats(0, 10), st.floats(-20, 20))
     def test_direction(self, alpha, gap):
-        state = LagrangeState(alpha=alpha, tau=0.5, alpha_lr=0.01)
-        new = dual_update(state, gap).alpha
-        if gap > state.tau:
+        new = dual_update(alpha, gap, self.TAU, self.LR)
+        if gap > self.TAU:
             assert new > alpha
-        elif gap < state.tau:
+        elif gap < self.TAU:
             assert new <= alpha  # equality only at the zero clip
-            if alpha > 0.01 * (state.tau - gap):
+            if alpha > self.LR * (self.TAU - gap):
                 assert new < alpha
         assert new >= 0.0
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            LagrangeState(alpha=-1.0)
 
 
 class TestTrain:
