@@ -12,7 +12,6 @@ smoke pass and is not the acceptance configuration.
 """
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import net
 from .baselines import train_naive
-from .fileio import write_rows
+from .fileio import write_json, write_rows
 from .harness import config_from, normalized_score, run_experiment, \
     run_trials, submit_trials, tau_jobs, trainer_config_from, worker_pool
 from .tasks import CurationConfig, all_sequences, curate_dataset, get_task, \
@@ -258,58 +257,47 @@ def _stability_jobs(fast=False):
             for method in _STABILITY_METHODS.values()]
 
 
-def _stability_trials(runs):
-    """Per-trial finals and penalty crossings of COMs vs naive ascent from
-    the best dataset design, and the (header, rows) of their curves, for
-    one task's runs of `_stability_jobs`."""
+def _stability_task(name, runs):
+    """One task's record from its runs of `_stability_jobs`: its `metrics`
+    entry (each trial's finals and penalty crossings of COMs vs naive
+    ascent from the best dataset design, and their counts), its detail text
+    and the (header, rows) of its curves."""
+    gated = name == STABILITY_TASK
     curves = iter(run.stability for run in runs)
-    rows = []
-    curve_rows = []
+    rows, texts, curve_rows = [], [], []
     for trial in range(len(runs) // len(_STABILITY_METHODS)):
         row = {"trial": trial}
-        for name, method in _STABILITY_METHODS.items():
+        finals = []
+        for label, method in _STABILITY_METHODS.items():
             curve = next(curves)
             step = _first_crossing(curve)
-            row[f"{name}_final"] = float(curve[-1])
-            row[f"{name}_crossed"] = step is not None
-            row[f"{name}_first_cross_step"] = step
+            row[f"{label}_final"] = float(curve[-1])
+            row[f"{label}_crossed"] = step is not None
+            row[f"{label}_first_cross_step"] = step
+            crossed = "" if step is None else f" (crossed at step {step})"
+            finals.append(f"{label} {row[f'{label}_final']:.1f}{crossed}")
             curve_rows.extend([trial, method, t, score]
                               for t, score in enumerate(curve))
         rows.append(row)
-    return rows, (["trial", "method", "step", "true_score"], curve_rows)
-
-
-def _stability_summary(rows):
-    return {
-        "wins": sum(r["coms_final"] > r["naive_final"] for r in rows),
-        "naive_falls": sum(r["naive_crossed"] for r in rows),
-        "coms_falls": sum(r["coms_crossed"] for r in rows),
-        "trials": rows,
-    }
-
-
-def _stability_detail(name, gated, summary):
-    n = len(summary["trials"])
-    need_wins = need_fall = ""
-    if gated:
-        need_wins = f" (need >= {STABILITY_WIN_COUNT}/{STABILITY_TRIALS})"
-        need_fall = " (need >= 1)"
-
-    def final(r, method):
-        step = r[f"{method}_first_cross_step"]
-        crossed = "" if step is None else f" (crossed at step {step})"
-        return f"{method} {r[f'{method}_final']:.1f}{crossed}"
-
-    trials = ", ".join(
-        f"t{r['trial']}: {final(r, 'coms')} vs {final(r, 'naive')}"
-        for r in summary["trials"])
+        texts.append(f"t{trial}: " + " vs ".join(finals))
+    entry = {"gated": gated,
+             "wins": sum(r["coms_final"] > r["naive_final"] for r in rows),
+             "naive_falls": sum(r["naive_crossed"] for r in rows),
+             "coms_falls": sum(r["coms_crossed"] for r in rows),
+             "trials": rows}
+    n = len(rows)
+    need_wins = (f" (need >= {STABILITY_WIN_COUNT}/{STABILITY_TRIALS})"
+                 if gated else "")
+    need_fall = " (need >= 1)" if gated else ""
     role = "gated" if gated else "reported, not gated"
-    return (f"{name} ({role}): coms beats naive at t={STABILITY_T_MAX} in "
-            f"{summary['wins']}/{n}{need_wins}; naive fell below "
-            f"{OFF_MANIFOLD_SCORE:.0f} in "
-            f"{summary['naive_falls']}/{n}{need_fall}; coms fell below "
-            f"{OFF_MANIFOLD_SCORE:.0f} in {summary['coms_falls']}/{n}. "
-            f"{trials}")
+    detail = (f"{name} ({role}): coms beats naive at t={STABILITY_T_MAX} in "
+              f"{entry['wins']}/{n}{need_wins}; naive fell below "
+              f"{OFF_MANIFOLD_SCORE:.0f} in "
+              f"{entry['naive_falls']}/{n}{need_fall}; coms fell below "
+              f"{OFF_MANIFOLD_SCORE:.0f} in {entry['coms_falls']}/{n}. "
+              + ", ".join(texts))
+    return entry, detail, (["trial", "method", "step", "true_score"],
+                           curve_rows)
 
 
 def criterion_4_stability(runs, fast=False):
@@ -327,15 +315,11 @@ def criterion_4_stability(runs, fast=False):
     by_task = {}
     for (cfg, _), run in zip(_stability_jobs(fast), runs):
         by_task.setdefault(cfg["task"], []).append(run)
-    per_task = {}
-    details = []
-    curves = {}
+    per_task, details, curves = {}, [], {}
     for name, task_runs in by_task.items():
-        rows, curves[f"{name}_stability.csv"] = _stability_trials(task_runs)
-        gated = name == STABILITY_TASK
-        summary = _stability_summary(rows)
-        per_task[name] = {"gated": gated, **summary}
-        details.append(_stability_detail(name, gated, summary))
+        per_task[name], detail, curves[f"{name}_stability.csv"] = \
+            _stability_task(name, task_runs)
+        details.append(detail)
     gate = per_task[STABILITY_TASK]
     trial_seconds = sum(run.seconds for run in runs)
     passed = (gate["wins"] >= STABILITY_WIN_COUNT and gate["naive_falls"] >= 1
@@ -521,11 +505,13 @@ def run_all(out_dir, fast=False) -> dict:
     """Run every acceptance criterion, print one PASS/FAIL line each, and
     write acceptance.json, with each criterion's wall `seconds`, plus the
     desk-scale ablation curves each criterion returns under `curves` (file
-    name -> header, rows). Each list in `JOBS` is built once, and all their
-    trials are queued on one `worker_pool` as it opens, before criterion 1,
-    so the workers start while criterion 1 runs and each criterion waits
-    only for its own trials. With no pool open they run in this process,
-    each when `run_all` collects that criterion's trials."""
+    name -> header, rows). `run_all` builds each distinct list of `JOBS`
+    once to run and collect its trials; criteria 2, 4 and 7 build theirs
+    again to read each job's config. All the trials are queued on one
+    `worker_pool` as it opens, before criterion 1, so the workers start
+    while criterion 1 runs and each criterion waits only for its own
+    trials. With no pool open they run in this process, each when `run_all`
+    collects that criterion's trials."""
     os.makedirs(os.path.join(out_dir, "curves"), exist_ok=True)
     lists = {make: make(fast) for make in JOBS.values()}
     memo: dict = {}  # runs each distinct trial of `lists` once
@@ -556,9 +542,7 @@ def run_all(out_dir, fast=False) -> dict:
         "total_seconds": total,
         "all_passed": all_passed,
     }
-    with open(os.path.join(out_dir, "acceptance.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "acceptance.json"), summary)
     print(f"acceptance: {'ALL PASS' if all_passed else 'FAILURES PRESENT'} "
           f"({sum(r['passed'] for r in results)}/{len(results)} criteria, "
           f"{total:.0f}s)", flush=True)

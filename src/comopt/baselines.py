@@ -28,10 +28,6 @@ class Ensemble:
         if len(dims) != 1:
             raise ValueError("all members must share input_dim")
 
-    @property
-    def input_dim(self) -> int:
-        return self.members[0].input_dim
-
     def predict_batch(self, X) -> np.ndarray:
         preds = np.stack([net.forward_batch(m, X) for m in self.members])
         return preds.min(axis=0) if self.aggregate == "min" else preds.mean(axis=0)

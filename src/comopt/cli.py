@@ -157,11 +157,10 @@ def cmd_run(args) -> int:
     with open(args.config) as fh:
         text = fh.read()
     report = run_experiment(text, args.out)
-    agg = report.aggregates()
-    print(f"{report.method} on {report.task}: "
-          f"normalized p100 {agg['normalized_p100']['mean']:.4f} "
-          f"+/- {agg['normalized_p100']['std']:.4f} over "
-          f"{len(report.trials)} trials -> {args.out}")
+    p100 = report["aggregates"]["normalized_p100"]
+    print(f"{report['method']} on {report['task']}: normalized p100 "
+          f"{p100['mean']:.4f} +/- {p100['std']:.4f} over "
+          f"{report['n_trials']} trials -> {args.out}")
     return 0
 
 

@@ -1,5 +1,5 @@
-"""File formats shared by every stage: the one CSV writer and reader, and
-surrogate save/load for a single net or an ensemble.
+"""File formats shared by every stage: the one CSV writer and reader, the
+one JSON writer, and surrogate save/load for a single net or an ensemble.
 
 CSVs use `csv.writer`'s default dialect (comma-separated, CRLF line ends)
 and write every float as `repr(float(v))`, so values read back bitwise.
@@ -7,6 +7,7 @@ and write every float as `repr(float(v))`, so values read back bitwise.
 from __future__ import annotations
 
 import csv
+import json
 
 import numpy as np
 
@@ -22,6 +23,13 @@ def write_rows(path, header, rows) -> None:
             [repr(float(v)) if isinstance(v, (float, np.floating)) else v
              for v in row]
             for row in rows)
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` as JSON indented by 2, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def read_rows(path) -> tuple[list, np.ndarray]:
@@ -76,14 +84,18 @@ def save_surrogate(model, path) -> None:
 
 def load_surrogate(path):
     """Load what `save_surrogate` wrote: an ObjectiveModel, or an Ensemble
-    when the archive holds members. A missing array, a count or leak that is
-    not a number, and a non-finite weight are errors."""
+    when the archive holds members. A missing array, a count that is not
+    stored as an integer, a count or leak that is not a number and a
+    non-finite weight are errors."""
     from .baselines import Ensemble
 
     with np.load(path) as data:
         def scalar(key, kind):
+            array = data[key]
+            if kind is int and not np.issubdtype(array.dtype, np.integer):
+                raise ValueError(f"{path}: {key} is not an integer")
             try:
-                return kind(data[key])
+                return kind(array)
             except (TypeError, ValueError):
                 raise ValueError(f"{path}: {key} is not a number") from None
 

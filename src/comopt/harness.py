@@ -13,15 +13,14 @@ key=value config file into a reproducible run directory.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .baselines import train_ensemble, train_naive
-from .fileio import write_rows
+from .fileio import write_json, write_rows
 from .optimizer import (CandidateSet, ascend, candidate_table,
                         produce_candidates, select_initializations)
 from .tasks import (CurationConfig, TaskSpec, curate_dataset, get_task,
@@ -146,33 +145,6 @@ def tau_sweep(cfg: dict, trial: int, taus, t_max: int) -> dict:
     jobs = tau_jobs(cfg, trial, taus, t_max)
     return {tau_cfg["tau"]: run.stability
             for (tau_cfg, _), run in zip(jobs, run_trials(jobs))}
-
-
-@dataclass
-class EvaluationReport:
-    """Per-trial budget-N scores plus mean/std aggregates across trials."""
-
-    method: str
-    task: str
-    budget: int
-    trials: list
-
-    def aggregates(self) -> dict:
-        out = {}
-        for f in fields(TrialEvaluation):
-            vals = np.array([getattr(t, f.name) for t in self.trials])
-            out[f.name] = {"mean": float(vals.mean()), "std": float(vals.std())}
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "task": self.task,
-            "budget": self.budget,
-            "n_trials": len(self.trials),
-            "per_trial": [asdict(t) for t in self.trials],
-            "aggregates": self.aggregates(),
-        }
 
 
 DEFAULT_CONFIG = {
@@ -433,11 +405,12 @@ def run_trials(jobs, memo: dict | None = None) -> list:
     return results
 
 
-def run_experiment(config, out_dir) -> EvaluationReport:
+def run_experiment(config, out_dir) -> dict:
     """`run_trials` for every trial, on a `worker_pool` opened when there
     are two or more; write the run directory (config copy, report.json,
-    training_log.csv, candidates.csv, curves/*.csv). Fully reproducible
-    from config + base seed."""
+    training_log.csv, candidates.csv, curves/*.csv) and return what
+    report.json holds: each trial's budget-N scores and their mean and std
+    across trials. Fully reproducible from config + base seed."""
     cfg = config_from(config) if isinstance(config, dict) else parse_config(str(config))
     os.makedirs(out_dir, exist_ok=True)
     task = get_task(cfg["task"])
@@ -445,14 +418,14 @@ def run_experiment(config, out_dir) -> EvaluationReport:
 
     with worker_pool() if cfg["trials"] > 1 else contextlib.nullcontext():
         results = run_trials([(cfg, trial) for trial in range(cfg["trials"])])
-    trials, logs_all, log_trials = [], [], []
+    per_trial, logs_all, log_trials = [], [], []
     candidate_rows, stability_rows, budget_rows = [], [], []
     for trial, result in enumerate(results):
         logs_all.extend(result.logs)
         log_trials.extend([trial] * len(result.logs))
         candidate_header, rows = candidate_table(result.candidates)
         candidate_rows.extend([trial, *row] for row in rows)
-        trials.append(result.evaluation)
+        per_trial.append(asdict(result.evaluation))
         if result.stability is not None:
             stability_rows.extend((trial, step, score) for step, score
                                   in enumerate(result.stability))
@@ -465,12 +438,17 @@ def run_experiment(config, out_dir) -> EvaluationReport:
                        log_trials)
     write_rows(os.path.join(out_dir, "candidates.csv"),
                ["trial"] + candidate_header, candidate_rows)
-    report = EvaluationReport(cfg["method"], cfg["task"], cfg["budget"], trials)
+    aggregates = {}
+    for key in per_trial[0]:
+        values = np.array([trial[key] for trial in per_trial])
+        aggregates[key] = {"mean": float(values.mean()),
+                           "std": float(values.std())}
+    report = {"method": cfg["method"], "task": cfg["task"],
+              "budget": cfg["budget"], "n_trials": len(per_trial),
+              "per_trial": per_trial, "aggregates": aggregates}
     with open(os.path.join(out_dir, "config.txt"), "w") as fh:
         fh.write(dump_config(cfg))
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "report.json"), report)
     curves_dir = os.path.join(out_dir, "curves")
     for name, header, rows in (
             ("stability.csv", ["trial", "step", "true_score"], stability_rows),

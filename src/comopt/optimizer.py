@@ -30,10 +30,8 @@ def predict_batch(model, X) -> np.ndarray:
 
 
 def input_grad_batch(model, X) -> np.ndarray:
-    """Input gradients for any model kind (single net, its gradient plan,
-    ensemble, stub)."""
-    if isinstance(model, ObjectiveModel):
-        return net.input_gradient_batch(model, X)
+    """Input gradients from what `ascend` steps on: a single net's
+    `net.GradientPlan`, an ensemble or a stub."""
     return model.input_grad_batch(X)
 
 

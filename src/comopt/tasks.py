@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fileio import read_rows, write_rows
+from .fileio import read_rows, write_json, write_rows
 from .trainer import NormalizationStats, OfflineDataset, fit_normalization
 
 PWM_WEIGHT_SEED = 7
@@ -241,9 +241,7 @@ def write_dataset(dataset: OfflineDataset, path) -> None:
         "y_std": dataset.stats.y_std,
         "is_discrete": dataset.is_discrete,
     }
-    with open(_sidecar_path(path), "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_json(_sidecar_path(path), meta)
 
 
 def _is_number(value) -> bool:

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from comopt import net
 from comopt.acceptance import _fd_gradient
 from comopt.baselines import Ensemble, train_ensemble, train_naive
-from comopt.net import build_model
+from comopt.net import ObjectiveModel, build_model
 from comopt.optimizer import ascend, input_grad_batch, predict_batch
 from comopt.trainer import OfflineDataset, TrainerConfig, fit_normalization, train
 from conftest import linear_model
@@ -22,6 +22,8 @@ def predict_one(model, x):
 
 
 def gradient_one(model, x):
+    if isinstance(model, ObjectiveModel):
+        return net.input_gradient_batch(model, x[None, :])[0]
     return input_grad_batch(model, x[None, :])[0]
 
 

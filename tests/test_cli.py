@@ -182,14 +182,21 @@ def test_sweep_tau_rejects_malformed_taus(tmp_path, train_spy, taus, message,
     assert not out_dir.exists()
 
 
-def test_run_command(tmp_path):
+def test_run_command(tmp_path, capsys, train_spy):
+    # the spy keeps both trials in this process
     config = tmp_path / "cfg.txt"
-    config.write_text("task = bowl\nmethod = coms\ntrials = 1\nn_raw = 120\n"
+    config.write_text("task = bowl\nmethod = coms\ntrials = 2\nn_raw = 120\n"
                       "budget = 4\nepochs = 2\nbatch_size = 32\n"
                       "mining_steps = 3\nhidden = 8\n")
     out = tmp_path / "run"
+    capsys.readouterr()
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
-    assert (out / "report.json").exists()
+    agg = json.loads((out / "report.json").read_text())["aggregates"]
+    p100 = agg["normalized_p100"]
+    assert p100["std"] > 0.0
+    assert capsys.readouterr().out == (
+        f"coms on bowl: normalized p100 {p100['mean']:.4f} +/- "
+        f"{p100['std']:.4f} over 2 trials -> {out}\n")
 
 
 def test_unknown_config_key_fails_with_message(tmp_path, capsys):
@@ -362,6 +369,16 @@ def test_readme_lists_each_commands_config_flags():
         if flags:
             parsed[command] = flags
     assert listed == parsed
+
+
+def test_readme_cli_examples_parse():
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = re.search(r"^```\n(.*?)^```", section, re.M | re.S).group(1)
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert len(lines) == 9 and all(line[0] == "comopt" for line in lines)
+    parser = cli.build_parser()
+    for line in lines:
+        assert parser.parse_args(line[1:]).command == line[1]
 
 
 def readme_config_blocks():

@@ -93,6 +93,69 @@ def test_criterion_4_gates_on_the_sum_of_its_trial_seconds(total, passed):
     assert record["detail"].startswith(f"{total:.0f}s of trial time (< 300s)")
 
 
+def test_criterion_4_reports_each_task_exactly():
+    # edge: COMs crosses at step 1 in trial 0 only, naive at step 2 always;
+    # cliff: COMs never crosses, naive crosses at step 1 in trial 0 only
+    curves = {
+        ("edge", "coms", 0): [0.0, -55.0, 3.0],
+        ("edge", "coms"): [0.0, 1.0, 2.0],
+        ("edge", "grad-naive"): [0.0, 0.5, -60.0],
+        ("cliff", "coms"): [0.0, 1.0, 2.0],
+        ("cliff", "grad-naive", 0): [0.0, -51.0, -52.0],
+        ("cliff", "grad-naive"): [0.0, 1.0, 5.0],
+    }
+
+    def curve(cfg, trial):
+        key = (cfg["task"], cfg["method"])
+        return np.array(curves.get((*key, trial), curves[key]))
+
+    record = acceptance.criterion_4_stability([
+        _stub_trial(curve=curve(cfg, trial), seconds=0.25)
+        for cfg, trial in acceptance._stability_jobs()])
+
+    def row(trial, coms, naive):
+        out = {"trial": trial}
+        for name, (final, step) in (("coms", coms), ("naive", naive)):
+            out.update({f"{name}_final": final,
+                        f"{name}_crossed": step is not None,
+                        f"{name}_first_cross_step": step})
+        return out
+
+    edge = [row(0, (3.0, 1), (-60.0, 2))] + [
+        row(t, (2.0, None), (-60.0, 2)) for t in range(1, 8)]
+    cliff = [row(0, (2.0, None), (-52.0, 1))] + [
+        row(t, (2.0, None), (5.0, None)) for t in range(1, 8)]
+    want = {"trial_seconds": 8.0, "tasks": {
+        "edge": {"gated": True, "wins": 8, "naive_falls": 8, "coms_falls": 1,
+                 "trials": edge},
+        "cliff": {"gated": False, "wins": 1, "naive_falls": 1,
+                  "coms_falls": 0, "trials": cliff}}}
+    assert json.dumps(record["metrics"]) == json.dumps(want)
+    assert record["detail"] == (
+        "8s of trial time (< 300s). edge (gated): coms beats naive at t=200 "
+        "in 8/8 (need >= 7/8); naive fell below -50 in 8/8 (need >= 1); "
+        "coms fell below -50 in 1/8. t0: coms 3.0 (crossed at step 1) vs "
+        "naive -60.0 (crossed at step 2), "
+        + ", ".join(f"t{t}: coms 2.0 vs naive -60.0 (crossed at step 2)"
+                    for t in range(1, 8))
+        + " | cliff (reported, not gated): coms beats naive at t=200 in 1/8; "
+        "naive fell below -50 in 1/8; coms fell below -50 in 0/8. "
+        "t0: coms 2.0 vs naive -52.0 (crossed at step 1), "
+        + ", ".join(f"t{t}: coms 2.0 vs naive 5.0" for t in range(1, 8)))
+    assert record["passed"] is True
+    header = ["trial", "method", "step", "true_score"]
+    assert list(record["curves"]) == ["edge_stability.csv",
+                                      "cliff_stability.csv"]
+    for name in ("edge", "cliff"):
+        got_header, rows = record["curves"][f"{name}_stability.csv"]
+        assert got_header == header
+        assert rows == [[t, method, step, score] for t in range(8)
+                        for method in ("coms", "grad-naive")
+                        for step, score in enumerate(
+                            curves.get((name, method, t),
+                                       curves[(name, method)]))]
+
+
 def _dataset(d, best=0.0, discrete=False):
     """Three designs at the origin, scores in raw units up to `best`."""
     stats = NormalizationStats(np.zeros(d), np.ones(d), 0.0, 1.0)

@@ -56,11 +56,10 @@ class TestSurrogateIO:
         for got, want in zip(loaded.members, members):
             assert_same_net(got, want)
 
-    @pytest.mark.parametrize("key, value", [
-        ("n_layers", [1, 2]), ("leak", ["x"]), ("leak", "x"),
-        ("n_members", [2, 2])])
-    def test_malformed_scalar_is_an_error_naming_the_file(self, tmp_path,
-                                                          key, value):
+    @staticmethod
+    def archive_with(tmp_path, key, value):
+        """A saved surrogate archive, an ensemble when `key` is n_members,
+        with the array `key` rewritten to `value`."""
         rng = np.random.default_rng(7)
         members = [build_model(2, (3,), rng=rng) for _ in range(2)]
         model = Ensemble(members, "min") if key == "n_members" else members[0]
@@ -69,7 +68,26 @@ class TestSurrogateIO:
         with np.load(path) as data:
             arrays = dict(data)
         np.savez(path, **{**arrays, key: np.array(value)})
+        return path
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_layers", [1, 2]), ("leak", ["x"]), ("leak", "x"),
+        ("n_members", [2, 2])])
+    def test_malformed_scalar_is_an_error_naming_the_file(self, tmp_path,
+                                                          key, value):
+        path = self.archive_with(tmp_path, key, value)
         with pytest.raises(ValueError, match=rf"bad\.npz: {key} is not a number$"):
+            load_surrogate(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_members", 2.5), ("n_members", True), ("n_layers", 2.5),
+        ("n_layers", True), ("n_layers", "2")])
+    def test_a_count_that_is_not_an_integer_is_an_error_naming_the_file(
+            self, tmp_path, key, value):
+        # at 2.5 or True the count would truncate to 2 or 1 and load
+        path = self.archive_with(tmp_path, key, value)
+        with pytest.raises(ValueError,
+                           match=rf"bad\.npz: {key} is not an integer$"):
             load_surrogate(path)
 
 

@@ -1,12 +1,13 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from comopt.harness import (DEFAULT_CONFIG, EvaluationReport,
-                            InvariantViolation, TrialEvaluation, _trial_key,
+from comopt.harness import (DEFAULT_CONFIG, InvariantViolation,
+                            TrialEvaluation, _trial_key,
                             budget_sweep, config_from, curation_config_from,
                             evaluate_budget, normalized_score, parse_config,
                             run_experiment, run_trial, run_trials,
@@ -215,7 +216,7 @@ class TestRunTrial:
         cfg = config_from({**TINY, "epochs": 1, "trials": 2, "budget": 4})
         report = run_experiment(cfg, tmp_path / "run")
         results = [run_trial(cfg, trial) for trial in range(2)]
-        assert report.trials == [r.evaluation for r in results]
+        assert report["per_trial"] == [asdict(r.evaluation) for r in results]
         tables = [candidate_table(r.candidates) for r in results]
         write_rows(tmp_path / "want.csv", ["trial"] + tables[0][0],
                    [[trial, *row] for trial, (_, rows) in enumerate(tables)
@@ -280,14 +281,18 @@ class TestRunTrials:
 
 
 class TestReportAggregation:
-    def test_mean_std_recomputable(self):
-        trials = [TrialEvaluation(1.0, 0.5, 0.9, 0.7),
-                  TrialEvaluation(2.0, 1.5, 1.0, 0.8)]
-        report = EvaluationReport("coms", "bowl", 4, trials)
-        agg = report.aggregates()
-        vals = np.array([1.0, 2.0])
-        assert agg["score_p100"]["mean"] == pytest.approx(vals.mean(), abs=1e-12)
-        assert agg["score_p100"]["std"] == pytest.approx(vals.std(), abs=1e-12)
+    def test_mean_std_recomputable(self, tmp_path, train_spy):
+        # the spy keeps both trials in this process
+        cfg = config_from({**TINY, "epochs": 1, "trials": 2, "budget": 4})
+        report = run_experiment(cfg, tmp_path / "run")
+        assert report == json.loads((tmp_path / "run" / "report.json")
+                                    .read_text())
+        assert report["n_trials"] == len(report["per_trial"]) == 2
+        assert list(report["aggregates"]) == [
+            "score_p100", "score_p50", "normalized_p100", "normalized_p50"]
+        for key, agg in report["aggregates"].items():
+            vals = np.array([trial[key] for trial in report["per_trial"]])
+            assert agg == {"mean": vals.mean(), "std": vals.std()}
 
     def test_p100_below_p50_rejected(self):
         with pytest.raises(InvariantViolation):
@@ -418,7 +423,7 @@ class TestRunExperiment:
         assert (out / "candidates.csv").exists()
         assert (out / "curves" / "stability.csv").exists()
         assert (out / "curves" / "budget.csv").exists()
-        assert len(report.trials) == 2
+        assert report["n_trials"] == len(report["per_trial"]) == 2
 
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -462,4 +467,4 @@ class TestRunExperiment:
         cfg = FAST_RUN.replace("method = coms", "method = grad-min") \
                       .replace("trials = 2", "trials = 1") + "ensemble_size = 2\n"
         report = run_experiment(cfg, tmp_path / "ens")
-        assert len(report.trials) == 1
+        assert report["n_trials"] == len(report["per_trial"]) == 1
