@@ -22,8 +22,8 @@ from .baselines import train_naive
 from .fileio import write_json, write_rows
 from .harness import config_from, normalized_score, run_experiment, \
     run_trials, submit_trials, tau_jobs, trainer_config_from, worker_pool
-from .tasks import CurationConfig, all_sequences, curate_dataset, get_task, \
-    sequence_scores
+from .tasks import CLIFF_PENALTY, CurationConfig, all_sequences, \
+    curate_dataset, get_task, sequence_scores
 from .trainer import TrainerConfig, _mine_endpoints
 
 GRADIENT_TOL = 1e-4
@@ -34,7 +34,7 @@ STABILITY_T_MAX = 200
 STABILITY_WIN_COUNT = 7
 STABILITY_TASK = "edge"
 STABILITY_DIAGNOSTIC_TASKS = ("cliff",)
-OFF_MANIFOLD_SCORE = -50.0
+OFF_MANIFOLD_SCORE = -CLIFF_PENALTY
 DISCRETE_TRIALS = 8
 DISCRETE_BUDGET = 16
 DISCRETE_TOP_FRACTION = 0.05
@@ -440,9 +440,9 @@ def criterion_7_tau_ordering(runs, fast=False):
     }
 
 
-def criterion_8_protocol(runs, fast=False, work_dir=None):
+def criterion_8_protocol(runs, fast=False, *, work_dir):
     """p100 >= p50 everywhere, monotone budget sweeps, exact normalization
-    endpoints, and byte-identical same-seed reruns."""
+    endpoints, and byte-identical same-seed reruns written under `work_dir`."""
     problems = []
     # normalized oracle optimum is exactly 1.0 on every task
     for name in ("bowl", "cliff", "edge", "pwm"):
@@ -459,9 +459,8 @@ def criterion_8_protocol(runs, fast=False, work_dir=None):
     config = ("task = bowl\nmethod = coms\ntrials = 1\nn_raw = 120\n"
               "budget = 4\nepochs = 2\nbatch_size = 32\nmining_steps = 3\n"
               "hidden = 8\n")
-    base = work_dir or "."
-    run_a = os.path.join(base, "identity_a")
-    run_b = os.path.join(base, "identity_b")
+    run_a = os.path.join(work_dir, "identity_a")
+    run_b = os.path.join(work_dir, "identity_b")
     run_experiment(config, run_a)
     run_experiment(config, run_b)
     compared = ("report.json", "training_log.csv", "candidates.csv")

@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict
 
 from . import acceptance
-from .fileio import load_surrogate, save_surrogate, write_rows
+from .fileio import load_surrogate, save_surrogate, write_json, write_rows
 from .harness import (DEFAULT_CONFIG, METHODS, InvariantViolation,
                       budget_sweep, config_from, curation_config_from,
                       evaluate_budget, int_list, normalized_score,
@@ -23,7 +23,8 @@ from .harness import (DEFAULT_CONFIG, METHODS, InvariantViolation,
 from .optimizer import produce_candidates, read_candidates, write_candidates
 from .tasks import (curate_dataset, get_task, read_dataset, task_names,
                     write_dataset)
-from .trainer import TrainingError, write_training_log
+from .trainer import (CONTINUOUS_ETA_SCALE, CONTINUOUS_TAU, DISCRETE_ETA_SCALE,
+                      DISCRETE_TAU, TrainingError, write_training_log)
 
 
 # The trainer's config keys, which `train` and `sweep-tau` take as flags.
@@ -32,8 +33,10 @@ _TRAINER_KEYS = ("epochs", "batch_size", "mining_steps", "ascent_rate",
                  "base_seed")
 _FLAG_HELP = {
     "mining_steps": "ascent steps T shared by mining and optimization",
-    "ascent_rate": "eta; 'auto' uses 0.05*sqrt(d) cont., 2.0*sqrt(d) disc.",
-    "tau": "conservatism threshold; 'auto' is 0.5 cont., 2.0 disc.",
+    "ascent_rate": f"eta; 'auto' uses {CONTINUOUS_ETA_SCALE}*sqrt(d) cont., "
+                   f"{DISCRETE_ETA_SCALE}*sqrt(d) disc.",
+    "tau": f"conservatism threshold; 'auto' is {CONTINUOUS_TAU} cont., "
+           f"{DISCRETE_TAU} disc.",
 }
 
 
@@ -103,11 +106,10 @@ def cmd_evaluate(args) -> int:
     candidates = read_candidates(args.candidates)
     n = len(candidates) if budget is None else budget
     ev = evaluate_budget(candidates, task, n)
-    text = json.dumps({"task": args.task, "budget": n, **asdict(ev)}, indent=2)
+    result = {"task": args.task, "budget": n, **asdict(ev)}
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        write_json(args.out, result)
+    print(json.dumps(result, indent=2))
     return 0
 
 

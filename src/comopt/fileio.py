@@ -85,19 +85,20 @@ def save_surrogate(model, path) -> None:
 def load_surrogate(path):
     """Load what `save_surrogate` wrote: an ObjectiveModel, or an Ensemble
     when the archive holds members. A missing array, a count that is not
-    stored as an integer, a count or leak that is not a number and a
-    non-finite weight are errors."""
+    stored as an integer, a count or leak that is not a number, a
+    non-finite weight and arrays that the model's own checks reject are
+    errors that name the file."""
     from .baselines import Ensemble
 
     with np.load(path) as data:
         def scalar(key, kind):
             array = data[key]
             if kind is int and not np.issubdtype(array.dtype, np.integer):
-                raise ValueError(f"{path}: {key} is not an integer")
+                raise ValueError(f"{key} is not an integer")
             try:
                 return kind(array)
             except (TypeError, ValueError):
-                raise ValueError(f"{path}: {key} is not a number") from None
+                raise ValueError(f"{key} is not a number") from None
 
         def member(prefix=""):
             n_layers = scalar(f"{prefix}n_layers", int)
@@ -105,8 +106,7 @@ def load_surrogate(path):
                 [DenseLayer(data[f"{prefix}w{k}"], data[f"{prefix}b{k}"])
                  for k in range(n_layers)], scalar("leak", float))
             if not np.isfinite(model.params).all():
-                raise ValueError(f"{path}: non-finite weight in surrogate "
-                                 f"archive")
+                raise ValueError("non-finite weight in surrogate archive")
             return model
 
         try:
@@ -118,3 +118,5 @@ def load_surrogate(path):
         except KeyError as exc:
             raise ValueError(f"{path}: incomplete surrogate archive "
                              f"({exc.args[0]})") from None
+        except ValueError as exc:  # the reader's checks and the model's
+            raise ValueError(f"{path}: {exc}") from None

@@ -76,10 +76,8 @@ def _top_scores(candidates: CandidateSet, task: TaskSpec, n: int) -> np.ndarray:
         raise ValueError("budget must be >= 1")
     if n > len(candidates):
         raise ValueError(f"budget {n} exceeds candidate set of {len(candidates)}")
-    if candidates.surrogate_values is None:
-        raise ValueError("candidates carry no surrogate values to rank by")
     order = np.argsort(-candidates.surrogate_values, kind="stable")[:n]
-    return oracle_eval_batch(task, candidates.raw_designs()[order])
+    return oracle_eval_batch(task, candidates.designs[order])
 
 
 def evaluate_budget(candidates: CandidateSet, task: TaskSpec, n: int) -> TrialEvaluation:
@@ -102,7 +100,7 @@ def stability_sweep(model, task: TaskSpec, dataset: OfflineDataset,
     every iterate, steps 0..t_max."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    x0 = select_initializations(dataset, 1).designs
+    x0 = dataset.designs[select_initializations(dataset, 1)]
     path = ascend(model, x0, eta, t_max, record=True)[:, 0]
     return oracle_eval_batch(task, dataset.stats.denormalize_x(path))
 

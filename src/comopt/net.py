@@ -57,7 +57,7 @@ class ObjectiveModel:
     it, so a write through either is seen by both.
     """
 
-    layers: list[DenseLayer] = field(default_factory=list)
+    layers: list[DenseLayer]
     leak: float = 0.3
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -95,10 +95,9 @@ class ObjectiveModel:
         return ObjectiveModel(self.layers, self.leak)
 
 
-def build_model(input_dim: int, hidden=(64, 64), leak: float = 0.3,
-                rng: np.random.Generator | None = None) -> ObjectiveModel:
+def build_model(input_dim: int, hidden=(64, 64), leak: float = 0.3, *,
+                rng: np.random.Generator) -> ObjectiveModel:
     """He-style uniform init: W ~ U(-sqrt(6/fan_in), +sqrt(6/fan_in)), b = 0."""
-    rng = np.random.default_rng(rng)
     dims = [int(input_dim), *[int(h) for h in hidden], 1]
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -255,6 +254,11 @@ def loss_gradients(model: ObjectiveModel, X, dloss_dpred,
     return np.concatenate([a.ravel() for a in grads[::-1]])
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam moments, flat like `ObjectiveModel.params`."""
@@ -262,13 +266,10 @@ class AdamState:
     step_count: int
     first_moment: np.ndarray
     second_moment: np.ndarray
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    learning_rate: float
 
 
-def init_adam(model: ObjectiveModel, learning_rate: float = 1e-3) -> AdamState:
+def init_adam(model: ObjectiveModel, learning_rate: float) -> AdamState:
     return AdamState(
         step_count=0,
         first_moment=np.zeros_like(model.params),
@@ -286,11 +287,11 @@ def adam_step(state: AdamState, model: ObjectiveModel, grad: np.ndarray) -> None
     if not np.all(np.isfinite(grad)):
         raise GradientError("non-finite gradient; parameters left untouched")
     state.step_count += 1
-    c1 = 1.0 - state.beta1 ** state.step_count
-    c2 = 1.0 - state.beta2 ** state.step_count
+    c1 = 1.0 - ADAM_BETA1 ** state.step_count
+    c2 = 1.0 - ADAM_BETA2 ** state.step_count
     m, v = state.first_moment, state.second_moment
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
-    model.params -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    model.params -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)

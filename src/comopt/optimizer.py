@@ -5,7 +5,8 @@ candidate production. `ascend` is the one ascent loop: the trainer's
 adversarial mining, candidate search and the stability sweeps all run its
 recurrence x_{t+1} = x_t + eta * grad(x_t), mining and search for the same
 number of steps, so the optimizer only visits regions the surrogate was
-trained to be conservative on.
+trained to be conservative on. Search runs in the surrogate's normalized
+space; a `CandidateSet` holds its endpoints in task coordinates.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .fileio import read_rows, write_rows
 from .net import GradientError, ObjectiveModel
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .trainer import NormalizationStats, OfflineDataset
+    from .trainer import OfflineDataset
 
 
 def predict_batch(model, X) -> np.ndarray:
@@ -77,63 +78,45 @@ def ascend(model, X0, eta: float, steps: int, record: bool = False) -> np.ndarra
 
 @dataclass
 class CandidateSet:
-    """Optimized designs plus the dataset index each one started from.
-
-    Designs are stored in the normalized model space; `raw_designs()` maps
-    them back to task coordinates via the attached normalization stats.
-    """
+    """What a candidate file holds: optimized designs in task coordinates,
+    the dataset index each started from and the surrogate's value of each."""
 
     designs: np.ndarray
     provenance: np.ndarray
-    stats: "NormalizationStats"
-    surrogate_values: np.ndarray | None = None
+    surrogate_values: np.ndarray
 
     def __len__(self) -> int:
         return len(self.designs)
 
-    def raw_designs(self) -> np.ndarray:
-        return self.stats.denormalize_x(self.designs)
 
-
-def select_initializations(dataset: "OfflineDataset", n: int) -> CandidateSet:
-    """The n dataset designs with highest observed score, ties broken by
-    lower index. n = 1 recovers plain start-at-the-dataset-optimum search."""
+def select_initializations(dataset: "OfflineDataset", n: int) -> np.ndarray:
+    """Indices of the n dataset designs with highest observed score, ties to
+    the lower index; n = 1 is plain start-at-the-dataset-optimum search."""
     if n < 1:
         raise ValueError("need at least one initialization")
     if n > len(dataset):
         raise ValueError(f"requested {n} seeds from a dataset of {len(dataset)}")
-    order = np.argsort(-dataset.scores, kind="stable")[:n]
-    return CandidateSet(
-        designs=dataset.designs[order].copy(),
-        provenance=order,
-        stats=dataset.stats,
-    )
+    return np.argsort(-dataset.scores, kind="stable")[:n]
 
 
 def produce_candidates(model, dataset: "OfflineDataset", n: int,
                        eta: float, steps: int) -> CandidateSet:
     """Budget-n protocol: ascend from each of the top-n dataset designs and
-    return the n endpoints with provenance and surrogate values."""
+    return the n endpoints in task coordinates, with their surrogate values."""
     seeds = select_initializations(dataset, n)
-    endpoints = ascend(model, seeds.designs, eta, steps)
-    return CandidateSet(
-        designs=endpoints,
-        provenance=seeds.provenance,
-        stats=dataset.stats,
-        surrogate_values=predict_batch(model, endpoints),
-    )
+    endpoints = ascend(model, dataset.designs[seeds], eta, steps)
+    return CandidateSet(dataset.stats.denormalize_x(endpoints), seeds,
+                        predict_batch(model, endpoints))
 
 
 def candidate_table(candidates: CandidateSet) -> tuple[list, list]:
-    """Header and rows of a candidate CSV: denormalized design coordinates,
-    provenance, and the surrogate's value for each candidate."""
-    if candidates.surrogate_values is None:
-        raise ValueError("candidates carry no surrogate values to write")
-    raw = candidates.raw_designs()
-    header = [f"x{i}" for i in range(raw.shape[1])] + ["provenance",
-                                                       "surrogate_value"]
+    """Header and rows of a candidate CSV: design coordinates, provenance,
+    and the surrogate's value for each candidate."""
+    d = candidates.designs.shape[1]
+    header = [f"x{i}" for i in range(d)] + ["provenance", "surrogate_value"]
     return header, [[*row, int(prov), val] for row, prov, val in
-                    zip(raw, candidates.provenance, candidates.surrogate_values)]
+                    zip(candidates.designs, candidates.provenance,
+                        candidates.surrogate_values)]
 
 
 def write_candidates(candidates: CandidateSet, path) -> None:
@@ -141,11 +124,8 @@ def write_candidates(candidates: CandidateSet, path) -> None:
 
 
 def read_candidates(path) -> CandidateSet:
-    """Read a candidate CSV back; designs come back in raw coordinates with
-    identity normalization stats attached. Provenance must hold dataset
+    """Read a candidate CSV back bitwise. Provenance must hold dataset
     indices: a non-integer or negative value is an error."""
-    from .trainer import NormalizationStats
-
     header, values = read_rows(path)
     if header[-2:] != ["provenance", "surrogate_value"]:
         raise ValueError(f"{path}: not a candidate file (its header must end "
@@ -155,6 +135,5 @@ def read_candidates(path) -> CandidateSet:
     if np.any(provenance != np.round(provenance)) or np.any(provenance < 0):
         raise ValueError(f"{path}: provenance must hold non-negative integer "
                          f"dataset indices")
-    stats = NormalizationStats(np.zeros(d), np.ones(d), 0.0, 1.0)
-    return CandidateSet(values[:, :d], provenance.astype(int), stats,
+    return CandidateSet(values[:, :d], provenance.astype(int),
                         values[:, d + 1])

@@ -31,7 +31,13 @@ import numpy as np
 from .fileio import read_rows, write_json, write_rows
 from .trainer import NormalizationStats, OfflineDataset, fit_normalization
 
+TASK_DIM = 8
+BOX_BOUND = 2.0
+CLIFF_PENALTY = 50.0
+PWM_LENGTH = 6
+PWM_ALPHABET = 4
 PWM_WEIGHT_SEED = 7
+PWM_ENCODE_EPS = 0.2
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +56,6 @@ class TaskSpec:
     y_min: float
     y_max: float
     raw_shape: tuple[int, int] | None = None
-    encode_eps: float = 0.2
     weight_matrix: np.ndarray | None = None
 
     def oracle(self, x) -> float:
@@ -67,44 +72,46 @@ def oracle_eval_batch(task: TaskSpec, X) -> np.ndarray:
     return task.batch_oracle(X)
 
 
-def bowl_task(dim: int = 8, bound: float = 2.0) -> TaskSpec:
+def bowl_task() -> TaskSpec:
     """The cliff oracle without its penalty: -||x||^2 everywhere."""
-    return cliff_task(dim, bound, penalty=0.0, name="bowl")
+    return cliff_task(penalty=0.0, name="bowl")
 
 
-def cliff_task(dim: int = 8, bound: float = 2.0, penalty: float = 50.0,
-               center: float = 0.0, name: str = "cliff") -> TaskSpec:
-    """-||x - center||^2, minus `penalty` wherever x leaves the box
-    |x_i| <= bound. The bowl's centre is the same scalar on every axis and
-    must lie in the box; the worst in-box design is the opposite corner."""
+def cliff_task(penalty: float = CLIFF_PENALTY, center: float = 0.0,
+               name: str = "cliff") -> TaskSpec:
+    """-||x - center||^2 in TASK_DIM coordinates, minus `penalty` wherever x
+    leaves the box |x_i| <= BOX_BOUND. The bowl's centre is the same scalar
+    on every axis and must lie in the box; the worst in-box design is the
+    opposite corner."""
     def batch_oracle(X: np.ndarray) -> np.ndarray:
         D = X - center
         values = -np.sum(D * D, axis=1)
-        values[np.abs(X).max(axis=1) > bound] -= penalty
+        values[np.abs(X).max(axis=1) > BOX_BOUND] -= penalty
         return values
 
-    far = bound + abs(center)
+    far = BOX_BOUND + abs(center)
     return TaskSpec(
         name=name,
-        input_dim=dim,
+        input_dim=TASK_DIM,
         is_discrete=False,
         batch_oracle=batch_oracle,
-        lower=np.full(dim, -bound),
-        upper=np.full(dim, bound),
-        y_min=-dim * far * far,
+        lower=np.full(TASK_DIM, -BOX_BOUND),
+        upper=np.full(TASK_DIM, BOX_BOUND),
+        y_min=-TASK_DIM * far * far,
         y_max=0.0,
     )
 
 
-def edge_task(dim: int = 8, bound: float = 2.0) -> TaskSpec:
-    """The cliff oracle centred on the box corner (bound, ..., bound): the
+def edge_task() -> TaskSpec:
+    """The cliff oracle centred on the box corner (BOX_BOUND, ...): the
     optimum lies on the penalty boundary instead of inside the data."""
-    return cliff_task(dim, bound, center=bound, name="edge")
+    return cliff_task(center=BOX_BOUND, name="edge")
 
 
-def pwm_task(length: int = 6, alphabet: int = 4, seed: int = PWM_WEIGHT_SEED,
-             encode_eps: float = 0.2) -> TaskSpec:
-    W = np.random.default_rng(seed).standard_normal((length, alphabet))
+def pwm_task() -> TaskSpec:
+    length, alphabet = PWM_LENGTH, PWM_ALPHABET
+    W = np.random.default_rng(PWM_WEIGHT_SEED).standard_normal(
+        (length, alphabet))
     d = length * alphabet
 
     def batch_oracle(X: np.ndarray) -> np.ndarray:
@@ -112,8 +119,8 @@ def pwm_task(length: int = 6, alphabet: int = 4, seed: int = PWM_WEIGHT_SEED,
 
     # The relaxed space is unbounded; record the raw logit levels as a
     # nominal region (curation enumerates sequences instead of sampling it).
-    lo = np.log(encode_eps / (alphabet - 1))
-    hi = np.log(1.0 - encode_eps)
+    lo = np.log(PWM_ENCODE_EPS / (alphabet - 1))
+    hi = np.log(1.0 - PWM_ENCODE_EPS)
     task = TaskSpec(
         name="pwm",
         input_dim=d,
@@ -124,7 +131,6 @@ def pwm_task(length: int = 6, alphabet: int = 4, seed: int = PWM_WEIGHT_SEED,
         y_min=float(W.min(axis=1).sum()),
         y_max=float(W.max(axis=1).sum()),
         raw_shape=(length, alphabet),
-        encode_eps=encode_eps,
         weight_matrix=W,
     )
     return task
@@ -203,11 +209,9 @@ def curate_dataset(task: TaskSpec, config: CurationConfig) -> OfflineDataset:
     if task.is_discrete:
         length, alphabet = task.raw_shape
         letters = all_sequences(length, alphabet)
-        raw = encode_sequences(letters, alphabet, task.encode_eps)
+        raw = encode_sequences(letters, alphabet, PWM_ENCODE_EPS)
         scores = sequence_scores(task, letters)
     else:
-        if np.any(task.upper <= task.lower):
-            raise ValueError("degenerate sampling region")
         raw = rng.uniform(task.lower, task.upper,
                           size=(config.n_raw_samples, task.input_dim))
         scores = oracle_eval_batch(task, raw)

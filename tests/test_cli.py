@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from comopt import cli
+from comopt.fileio import load_surrogate
 from comopt.harness import DEFAULT_CONFIG, parse_config
+from comopt.optimizer import produce_candidates, read_candidates
+from comopt.tasks import read_dataset
+from comopt.trainer import TrainerConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,7 +41,7 @@ def test_curate_writes_csv_and_sidecar(curated):
     assert header.startswith("x0,") and header.endswith(",y")
 
 
-def test_train_optimize_evaluate_pipeline(tmp_path, curated):
+def test_train_optimize_evaluate_pipeline(tmp_path, curated, capsys):
     model = tmp_path / "model.npz"
     log = tmp_path / "log.csv"
     assert cli.main(["train", "--data", str(curated), "--method", "coms",
@@ -53,11 +57,31 @@ def test_train_optimize_evaluate_pipeline(tmp_path, curated):
     assert len(cands.read_text().splitlines()) == 5
 
     report = tmp_path / "report.json"
+    capsys.readouterr()
     assert cli.main(["evaluate", "--candidates", str(cands), "--task", "cliff",
                      "--budget", "4", "--out", str(report)]) == 0
+    assert report.read_text() == capsys.readouterr().out
     data = json.loads(report.read_text())
     assert data["score_p100"] >= data["score_p50"]
     assert data["budget"] == 4
+
+
+def test_optimize_writes_the_candidates_bitwise(tmp_path, curated):
+    # a candidate file holds the designs of `produce_candidates`, in task
+    # coordinates, and reads back bit for bit
+    model = tmp_path / "model.npz"
+    cli.main(["train", "--data", str(curated), "--out-model", str(model),
+              *TRAIN_FLAGS])
+    cands = tmp_path / "cands.csv"
+    assert cli.main(["optimize", "--model", str(model), "--data", str(curated),
+                     "--budget", "4", "--out", str(cands), *OPTIMIZE_FLAGS]) == 0
+    dataset = read_dataset(curated)
+    eta = TrainerConfig().resolved_eta(dataset)
+    want = produce_candidates(load_surrogate(model), dataset, 4, eta, 3)
+    got = read_candidates(cands)
+    assert got.designs.tobytes() == want.designs.tobytes()
+    assert got.provenance.tolist() == want.provenance.tolist()
+    assert got.surrogate_values.tobytes() == want.surrogate_values.tobytes()
 
 
 def test_train_log_holds_every_ensemble_member(tmp_path, curated):

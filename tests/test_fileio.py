@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from comopt.fileio import load_surrogate, read_rows, save_surrogate, write_rows
 from comopt.net import build_model
 from comopt.optimizer import CandidateSet, read_candidates, write_candidates
 from comopt.tasks import CurationConfig, curate_dataset, pwm_task, write_dataset
-from comopt.trainer import fit_normalization
 
 
 def assert_same_net(a, b):
@@ -58,11 +59,13 @@ class TestSurrogateIO:
 
     @staticmethod
     def archive_with(tmp_path, key, value):
-        """A saved surrogate archive, an ensemble when `key` is n_members,
-        with the array `key` rewritten to `value`."""
+        """A saved surrogate archive of 2 -> 3 -> 1 nets, an ensemble when
+        `key` is n_members or aggregate, with the array `key` rewritten to
+        `value`."""
         rng = np.random.default_rng(7)
         members = [build_model(2, (3,), rng=rng) for _ in range(2)]
-        model = Ensemble(members, "min") if key == "n_members" else members[0]
+        model = (Ensemble(members, "min") if key in ("n_members", "aggregate")
+                 else members[0])
         path = tmp_path / "bad.npz"
         save_surrogate(model, path)
         with np.load(path) as data:
@@ -90,6 +93,20 @@ class TestSurrogateIO:
                            match=rf"bad\.npz: {key} is not an integer$"):
             load_surrogate(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_layers", 1, "final layer must produce a single scalar"),
+        ("n_layers", 0, "model needs at least one layer"),
+        ("leak", True, "leak must lie in (0, 1)"),
+        ("leak", 0.0, "leak must lie in (0, 1)"),
+        ("aggregate", "max", "aggregate must be 'min' or 'mean'"),
+        ("n_members", 0, "ensemble needs at least one member")])
+    def test_a_model_the_arrays_cannot_build_is_an_error_naming_the_file(
+            self, tmp_path, key, value, message):
+        path = self.archive_with(tmp_path, key, value)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: {message}") + "$"):
+            load_surrogate(path)
+
 
 class TestWriteRows:
     def test_floats_use_repr_and_crlf(self, tmp_path):
@@ -101,14 +118,12 @@ class TestWriteRows:
 
     def test_candidates_read_back_exactly(self, tmp_path):
         rng = np.random.default_rng(6)
-        raw_x = rng.normal(size=(6, 3))
-        stats = fit_normalization(raw_x, rng.normal(size=6))
-        cands = CandidateSet(stats.normalize_x(raw_x), np.arange(6), stats,
+        cands = CandidateSet(rng.normal(size=(6, 3)), np.arange(6),
                              rng.normal(size=6))
         path = tmp_path / "c.csv"
         write_candidates(cands, path)
         loaded = read_candidates(path)
-        assert loaded.designs.tobytes() == cands.raw_designs().tobytes()
+        assert loaded.designs.tobytes() == cands.designs.tobytes()
         assert loaded.provenance.tolist() == list(range(6))
         assert loaded.surrogate_values.tobytes() == cands.surrogate_values.tobytes()
 

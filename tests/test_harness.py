@@ -27,8 +27,7 @@ def candidate_set(raw_designs, surrogate_values=None):
     raw = np.asarray(raw_designs, dtype=float)
     values = (np.asarray(surrogate_values, dtype=float)
               if surrogate_values is not None else np.zeros(len(raw)))
-    return CandidateSet(raw, np.arange(len(raw)), identity_stats(raw.shape[1]),
-                        values)
+    return CandidateSet(raw, np.arange(len(raw)), values)
 
 
 class FlatStub:

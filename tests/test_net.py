@@ -272,7 +272,7 @@ class TestAdam:
 
     def test_misshapen_gradient_leaves_params_and_moments_untouched(self):
         model = build_model(3, (4,), rng=np.random.default_rng(2))
-        state = init_adam(model)
+        state = init_adam(model, learning_rate=1e-3)
         adam_step(state, model, np.ones_like(model.params))
         snapshot = [a.tobytes() for a in (model.params, state.first_moment,
                                           state.second_moment)]
@@ -303,7 +303,7 @@ class TestAdam:
     def test_params_finite_after_updates(self):
         rng = np.random.default_rng(8)
         model = build_model(4, (8,), rng=rng)
-        state = init_adam(model)
+        state = init_adam(model, learning_rate=1e-3)
         for _ in range(20):
             adam_step(state, model, rng.normal(size=model.params.shape))
         for lyr in model.layers:
@@ -382,7 +382,8 @@ class TestParameterVector:
         p = model.params.tolist()
         m = [0.0] * len(p)
         v = [0.0] * len(p)
-        b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, 0.01
+        b1, b2, eps = net.ADAM_BETA1, net.ADAM_BETA2, net.ADAM_EPSILON
+        lr = 0.01
         for t in range(1, 6):
             grad = rng.normal(size=model.params.shape)
             adam_step(state, model, grad)

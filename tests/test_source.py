@@ -2,7 +2,8 @@
 non-dunder method defined in `src/comopt` is used somewhere other than at
 its definition, in `src/comopt` or in perfbench's non-test modules. Tests
 check the code the system runs, so a name only the tests call is dead code
-or a test-only copy of a real path."""
+or a test-only copy of a real path. No import hides inside a function
+but the deliberate ones."""
 import ast
 from pathlib import Path
 
@@ -48,3 +49,22 @@ def test_every_src_definition_is_used_outside_the_tests():
     unused = [f"{path.stem}.{name}" for path, tree in src.items()
               for name in _definitions(tree) if name not in used]
     assert unused == []
+
+
+# The deliberate function-level imports, as (module, function): the process
+# machinery of `worker_pool`, which keeps a one-trial run from loading
+# multiprocessing, and the `baselines` import of `load_surrogate`, which
+# breaks the cycle fileio -> baselines -> trainer -> fileio.
+DEFERRED_IMPORTS = {("harness", "worker_pool"), ("fileio", "load_surrogate")}
+
+
+def test_no_function_level_import_but_the_deliberate_ones():
+    # an import inside a function hides a cycle that a module-level one
+    # would show at once
+    hidden = [f"{path.stem}.{func.name} line {node.lineno}"
+              for path, tree in _trees(sorted(SRC.glob("*.py"))).items()
+              for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+              for node in ast.walk(func)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and (path.stem, func.name) not in DEFERRED_IMPORTS]
+    assert hidden == []

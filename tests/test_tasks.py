@@ -6,10 +6,11 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from comopt.tasks import (CurationConfig, all_sequences, bowl_task, cliff_task,
-                          curate_dataset, edge_task, encode_sequences,
-                          get_task, oracle_eval_batch, pwm_task, read_dataset,
-                          sequence_scores, write_dataset)
+from comopt.tasks import (PWM_ENCODE_EPS, CurationConfig, all_sequences,
+                          bowl_task, cliff_task, curate_dataset, edge_task,
+                          encode_sequences, get_task, oracle_eval_batch,
+                          pwm_task, read_dataset, sequence_scores,
+                          write_dataset)
 
 
 class TestBowlOracle:
@@ -89,7 +90,7 @@ class TestEdgeOracle:
 
 class TestPwmOracle:
     def test_zero_weight_matrix_scores_zero(self):
-        task = pwm_task(seed=3)
+        task = pwm_task()
         task.weight_matrix[:] = 0.0
         seq = encode_sequences(np.array([[0, 1, 2, 3, 0, 1]]), 4, 0.2)[0]
         assert task.oracle(seq) == 0.0
@@ -97,7 +98,7 @@ class TestPwmOracle:
     def test_argmax_per_position_is_global_max(self):
         task = pwm_task()
         W = task.weight_matrix
-        best = encode_sequences(W.argmax(axis=1)[None], 4, task.encode_eps)[0]
+        best = encode_sequences(W.argmax(axis=1)[None], 4, PWM_ENCODE_EPS)[0]
         assert task.oracle(best) == pytest.approx(
             W.max(axis=1).sum())
         assert task.y_max == pytest.approx(W.max(axis=1).sum())
@@ -114,7 +115,7 @@ class TestPwmOracle:
         # spot-check the oracle against the table on a few sequences
         rng = np.random.default_rng(1)
         for idx in rng.integers(0, len(letters), size=10):
-            x = encode_sequences(letters[idx][None], 4, task.encode_eps)[0]
+            x = encode_sequences(letters[idx][None], 4, PWM_ENCODE_EPS)[0]
             assert task.oracle(x) == pytest.approx(fast[idx])
 
     def test_enumeration_shape_and_order(self):
