@@ -38,25 +38,27 @@ PWM_LENGTH = 6
 PWM_ALPHABET = 4
 PWM_WEIGHT_SEED = 7
 PWM_ENCODE_EPS = 0.2
+# pwm's seeded weights, one row per position and one column per letter.
+PWM_WEIGHTS = np.random.default_rng(PWM_WEIGHT_SEED).standard_normal(
+    (PWM_LENGTH, PWM_ALPHABET))
+PWM_WEIGHTS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
 class TaskSpec:
-    """A ground-truth objective with its sampling region and withheld score
-    range; the oracle is never visible to training except through curation.
-    `batch_oracle` scores the rows of a raw (n, input_dim) batch at once and
-    returns shape (n,); `oracle` scores one raw 1-D design as a float."""
+    """What differs between tasks: a ground-truth objective and its withheld
+    score range; curation reads the fixed geometry from this module's
+    constants. The oracle is never visible to training except through
+    curation. `batch_oracle` scores the rows of a raw (n, input_dim) batch
+    at once and returns shape (n,); `oracle` scores one raw 1-D design as a
+    float."""
 
     name: str
     input_dim: int
     is_discrete: bool
     batch_oracle: Callable[[np.ndarray], np.ndarray]
-    lower: np.ndarray
-    upper: np.ndarray
     y_min: float
     y_max: float
-    raw_shape: tuple[int, int] | None = None
-    weight_matrix: np.ndarray | None = None
 
     def oracle(self, x) -> float:
         """True score of one raw 1-D design."""
@@ -72,11 +74,6 @@ def oracle_eval_batch(task: TaskSpec, X) -> np.ndarray:
     return task.batch_oracle(X)
 
 
-def bowl_task() -> TaskSpec:
-    """The cliff oracle without its penalty: -||x||^2 everywhere."""
-    return cliff_task(penalty=0.0, name="bowl")
-
-
 def cliff_task(penalty: float = CLIFF_PENALTY, center: float = 0.0,
                name: str = "cliff") -> TaskSpec:
     """-||x - center||^2 in TASK_DIM coordinates, minus `penalty` wherever x
@@ -90,60 +87,31 @@ def cliff_task(penalty: float = CLIFF_PENALTY, center: float = 0.0,
         return values
 
     far = BOX_BOUND + abs(center)
-    return TaskSpec(
-        name=name,
-        input_dim=TASK_DIM,
-        is_discrete=False,
-        batch_oracle=batch_oracle,
-        lower=np.full(TASK_DIM, -BOX_BOUND),
-        upper=np.full(TASK_DIM, BOX_BOUND),
-        y_min=-TASK_DIM * far * far,
-        y_max=0.0,
-    )
+    return TaskSpec(name=name, input_dim=TASK_DIM, is_discrete=False,
+                    batch_oracle=batch_oracle, y_min=-TASK_DIM * far * far,
+                    y_max=0.0)
 
 
-def edge_task() -> TaskSpec:
-    """The cliff oracle centred on the box corner (BOX_BOUND, ...): the
-    optimum lies on the penalty boundary instead of inside the data."""
-    return cliff_task(center=BOX_BOUND, name="edge")
+def _pwm_oracle(X: np.ndarray) -> np.ndarray:
+    return sequence_scores(decode_sequences(X, PWM_LENGTH, PWM_ALPHABET))
 
 
-def pwm_task() -> TaskSpec:
-    length, alphabet = PWM_LENGTH, PWM_ALPHABET
-    W = np.random.default_rng(PWM_WEIGHT_SEED).standard_normal(
-        (length, alphabet))
-    d = length * alphabet
-
-    def batch_oracle(X: np.ndarray) -> np.ndarray:
-        return sequence_scores(task, decode_sequences(X, length, alphabet))
-
-    # The relaxed space is unbounded; record the raw logit levels as a
-    # nominal region (curation enumerates sequences instead of sampling it).
-    lo = np.log(PWM_ENCODE_EPS / (alphabet - 1))
-    hi = np.log(1.0 - PWM_ENCODE_EPS)
-    task = TaskSpec(
-        name="pwm",
-        input_dim=d,
-        is_discrete=True,
-        batch_oracle=batch_oracle,
-        lower=np.full(d, lo),
-        upper=np.full(d, hi),
-        y_min=float(W.min(axis=1).sum()),
-        y_max=float(W.max(axis=1).sum()),
-        raw_shape=(length, alphabet),
-        weight_matrix=W,
-    )
-    return task
-
-
-_TASKS = {"bowl": bowl_task, "cliff": cliff_task, "edge": edge_task,
-          "pwm": pwm_task}
+# Each task's one spec, built at import; `get_task` hands out these objects.
+_TASKS = {
+    "bowl": cliff_task(penalty=0.0, name="bowl"),
+    "cliff": cliff_task(),
+    "edge": cliff_task(center=BOX_BOUND, name="edge"),
+    "pwm": TaskSpec(name="pwm", input_dim=PWM_LENGTH * PWM_ALPHABET,
+                    is_discrete=True, batch_oracle=_pwm_oracle,
+                    y_min=float(PWM_WEIGHTS.min(axis=1).sum()),
+                    y_max=float(PWM_WEIGHTS.max(axis=1).sum())),
+}
 
 
 def get_task(name: str) -> TaskSpec:
     if name not in _TASKS:
         raise ValueError(f"unknown task {name!r}; choose from {sorted(_TASKS)}")
-    return _TASKS[name]()
+    return _TASKS[name]
 
 
 def task_names() -> list[str]:
@@ -156,13 +124,10 @@ def all_sequences(length: int, alphabet: int) -> np.ndarray:
     return grids.reshape(length, -1).T
 
 
-def sequence_scores(task: TaskSpec, letters: np.ndarray) -> np.ndarray:
-    """Position-weight scores of integer letter sequences, shape (n,)."""
-    W = task.weight_matrix
-    if W is None:
-        raise ValueError("task has no position-weight matrix")
+def sequence_scores(letters: np.ndarray) -> np.ndarray:
+    """pwm scores of (n, PWM_LENGTH) integer letter sequences, shape (n,)."""
     pos = np.arange(letters.shape[1])
-    return W[pos, letters].sum(axis=1)
+    return PWM_WEIGHTS[pos, letters].sum(axis=1)
 
 
 def encode_sequences(letters: np.ndarray, alphabet: int, eps: float) -> np.ndarray:
@@ -201,19 +166,18 @@ class CurationConfig:
 
 
 def curate_dataset(task: TaskSpec, config: CurationConfig) -> OfflineDataset:
-    """Sample the region (or enumerate all sequences when discrete), score
+    """Sample the box (or enumerate all sequences when discrete), score
     with the oracle, keep only the lowest keep_percentile slice by score,
     and standardize."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     if task.is_discrete:
-        length, alphabet = task.raw_shape
-        letters = all_sequences(length, alphabet)
-        raw = encode_sequences(letters, alphabet, PWM_ENCODE_EPS)
-        scores = sequence_scores(task, letters)
+        letters = all_sequences(PWM_LENGTH, PWM_ALPHABET)
+        raw = encode_sequences(letters, PWM_ALPHABET, PWM_ENCODE_EPS)
+        scores = sequence_scores(letters)
     else:
-        raw = rng.uniform(task.lower, task.upper,
-                          size=(config.n_raw_samples, task.input_dim))
+        raw = rng.uniform(-BOX_BOUND, BOX_BOUND,
+                          size=(config.n_raw_samples, TASK_DIM))
         scores = oracle_eval_batch(task, raw)
     n = len(raw)
     k = max(2, int(round(n * config.keep_percentile / 100.0)))

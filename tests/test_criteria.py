@@ -211,9 +211,8 @@ def test_criterion_2_reports_its_gaps_per_task(monkeypatch):
 
 
 def test_criterion_5_reports_ranks_hits_and_beats():
-    task = acceptance.get_task("pwm")
-    scores = acceptance.sequence_scores(
-        task, acceptance.all_sequences(*task.raw_shape))
+    scores = acceptance.sequence_scores(acceptance.all_sequences(
+        acceptance.PWM_LENGTH, acceptance.PWM_ALPHABET))
     top, bottom = float(scores.max()), float(scores.min())
     # (best candidate's true score, best training score) per trial
     trials = [(top + 1.0, top + 2.0), (top, bottom), (bottom - 1.0, bottom - 2.0)]
@@ -262,8 +261,21 @@ def test_criterion_7_reports_each_taus_finals_and_mean():
     json.dumps(record["metrics"])
 
 
-def _fd_per_copy(loss_fn, model, h=1e-5):
+def test_criterion_7_rejects_a_tie():
+    # with conservatism switched off every tau trains the same model, so
+    # the finals tie exactly; larger tau must end strictly above
+    jobs = acceptance._tau_jobs(fast=True)
+    record = acceptance.criterion_7_tau_ordering(
+        [_stub_trial(curve=np.array([0.0, -0.55])) for _ in jobs], fast=True)
+    assert [t["mean"] for t in record["metrics"]["taus"]] == [-0.55, -0.55]
+    assert record["passed"] is False
+    assert "tau=0.5 mean -0.55 > tau=0.05 mean -0.55: False" in \
+        record["detail"]
+
+
+def _fd_per_copy(loss_fn, model):
     """The finite differences as first written: a fresh copy per entry."""
+    h = acceptance.FD_STEP
     out = np.zeros_like(model.params)
     for i in range(out.size):
         m = model.copy()

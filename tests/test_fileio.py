@@ -7,7 +7,7 @@ from comopt.baselines import Ensemble
 from comopt.fileio import load_surrogate, read_rows, save_surrogate, write_rows
 from comopt.net import build_model
 from comopt.optimizer import CandidateSet, read_candidates, write_candidates
-from comopt.tasks import CurationConfig, curate_dataset, pwm_task, write_dataset
+from comopt.tasks import CurationConfig, curate_dataset, get_task, write_dataset
 
 
 def assert_same_net(a, b):
@@ -135,7 +135,7 @@ class TestWriteRows:
             read_rows(path)
 
     def test_dataset_read_back_exactly(self, tmp_path):
-        ds = curate_dataset(pwm_task(), CurationConfig(seed=1))
+        ds = curate_dataset(get_task("pwm"), CurationConfig(seed=1))
         path = tmp_path / "d.csv"
         write_dataset(ds, path)
         header, values = read_rows(path)

@@ -15,7 +15,7 @@ from comopt.harness import (DEFAULT_CONFIG, InvariantViolation,
 from comopt.fileio import write_rows
 from comopt.net import build_model
 from comopt.optimizer import CandidateSet, candidate_table
-from comopt.tasks import CurationConfig, bowl_task
+from comopt.tasks import CurationConfig, get_task
 from comopt.trainer import NormalizationStats, OfflineDataset, TrainerConfig
 
 
@@ -44,7 +44,7 @@ class FlatStub:
 
 class TestEvaluateBudget:
     def test_single_candidate(self):
-        task = bowl_task()
+        task = get_task("bowl")
         cands = candidate_set(np.zeros((1, 8)))
         ev = evaluate_budget(cands, task, 1)
         assert ev.score_p100 == ev.score_p50 == 0.0
@@ -55,23 +55,23 @@ class TestEvaluateBudget:
         raws = np.zeros((4, 8))
         for i in range(4):
             raws[i, 0] = np.sqrt(i + 1.0)
-        ev = evaluate_budget(candidate_set(raws), bowl_task(), 4)
+        ev = evaluate_budget(candidate_set(raws), get_task("bowl"), 4)
         assert ev.score_p100 == pytest.approx(-1.0)
         assert ev.score_p50 == pytest.approx(-2.5)
 
     def test_oracle_optimum_normalizes_to_one(self):
-        task = bowl_task()
+        task = get_task("bowl")
         ev = evaluate_budget(candidate_set(np.zeros((1, 8))), task, 1)
         assert ev.normalized_p100 == 1.0
 
     def test_budget_larger_than_set_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_budget(candidate_set(np.zeros((2, 8))), bowl_task(), 3)
+            evaluate_budget(candidate_set(np.zeros((2, 8))), get_task("bowl"), 3)
 
     def test_p100_at_least_p50(self):
         rng = np.random.default_rng(0)
         ev = evaluate_budget(candidate_set(rng.uniform(-2, 2, (8, 8))),
-                             bowl_task(), 8)
+                             get_task("bowl"), 8)
         assert ev.score_p100 >= ev.score_p50
 
     def test_budget_n_scores_the_surrogate_ranked_prefix(self):
@@ -80,7 +80,7 @@ class TestEvaluateBudget:
         raws = np.zeros((6, 8))
         raws[:, 0] = np.arange(6) * 0.3
         cands = candidate_set(raws, surrogate_values=np.arange(6.0))
-        task = bowl_task()
+        task = get_task("bowl")
         for n in range(1, 7):
             ev = evaluate_budget(cands, task, n)
             assert ev.score_p100 == budget_sweep(cands, task, [n])[0]
@@ -89,13 +89,13 @@ class TestEvaluateBudget:
 
 class TestNormalizedScore:
     def test_endpoints(self):
-        task = bowl_task()
+        task = get_task("bowl")
         assert normalized_score(task, task.y_max) == 1.0
         assert normalized_score(task, task.y_min) == 0.0
 
     @given(st.floats(-30, 5), st.floats(0.1, 100), st.floats(-1000, 1000))
     def test_affine_invariance(self, y, scale, shift):
-        task = bowl_task()
+        task = get_task("bowl")
         base = normalized_score(task, y)
 
         class Shifted:
@@ -108,7 +108,7 @@ class TestNormalizedScore:
 
 class TestStabilitySweep:
     def test_flat_model_gives_flat_curve(self):
-        task = bowl_task()
+        task = get_task("bowl")
 
         class Flat:
             input_dim = 8
@@ -128,7 +128,7 @@ class TestStabilitySweep:
     def test_curve_length(self):
         model = build_model(8, (4,), rng=np.random.default_rng(0))
         data = OfflineDataset(np.zeros((2, 8)), np.zeros(2), identity_stats(8))
-        curve = stability_sweep(model, bowl_task(), data, 0.1, 25)
+        curve = stability_sweep(model, get_task("bowl"), data, 0.1, 25)
         assert len(curve) == 26
 
 
@@ -136,18 +136,18 @@ class TestBudgetSweep:
     def test_monotone_nondecreasing(self):
         rng = np.random.default_rng(1)
         cands = candidate_set(rng.uniform(-2, 2, (16, 8)), rng.normal(size=16))
-        sweep = budget_sweep(cands, bowl_task(), [1, 2, 4, 8, 16])
+        sweep = budget_sweep(cands, get_task("bowl"), [1, 2, 4, 8, 16])
         assert all(a <= b for a, b in zip(sweep, sweep[1:]))
 
     def test_full_budget_at_least_single(self):
         rng = np.random.default_rng(2)
         cands = candidate_set(rng.uniform(-2, 2, (8, 8)), rng.normal(size=8))
-        sweep = budget_sweep(cands, bowl_task(), [1, 8])
+        sweep = budget_sweep(cands, get_task("bowl"), [1, 8])
         assert sweep[-1] >= sweep[0]
 
     def test_identical_candidates_flat_sweep(self):
         cands = candidate_set(np.ones((6, 8)) * 0.3, np.zeros(6))
-        sweep = budget_sweep(cands, bowl_task(), [1, 2, 3, 6])
+        sweep = budget_sweep(cands, get_task("bowl"), [1, 2, 3, 6])
         assert len(set(np.round(sweep, 12))) == 1
 
     def test_ranking_by_surrogate_descending(self):
@@ -156,14 +156,14 @@ class TestBudgetSweep:
         raws[1, 0] = 0.0
         raws[0, 0] = 1.0
         cands = candidate_set(raws, surrogate_values=[5.0, 1.0])
-        sweep = budget_sweep(cands, bowl_task(), [1, 2])
+        sweep = budget_sweep(cands, get_task("bowl"), [1, 2])
         assert sweep[0] == pytest.approx(-1.0)
         assert sweep[1] == pytest.approx(0.0)
 
     def test_budget_exceeding_candidates_rejected(self):
         cands = candidate_set(np.zeros((3, 8)), np.zeros(3))
         with pytest.raises(ValueError):
-            budget_sweep(cands, bowl_task(), [1, 4])
+            budget_sweep(cands, get_task("bowl"), [1, 4])
 
 
 TINY = {"task": "cliff", "n_raw": 100, "epochs": 2, "batch_size": 64,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -6,77 +7,78 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from comopt.tasks import (PWM_ENCODE_EPS, CurationConfig, all_sequences,
-                          bowl_task, cliff_task, curate_dataset, edge_task,
-                          encode_sequences, get_task, oracle_eval_batch,
-                          pwm_task, read_dataset, sequence_scores,
-                          write_dataset)
+from comopt import tasks
+from comopt.tasks import (BOX_BOUND, PWM_ENCODE_EPS, PWM_WEIGHTS, TASK_DIM,
+                          CurationConfig, TaskSpec, all_sequences,
+                          curate_dataset, encode_sequences, get_task,
+                          oracle_eval_batch, read_dataset, sequence_scores,
+                          task_names, write_dataset)
 
 
 class TestBowlOracle:
     def test_origin_is_global_max(self):
-        task = bowl_task()
+        task = get_task("bowl")
         assert task.oracle(np.zeros(8)) == 0.0
 
     def test_unit_vector(self):
-        task = bowl_task()
+        task = get_task("bowl")
         e1 = np.zeros(8)
         e1[0] = 1.0
         assert task.oracle(e1) == -1.0
 
     def test_all_ones(self):
-        assert bowl_task().oracle(np.ones(8)) == -8.0
+        assert get_task("bowl").oracle(np.ones(8)) == -8.0
 
 
 class TestCliffOracle:
     def test_origin(self):
-        assert cliff_task().oracle(np.zeros(8)) == 0.0
+        assert get_task("cliff").oracle(np.zeros(8)) == 0.0
 
     def test_just_past_edge_takes_penalty(self):
         x = np.zeros(8)
         x[0] = 2.1
-        assert cliff_task().oracle(x) == pytest.approx(-54.41)
+        assert get_task("cliff").oracle(x) == pytest.approx(-54.41)
 
     def test_boundary_counts_as_valid(self):
         x = np.zeros(8)
         x[0] = 2.0
-        assert cliff_task().oracle(x) == -4.0
+        assert get_task("cliff").oracle(x) == -4.0
 
     def test_outside_always_below_minus_fifty(self):
         rng = np.random.default_rng(0)
-        task = cliff_task()
+        task = get_task("cliff")
         for _ in range(50):
             x = rng.uniform(-4, 4, size=8)
             if np.max(np.abs(x)) > 2.0:
                 assert task.oracle(x) <= -50.0
 
     def test_withheld_score_range(self):
-        task = cliff_task()
+        task = get_task("cliff")
         assert (task.y_min, task.y_max) == (-32.0, 0.0)
 
     def test_pure_and_deterministic(self):
-        task = cliff_task()
+        task = get_task("cliff")
         x = np.full(8, 1.3)
         assert task.oracle(x) == task.oracle(x)
 
 
 class TestEdgeOracle:
     def test_corner_is_valid_optimum(self):
-        task = edge_task()
+        task = get_task("edge")
         assert task.oracle(np.full(8, 2.0)) == 0.0 == task.y_max
 
     def test_just_past_edge_takes_penalty(self):
         x = np.full(8, 2.0)
         x[0] = 2.1
-        assert edge_task().oracle(x) == pytest.approx(-50.01)
+        assert get_task("edge").oracle(x) == pytest.approx(-50.01)
 
     def test_opposite_corner_is_worst_in_box(self):
-        task = edge_task()
+        task = get_task("edge")
         assert task.oracle(np.full(8, -2.0)) == task.y_min == -128.0
 
     def test_outside_always_below_minus_fifty(self):
         rng = np.random.default_rng(0)
-        task = edge_task()
+        task = get_task("edge")
         for _ in range(50):
             x = rng.uniform(-4, 4, size=8)
             if np.max(np.abs(x)) > 2.0:
@@ -84,20 +86,21 @@ class TestEdgeOracle:
 
     def test_inside_box_is_bowl_centred_on_corner(self):
         x = np.random.default_rng(1).uniform(-2, 2, size=8)
-        assert edge_task().oracle(x) == pytest.approx(
-            bowl_task().oracle(x - 2.0))
+        assert get_task("edge").oracle(x) == pytest.approx(
+            get_task("bowl").oracle(x - 2.0))
 
 
 class TestPwmOracle:
-    def test_zero_weight_matrix_scores_zero(self):
-        task = pwm_task()
-        task.weight_matrix[:] = 0.0
+    def test_zero_weight_matrix_scores_zero(self, monkeypatch):
+        # the oracle reads the module's weights at call time
+        task = get_task("pwm")
+        monkeypatch.setattr(tasks, "PWM_WEIGHTS", np.zeros((6, 4)))
         seq = encode_sequences(np.array([[0, 1, 2, 3, 0, 1]]), 4, 0.2)[0]
         assert task.oracle(seq) == 0.0
 
     def test_argmax_per_position_is_global_max(self):
-        task = pwm_task()
-        W = task.weight_matrix
+        task = get_task("pwm")
+        W = PWM_WEIGHTS
         best = encode_sequences(W.argmax(axis=1)[None], 4, PWM_ENCODE_EPS)[0]
         assert task.oracle(best) == pytest.approx(
             W.max(axis=1).sum())
@@ -105,12 +108,12 @@ class TestPwmOracle:
 
     def test_ranks_match_exhaustive_enumeration(self):
         # independent brute force over all 4^6 sequences via itertools
-        task = pwm_task()
-        W = task.weight_matrix
+        task = get_task("pwm")
+        W = PWM_WEIGHTS
         brute = np.array([sum(W[i, k] for i, k in enumerate(seq))
                           for seq in itertools.product(range(4), repeat=6)])
         letters = all_sequences(6, 4)
-        fast = sequence_scores(task, letters)
+        fast = sequence_scores(letters)
         npt.assert_allclose(np.sort(brute), np.sort(fast), atol=1e-12)
         # spot-check the oracle against the table on a few sequences
         rng = np.random.default_rng(1)
@@ -134,24 +137,37 @@ class TestGetTask:
         with pytest.raises(ValueError):
             get_task("mystery")
 
+    @pytest.mark.parametrize("name", task_names())
+    def test_each_name_has_one_shared_spec(self, name):
+        assert get_task(name) is get_task(name)
+
+    def test_a_spec_holds_only_what_differs_between_tasks(self):
+        assert [f.name for f in dataclasses.fields(TaskSpec)] == [
+            "name", "input_dim", "is_discrete", "batch_oracle", "y_min",
+            "y_max"]
+
+    def test_pwm_weights_are_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            PWM_WEIGHTS[0, 0] = 0.0
+
 
 class TestCurateDataset:
     def test_keep_all_is_full_sample(self):
-        task = bowl_task()
+        task = get_task("bowl")
         ds = curate_dataset(task, CurationConfig(200, 100.0, seed=0))
         assert len(ds) == 200
 
     def test_keep_half_max_below_raw_median(self):
-        task = bowl_task()
+        task = get_task("bowl")
         config = CurationConfig(400, 50.0, seed=1)
         ds = curate_dataset(task, config)
         rng = np.random.default_rng(1)
-        raw = rng.uniform(task.lower, task.upper, size=(400, task.input_dim))
+        raw = rng.uniform(-BOX_BOUND, BOX_BOUND, size=(400, TASK_DIM))
         raw_scores = oracle_eval_batch(task, raw)
         assert ds.raw_scores().max() <= np.median(raw_scores)
 
     def test_pwm_keeps_bottom_half_with_headroom(self):
-        task = pwm_task()
+        task = get_task("pwm")
         ds = curate_dataset(task, CurationConfig(seed=0))
         assert len(ds) == 2048
         assert ds.raw_scores().max() < task.y_max
@@ -163,13 +179,13 @@ class TestCurateDataset:
             assert ds.raw_scores().max() < task.y_max
 
     def test_scores_normalized(self):
-        ds = curate_dataset(bowl_task(), CurationConfig(300, 50.0, seed=3))
+        ds = curate_dataset(get_task("bowl"), CurationConfig(300, 50.0, seed=3))
         assert abs(ds.scores.mean()) < 1e-8
         assert abs(ds.scores.std() - 1.0) < 1e-8
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
-            curate_dataset(bowl_task(), CurationConfig(5, 50.0))
+            curate_dataset(get_task("bowl"), CurationConfig(5, 50.0))
 
     def test_bad_percentile_rejected(self):
         with pytest.raises(ValueError):
@@ -178,15 +194,15 @@ class TestCurateDataset:
             CurationConfig(100, 101.0).validate()
 
     def test_deterministic_given_seed(self):
-        a = curate_dataset(bowl_task(), CurationConfig(100, 50.0, seed=9))
-        b = curate_dataset(bowl_task(), CurationConfig(100, 50.0, seed=9))
+        a = curate_dataset(get_task("bowl"), CurationConfig(100, 50.0, seed=9))
+        b = curate_dataset(get_task("bowl"), CurationConfig(100, 50.0, seed=9))
         npt.assert_array_equal(a.designs, b.designs)
         npt.assert_array_equal(a.scores, b.scores)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(5.0, 100.0), st.integers(0, 2**16))
     def test_kept_fraction_tracks_percentile(self, keep, seed):
-        ds = curate_dataset(bowl_task(), CurationConfig(200, keep, seed=seed))
+        ds = curate_dataset(get_task("bowl"), CurationConfig(200, keep, seed=seed))
         expect = max(2, int(round(200 * keep / 100.0)))
         assert len(ds) == expect
         # kept scores never exceed the highest discarded region's floor
@@ -196,7 +212,7 @@ class TestCurateDataset:
 
 class TestDatasetCSV:
     def test_round_trip(self, tmp_path):
-        task = cliff_task()
+        task = get_task("cliff")
         ds = curate_dataset(task, CurationConfig(100, 50.0, seed=5))
         path = tmp_path / "data.csv"
         write_dataset(ds, path)
@@ -208,7 +224,7 @@ class TestDatasetCSV:
         loaded.validate()
 
     def test_discrete_round_trip_keeps_shape(self, tmp_path):
-        ds = curate_dataset(pwm_task(), CurationConfig(seed=0))
+        ds = curate_dataset(get_task("pwm"), CurationConfig(seed=0))
         path = tmp_path / "pwm.csv"
         write_dataset(ds, path)
         loaded = read_dataset(path)
@@ -216,7 +232,7 @@ class TestDatasetCSV:
         assert loaded.is_discrete
 
     def test_sidecar_holds_only_what_read_dataset_reads(self, tmp_path):
-        ds = curate_dataset(pwm_task(), CurationConfig(seed=0))
+        ds = curate_dataset(get_task("pwm"), CurationConfig(seed=0))
         path = tmp_path / "pwm.csv"
         write_dataset(ds, path)
         meta = json.loads((tmp_path / "pwm.csv.meta.json").read_text())
@@ -226,7 +242,7 @@ class TestDatasetCSV:
     def test_sidecar_with_removed_keys_still_loads(self, tmp_path):
         # sidecars written before the oracle range and raw shape were
         # dropped from the dataset carry three more keys
-        ds = curate_dataset(pwm_task(), CurationConfig(seed=0))
+        ds = curate_dataset(get_task("pwm"), CurationConfig(seed=0))
         path = tmp_path / "pwm.csv"
         write_dataset(ds, path)
         sidecar = tmp_path / "pwm.csv.meta.json"
@@ -238,7 +254,7 @@ class TestDatasetCSV:
         assert loaded.is_discrete
 
     def test_header_and_final_column(self, tmp_path):
-        ds = curate_dataset(bowl_task(), CurationConfig(50, 100.0, seed=6))
+        ds = curate_dataset(get_task("bowl"), CurationConfig(50, 100.0, seed=6))
         path = tmp_path / "d.csv"
         write_dataset(ds, path)
         header = path.read_text().splitlines()[0].split(",")
@@ -249,7 +265,7 @@ class TestDatasetCSV:
 class TestReadDatasetRejects:
     @pytest.fixture()
     def written(self, tmp_path):
-        ds = curate_dataset(cliff_task(), CurationConfig(100, 50.0, seed=5))
+        ds = curate_dataset(get_task("cliff"), CurationConfig(100, 50.0, seed=5))
         path = tmp_path / "data.csv"
         write_dataset(ds, path)
         return path
@@ -300,10 +316,9 @@ class TestOracleEvalBatch:
     def test_batch_equals_one_design_at_a_time(self, name):
         task = get_task(name)
         rng = np.random.default_rng(8)
-        span = task.upper - task.lower
-        X = rng.uniform(task.lower - span, task.upper + span,
+        X = rng.uniform(-3 * BOX_BOUND, 3 * BOX_BOUND,
                         size=(300, task.input_dim))
-        X[:2] = task.lower  # an in-box row next to out-of-box ones
+        X[:2] = -BOX_BOUND  # an in-box row next to out-of-box ones
         batch = oracle_eval_batch(task, X)
         assert batch.shape == (300,)
         singles = np.array([task.oracle(x) for x in X])
@@ -325,7 +340,7 @@ class TestOracleEvalBatch:
             assert batch.tobytes() == want.tobytes()
 
     def test_caller_batch_left_unwritten(self):
-        task = cliff_task()
+        task = get_task("cliff")
         X = np.full((3, task.input_dim), 3.0)
         oracle_eval_batch(task, X)
         npt.assert_array_equal(X, 3.0)
@@ -333,4 +348,4 @@ class TestOracleEvalBatch:
     @pytest.mark.parametrize("shape", [(4, 7), (4, 9), (8,)])
     def test_wrong_width_rejected(self, shape):
         with pytest.raises(ValueError, match="cliff designs have 8 coordinates"):
-            oracle_eval_batch(cliff_task(), np.zeros(shape))
+            oracle_eval_batch(get_task("cliff"), np.zeros(shape))

@@ -140,8 +140,8 @@ class TestComLoss:
 
         assert mse + alpha * gap == pytest.approx(total(preds, mined),
                                                   rel=1e-12, abs=1e-12)
-        fd_data = _fd_gradient(lambda p: total(p, mined), preds, h=1e-6)
-        fd_mined = _fd_gradient(lambda pm: total(preds, pm), mined, h=1e-6)
+        fd_data = _fd_gradient(lambda p: total(p, mined), preds)
+        fd_mined = _fd_gradient(lambda pm: total(preds, pm), mined)
         assert g_data == pytest.approx(fd_data, rel=1e-5, abs=1e-6)
         assert g_mined == pytest.approx(fd_mined, rel=1e-5, abs=1e-6)
 
