@@ -20,10 +20,10 @@ import numpy as np
 from . import net
 from .baselines import train_naive
 from .fileio import write_json, write_rows
-from .harness import config_from, normalized_score, run_experiment, \
+from .harness import config_from, monotone, normalized_score, run_experiment, \
     run_trials, submit_trials, tau_jobs, trainer_config_from, worker_pool
 from .tasks import CLIFF_PENALTY, PWM_ALPHABET, PWM_LENGTH, CurationConfig, \
-    all_sequences, curate_dataset, get_task, sequence_scores
+    all_sequences, curate_dataset, get_task, sequence_scores, task_names
 from .trainer import TrainerConfig, _mine_endpoints
 
 GRADIENT_TOL = 1e-4
@@ -160,7 +160,8 @@ def criterion_2_conservatism(runs, fast=False):
     """Fixed large alpha must push the mined-vs-data prediction gap to at
     most 0.1; the dual variant must end with gap <= tau + 0.25. Also
     reports, ungated, how far the fixed-alpha check's mining moved (mean
-    ||x_T - x_0|| in normalised units) and its largest |prediction| there."""
+    ||x_T - x_0|| in normalised units), its largest |prediction| there,
+    and the dual trial's last-epoch `mse` and alpha."""
     details = []
     per_task = {}
     passed = True
@@ -172,18 +173,19 @@ def criterion_2_conservatism(runs, fast=False):
                                 tcfg.mining_steps)
         preds_mined = net.forward_batch(model, mined)
         gap = float(preds_mined.mean() - net.forward_batch(model, designs).mean())
-        final_gap = dual_run.logs[0][-1]["gap"]
+        final = dual_run.logs[0][-1]
         bound = tcfg.resolved_tau(dual_run.dataset) + DUAL_GAP_SLACK
-        ok = gap <= CONSERVATISM_GAP_TOL and final_gap <= bound
+        ok = gap <= CONSERVATISM_GAP_TOL and final["gap"] <= bound
         passed = passed and ok
         displacement = np.linalg.norm(mined - designs, axis=1).mean()
         per_task[dual["task"]] = {
-            "fixed_alpha_gap": gap, "dual_final_gap": final_gap,
-            "dual_gap_bound": bound,
+            "fixed_alpha_gap": gap, "dual_final_gap": final["gap"],
+            "dual_gap_bound": bound, "dual_final_mse": final["mse"],
+            "dual_final_alpha": final["alpha"],
             "mined_displacement": float(displacement),
             "mined_max_abs_prediction": float(np.abs(preds_mined).max())}
         details.append(f"{dual['task']}: fixed-alpha gap {gap:.3f} (<= 0.1), "
-                       f"dual final gap {final_gap:.3f} (<= {bound:.2f})")
+                       f"dual final gap {final['gap']:.3f} (<= {bound:.2f})")
     return {
         "id": 2,
         "name": "conservatism",
@@ -261,21 +263,23 @@ def _stability_jobs(fast=False):
 
 def _stability_task(name, runs):
     """One task's record from its runs of `_stability_jobs`: its `metrics`
-    entry (each trial's finals and penalty crossings of COMs vs naive
-    ascent from the best dataset design, and their counts), its detail text
-    and the (header, rows) of its curves."""
+    entry (each trial's finals, penalty crossings and last-epoch `mse` of
+    COMs vs naive ascent from the best dataset design, and the counts), its
+    detail text and the (header, rows) of its curves."""
     gated = name == STABILITY_TASK
-    curves = iter(run.stability for run in runs)
+    trial_runs = iter(runs)
     rows, texts, curve_rows = [], [], []
     for trial in range(len(runs) // len(_STABILITY_METHODS)):
         row = {"trial": trial}
         finals = []
         for label, method in _STABILITY_METHODS.items():
-            curve = next(curves)
+            run = next(trial_runs)
+            curve = run.stability
             step = _first_crossing(curve)
             row[f"{label}_final"] = float(curve[-1])
             row[f"{label}_crossed"] = step is not None
             row[f"{label}_first_cross_step"] = step
+            row[f"{label}_final_mse"] = run.logs[0][-1]["mse"]
             crossed = "" if step is None else f" (crossed at step {step})"
             finals.append(f"{label} {row[f'{label}_final']:.1f}{crossed}")
             curve_rows.extend([trial, method, t, score]
@@ -376,30 +380,26 @@ def criterion_5_discrete(runs, fast=False):
     }
 
 
-def _monotone(sweep):
-    return all(a <= b + 1e-12 for a, b in zip(sweep, sweep[1:]))
-
-
 def criterion_6_budget_resilience(runs, fast=False):
     """Per-trial budget sweeps must be monotone, and the mean normalized
     p100 must reach 95% of its N=16 value at some N <= 8."""
     task = get_task("pwm")
-    monotone = all(_monotone(run.budget) for run in runs)
+    rising = all(monotone(run.budget) for run in runs)
     mean_curve = np.mean([[normalized_score(task, v) for v in run.budget]
                           for run in runs], axis=0)
     target = BUDGET_RESILIENCE_FRACTION * mean_curve[-1]
     reach = next((b for b, v in zip(DISCRETE_BUDGETS, mean_curve)
                   if v >= target), None)
-    passed = monotone and reach is not None and reach <= BUDGET_RESILIENCE_AT
+    passed = rising and reach is not None and reach <= BUDGET_RESILIENCE_AT
     return {
         "id": 6,
         "name": "budget resilience",
         "passed": bool(passed),
-        "detail": (f"sweeps monotone: {monotone}; mean normalized p100 reaches "
+        "detail": (f"sweeps monotone: {rising}; mean normalized p100 reaches "
                    f"{BUDGET_RESILIENCE_FRACTION:.0%} of its N={DISCRETE_BUDGET} "
                    f"value ({mean_curve[-1]:.3f}) at N={reach} "
                    f"(need <= {BUDGET_RESILIENCE_AT})"),
-        "metrics": {"monotone": monotone,
+        "metrics": {"monotone": rising,
                     "mean_normalized_p100": mean_curve.tolist(),
                     "target": float(target), "reach": reach},
         "curves": {"pwm_budget.csv": (["budget", "mean_normalized_p100"],
@@ -447,7 +447,7 @@ def criterion_8_protocol(runs, fast=False, *, work_dir):
     endpoints, and byte-identical same-seed reruns written under `work_dir`."""
     problems = []
     # normalized oracle optimum is exactly 1.0 on every task
-    for name in ("bowl", "cliff", "edge", "pwm"):
+    for name in task_names():
         task = get_task(name)
         if normalized_score(task, task.y_max) != 1.0:
             problems.append(f"{name} optimum does not normalize to 1.0")
@@ -455,7 +455,7 @@ def criterion_8_protocol(runs, fast=False, *, work_dir):
     for run in runs:
         if run.evaluation.score_p100 < run.evaluation.score_p50:
             problems.append("p100 < p50 in a discrete trial")
-        if not _monotone(run.budget):
+        if not monotone(run.budget):
             problems.append("budget sweep not monotone in a discrete trial")
     # same-seed byte identity of a full experiment run
     config = ("task = bowl\nmethod = coms\ntrials = 1\nn_raw = 120\n"

@@ -17,7 +17,7 @@ from . import acceptance
 from .fileio import load_surrogate, save_surrogate, write_json, write_rows
 from .harness import (DEFAULT_CONFIG, METHODS, InvariantViolation,
                       budget_sweep, config_from, curation_config_from,
-                      evaluate_budget, int_list, normalized_score,
+                      evaluate_budget, int_list, monotone, normalized_score,
                       run_experiment, stability_sweep, tau_sweep,
                       trainer_config_from, typed, worker_pool)
 from .optimizer import produce_candidates, read_candidates, write_candidates
@@ -146,8 +146,7 @@ def cmd_sweep_budget(args) -> int:
     budgets = int_list({"budgets": args.budgets}, "budgets")
     candidates = read_candidates(args.candidates)
     sweep = budget_sweep(candidates, task, budgets)
-    ascending = [p for _, p in sorted(zip(budgets, sweep))]
-    if any(a > b + 1e-12 for a, b in zip(ascending, ascending[1:])):
+    if not monotone([p for _, p in sorted(zip(budgets, sweep))]):
         raise InvariantViolation("budget sweep must be monotone non-decreasing")
     write_rows(args.out, ["budget", "p100", "normalized_p100"],
                ([b, p, normalized_score(task, p)] for b, p in zip(budgets, sweep)))

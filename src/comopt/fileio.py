@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .net import DenseLayer, ObjectiveModel
+from .net import DenseLayer, Ensemble, ObjectiveModel
 
 
 def write_rows(path, header, rows) -> None:
@@ -88,8 +88,6 @@ def load_surrogate(path):
     stored as an integer, a count or leak that is not a number, a
     non-finite weight and arrays that the model's own checks reject are
     errors that name the file."""
-    from .baselines import Ensemble
-
     with np.load(path) as data:
         def scalar(key, kind):
             array = data[key]

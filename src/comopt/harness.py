@@ -23,9 +23,9 @@ from .baselines import train_ensemble, train_naive
 from .fileio import write_json, write_rows
 from .optimizer import (CandidateSet, ascend, candidate_table,
                         produce_candidates, select_initializations)
-from .tasks import (CurationConfig, TaskSpec, curate_dataset, get_task,
-                    oracle_eval_batch, task_names)
-from .trainer import OfflineDataset, TrainerConfig, train, write_training_log
+from .tasks import (CurationConfig, OfflineDataset, TaskSpec, curate_dataset,
+                    get_task, oracle_eval_batch, task_names)
+from .trainer import TrainerConfig, train, write_training_log
 
 
 def _one(result):
@@ -116,6 +116,11 @@ def budget_sweep(candidates: CandidateSet, task: TaskSpec, budgets) -> np.ndarra
     running_max = np.maximum.accumulate(
         _top_scores(candidates, task, max(budgets)))
     return np.array([running_max[b - 1] for b in budgets])
+
+
+def monotone(curve) -> bool:
+    """Whether no point of `curve` lies more than 1e-12 below the one before."""
+    return all(a <= b + 1e-12 for a, b in zip(curve, curve[1:]))
 
 
 def tau_jobs(cfg: dict, trial: int, taus, t_max: int) -> list:

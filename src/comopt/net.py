@@ -1,4 +1,4 @@
-"""Dense feed-forward surrogate with exact manual backpropagation and Adam.
+"""Dense feed-forward nets and ensembles, exact manual backprop and Adam.
 
 Everything here is float64 numpy. Parameter and input gradients are exact
 (no finite-difference shortcuts inside the implementation; the test suite
@@ -93,6 +93,41 @@ class ObjectiveModel:
     def copy(self) -> "ObjectiveModel":
         """An independent model with equal parameters (construction copies)."""
         return ObjectiveModel(self.layers, self.leak)
+
+
+@dataclass
+class Ensemble:
+    """Independently seeded surrogates aggregated by min or mean."""
+
+    members: list[ObjectiveModel]
+    aggregate: str
+
+    def __post_init__(self):
+        if not self.members:
+            raise ValueError("ensemble needs at least one member")
+        if self.aggregate not in ("min", "mean"):
+            raise ValueError("aggregate must be 'min' or 'mean'")
+        dims = {m.input_dim for m in self.members}
+        if len(dims) != 1:
+            raise ValueError("all members must share input_dim")
+
+    def predict_batch(self, X) -> np.ndarray:
+        preds = np.stack([forward_batch(m, X) for m in self.members])
+        return preds.min(axis=0) if self.aggregate == "min" else preds.mean(axis=0)
+
+    def input_grad_batch(self, X) -> np.ndarray:
+        # One hidden pass per member yields its prediction and its gradient.
+        # Min mode: subgradient of the pointwise minimum is the gradient of
+        # the active member; argmin breaks ties toward the lowest index.
+        preds, grads = [], []
+        for m in self.members:
+            p, cache = forward_with_cache(m, X)
+            preds.append(p)
+            grads.append(input_gradient_batch(m, X, cache))
+        if self.aggregate == "mean":
+            return np.stack(grads).mean(axis=0)
+        active = np.stack(preds).argmin(axis=0)
+        return np.stack(grads)[active, np.arange(X.shape[0])]
 
 
 def build_model(input_dim: int, hidden=(64, 64), leak: float = 0.3, *,

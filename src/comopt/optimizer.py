@@ -11,16 +11,13 @@ space; a `CandidateSet` holds its endpoints in task coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import net
 from .fileio import read_rows, write_rows
 from .net import GradientError, ObjectiveModel
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .trainer import OfflineDataset
+from .tasks import OfflineDataset
 
 
 def predict_batch(model, X) -> np.ndarray:
@@ -89,7 +86,7 @@ class CandidateSet:
         return len(self.designs)
 
 
-def select_initializations(dataset: "OfflineDataset", n: int) -> np.ndarray:
+def select_initializations(dataset: OfflineDataset, n: int) -> np.ndarray:
     """Indices of the n dataset designs with highest observed score, ties to
     the lower index; n = 1 is plain start-at-the-dataset-optimum search."""
     if n < 1:
@@ -99,7 +96,7 @@ def select_initializations(dataset: "OfflineDataset", n: int) -> np.ndarray:
     return np.argsort(-dataset.scores, kind="stable")[:n]
 
 
-def produce_candidates(model, dataset: "OfflineDataset", n: int,
+def produce_candidates(model, dataset: OfflineDataset, n: int,
                        eta: float, steps: int) -> CandidateSet:
     """Budget-n protocol: ascend from each of the top-n dataset designs and
     return the n endpoints in task coordinates, with their surrogate values."""

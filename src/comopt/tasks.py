@@ -1,4 +1,4 @@
-"""Synthetic ground-truth tasks and offline-dataset curation.
+"""Synthetic ground-truth tasks and the offline datasets curated from them.
 
 Four desk-scale oracles:
 
@@ -18,7 +18,7 @@ Four desk-scale oracles:
 
 Curation samples the region (or enumerates all sequences), keeps only the
 lowest-scoring slice by percentile so headroom above the dataset exists,
-and standardizes the kept designs and scores.
+and standardizes the kept designs and scores into an `OfflineDataset`.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from typing import Callable
 import numpy as np
 
 from .fileio import read_rows, write_json, write_rows
-from .trainer import NormalizationStats, OfflineDataset, fit_normalization
 
 TASK_DIM = 8
 BOX_BOUND = 2.0
@@ -148,6 +147,78 @@ def decode_sequences(X, length: int, alphabet: int) -> np.ndarray:
         raise ValueError(f"expected designs of shape (n, {length * alphabet}), "
                          f"got {X.shape}")
     return X.reshape(len(X), length, alphabet).argmax(axis=2)
+
+
+@dataclass
+class NormalizationStats:
+    """Per-dimension input and scalar output standardization parameters."""
+
+    x_mean: np.ndarray
+    x_std: np.ndarray
+    y_mean: float
+    y_std: float
+
+    def normalize_x(self, X) -> np.ndarray:
+        return (np.asarray(X, dtype=np.float64) - self.x_mean) / self.x_std
+
+    def denormalize_x(self, X) -> np.ndarray:
+        return np.asarray(X, dtype=np.float64) * self.x_std + self.x_mean
+
+    def normalize_y(self, y):
+        return (np.asarray(y, dtype=np.float64) - self.y_mean) / self.y_std
+
+    def denormalize_y(self, y):
+        return np.asarray(y, dtype=np.float64) * self.y_std + self.y_mean
+
+
+def fit_normalization(designs, scores) -> NormalizationStats:
+    """Population mean/std per input dimension and for the scores; stds that
+    come out exactly zero are replaced by one so division stays defined."""
+    X = np.asarray(designs, dtype=np.float64)
+    y = np.asarray(scores, dtype=np.float64)
+    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
+        raise ValueError("designs must be (n, d) with matching (n,) scores")
+    if len(X) < 2:
+        raise ValueError("need at least 2 samples to fit normalization")
+    x_std = X.std(axis=0)
+    x_std = np.where(x_std == 0.0, 1.0, x_std)
+    y_std = float(y.std())
+    if y_std == 0.0:
+        y_std = 1.0
+    return NormalizationStats(X.mean(axis=0), x_std, float(y.mean()), y_std)
+
+
+@dataclass
+class OfflineDataset:
+    """Normalized (design, score) pairs plus the stats to undo the scaling."""
+
+    designs: np.ndarray
+    scores: np.ndarray
+    stats: NormalizationStats
+    is_discrete: bool = False
+
+    def __len__(self) -> int:
+        return len(self.designs)
+
+    @property
+    def input_dim(self) -> int:
+        return self.designs.shape[1]
+
+    def raw_designs(self) -> np.ndarray:
+        return self.stats.denormalize_x(self.designs)
+
+    def raw_scores(self) -> np.ndarray:
+        return self.stats.denormalize_y(self.scores)
+
+    def validate(self) -> None:
+        if len(self.designs) != len(self.scores) or len(self.designs) < 2:
+            raise ValueError("dataset needs matching designs/scores, >= 2 rows")
+        degenerate = self.stats.y_std == 1.0 and float(self.scores.std()) == 0.0
+        if not degenerate:
+            if abs(float(self.scores.mean())) > 1e-8:
+                raise ValueError("normalized scores must have mean ~ 0")
+            if abs(float(self.scores.std()) - 1.0) > 1e-8:
+                raise ValueError("normalized scores must have std ~ 1")
 
 
 @dataclass

@@ -5,10 +5,11 @@ from hypothesis import given, strategies as st
 
 from comopt import net
 from comopt.acceptance import _fd_gradient
-from comopt.baselines import Ensemble, train_ensemble, train_naive
-from comopt.net import ObjectiveModel, build_model
+from comopt.baselines import train_ensemble, train_naive
+from comopt.net import Ensemble, ObjectiveModel, build_model
 from comopt.optimizer import ascend, input_grad_batch, predict_batch
-from comopt.trainer import OfflineDataset, TrainerConfig, fit_normalization, train
+from comopt.tasks import OfflineDataset, fit_normalization
+from comopt.trainer import TrainerConfig, train
 from conftest import linear_model
 
 

@@ -10,11 +10,12 @@ import pytest
 from comopt import acceptance, net
 from comopt.harness import (TrialEvaluation, TrialResult, curation_config_from,
                             trainer_config_from)
-from comopt.trainer import NormalizationStats, OfflineDataset
+from comopt.tasks import NormalizationStats, OfflineDataset
 
 
-def _stub_trial(sweep=None, curve=None, seconds=0.0):
-    return TrialResult(dataset=None, model=None, logs=[], candidates=None,
+def _stub_trial(sweep=None, curve=None, seconds=0.0, mse=0.0):
+    return TrialResult(dataset=None, model=None, logs=[[{"mse": mse}]],
+                       candidates=None,
                        evaluation=TrialEvaluation(1.0, 0.5, 1.0, 0.5),
                        stability=curve, budget=sweep, seconds=seconds)
 
@@ -105,26 +106,35 @@ def test_criterion_4_reports_each_task_exactly():
         ("cliff", "grad-naive"): [0.0, 1.0, 5.0],
     }
 
+    # each surrogate's last-epoch mse: 0.5 for COMs and 0.25 for naive,
+    # plus the trial, plus 10 on cliff
+    final_mse = {"edge": 0.0, "cliff": 10.0, "coms": 0.5, "grad-naive": 0.25}
+
     def curve(cfg, trial):
         key = (cfg["task"], cfg["method"])
         return np.array(curves.get((*key, trial), curves[key]))
 
     record = acceptance.criterion_4_stability([
-        _stub_trial(curve=curve(cfg, trial), seconds=0.25)
+        _stub_trial(curve=curve(cfg, trial), seconds=0.25,
+                    mse=final_mse[cfg["task"]] + final_mse[cfg["method"]]
+                    + trial)
         for cfg, trial in acceptance._stability_jobs()])
 
-    def row(trial, coms, naive):
+    def row(trial, coms, naive, task="edge"):
         out = {"trial": trial}
-        for name, (final, step) in (("coms", coms), ("naive", naive)):
+        for name, (final, step), method in (("coms", coms, "coms"),
+                                            ("naive", naive, "grad-naive")):
             out.update({f"{name}_final": final,
                         f"{name}_crossed": step is not None,
-                        f"{name}_first_cross_step": step})
+                        f"{name}_first_cross_step": step,
+                        f"{name}_final_mse": final_mse[task]
+                        + final_mse[method] + trial})
         return out
 
     edge = [row(0, (3.0, 1), (-60.0, 2))] + [
         row(t, (2.0, None), (-60.0, 2)) for t in range(1, 8)]
-    cliff = [row(0, (2.0, None), (-52.0, 1))] + [
-        row(t, (2.0, None), (5.0, None)) for t in range(1, 8)]
+    cliff = [row(0, (2.0, None), (-52.0, 1), "cliff")] + [
+        row(t, (2.0, None), (5.0, None), "cliff") for t in range(1, 8)]
     want = {"trial_seconds": 8.0, "tasks": {
         "edge": {"gated": True, "wins": 8, "naive_falls": 8, "coms_falls": 1,
                  "trials": edge},
@@ -179,14 +189,16 @@ def test_criterion_2_fixed_alpha_trials_train_like_their_dual_and_search_once():
 def test_criterion_2_reports_its_gaps_per_task(monkeypatch):
     # every mined point moves +1 in each coordinate of a linear net with
     # weights 0.01, so each fixed-alpha gap is 0.01 * d
-    final_gaps = {"cliff": 0.6, "pwm": -88.0}
+    # the dual trials' last log rows, as measured on the protocol's trials
+    final_rows = {"cliff": {"gap": 0.6, "mse": 0.382, "alpha": 0.087},
+                  "pwm": {"gap": -88.0, "mse": 2.749, "alpha": 0.0}}
     runs = []
     for cfg, _ in acceptance._conservatism_jobs():
         d = 24 if cfg["task"] == "pwm" else 8
         model = net.ObjectiveModel([net.DenseLayer(np.full((1, d), 0.01),
                                                    np.zeros(1))])
         runs.append(TrialResult(_dataset(d, discrete=cfg["task"] == "pwm"),
-                                model, [[{"gap": final_gaps[cfg["task"]]}]],
+                                model, [[final_rows[cfg["task"]]]],
                                 None, None, None, None, 0.0))
     monkeypatch.setattr(acceptance, "_mine_endpoints",
                         lambda model, X, eta, steps: X + 1.0)
@@ -196,10 +208,13 @@ def test_criterion_2_reports_its_gaps_per_task(monkeypatch):
     # each mined point lies sqrt(d) from its start and predicts 0.01 * d
     assert tasks["cliff"] == {"fixed_alpha_gap": pytest.approx(0.08),
                               "dual_final_gap": 0.6, "dual_gap_bound": 0.75,
+                              "dual_final_mse": 0.382,
+                              "dual_final_alpha": 0.087,
                               "mined_displacement": pytest.approx(np.sqrt(8)),
                               "mined_max_abs_prediction": pytest.approx(0.08)}
     assert tasks["pwm"] == {"fixed_alpha_gap": pytest.approx(0.24),
                             "dual_final_gap": -88.0, "dual_gap_bound": 2.25,
+                            "dual_final_mse": 2.749, "dual_final_alpha": 0.0,
                             "mined_displacement": pytest.approx(np.sqrt(24)),
                             "mined_max_abs_prediction": pytest.approx(0.24)}
     assert record["passed"] is False  # pwm's fixed-alpha gap exceeds 0.1
@@ -208,6 +223,41 @@ def test_criterion_2_reports_its_gaps_per_task(monkeypatch):
         "(<= 0.75); pwm: fixed-alpha gap 0.240 (<= 0.1), dual final gap "
         "-88.000 (<= 2.25)")
     json.dumps(record["metrics"])
+
+
+def test_criterion_2_passes_a_diverged_mining_vacuously(monkeypatch):
+    """Mining that lands every point 1e6 away, where the surrogate predicts
+    -3e11, as the pwm trial's does, makes the fixed-alpha gap hugely
+    negative, and criterion 2 passes: it bounds the gap from above only.
+    This pins that vacuous pass, so the change that bounds how far mining
+    may move or how badly the conservative surrogate may fit its data has
+    a test to turn into a FAIL."""
+    runs = []
+    for cfg, _ in acceptance._conservatism_jobs():
+        d = 24 if cfg["task"] == "pwm" else 8
+        weights = np.zeros((1, d))
+        weights[0, 0] = -3e5
+        model = net.ObjectiveModel([net.DenseLayer(weights, np.zeros(1))])
+        runs.append(TrialResult(
+            _dataset(d, discrete=cfg["task"] == "pwm"), model,
+            [[{"gap": -88.0, "mse": 2.749, "alpha": 0.0}]],
+            None, None, None, None, 0.0))
+
+    def diverge(model, X, eta, steps):
+        mined = X.copy()
+        mined[:, 0] += 1e6
+        return mined
+
+    monkeypatch.setattr(acceptance, "_mine_endpoints", diverge)
+    record = acceptance.criterion_2_conservatism(runs)
+    for task in ("cliff", "pwm"):
+        metrics = record["metrics"]["tasks"][task]
+        assert metrics["fixed_alpha_gap"] == -3e11
+        assert metrics["mined_displacement"] == 1e6
+        assert metrics["mined_max_abs_prediction"] == 3e11
+    assert record["passed"] is True
+    assert record["detail"].startswith(
+        "cliff: fixed-alpha gap -300000000000.000 (<= 0.1)")
 
 
 def test_criterion_5_reports_ranks_hits_and_beats():

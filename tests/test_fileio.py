@@ -3,9 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from comopt.baselines import Ensemble
 from comopt.fileio import load_surrogate, read_rows, save_surrogate, write_rows
-from comopt.net import build_model
+from comopt.net import Ensemble, build_model
 from comopt.optimizer import CandidateSet, read_candidates, write_candidates
 from comopt.tasks import CurationConfig, curate_dataset, get_task, write_dataset
 

@@ -15,8 +15,9 @@ from comopt.harness import (DEFAULT_CONFIG, InvariantViolation,
 from comopt.fileio import write_rows
 from comopt.net import build_model
 from comopt.optimizer import CandidateSet, candidate_table
-from comopt.tasks import CurationConfig, get_task
-from comopt.trainer import NormalizationStats, OfflineDataset, TrainerConfig
+from comopt.tasks import (CurationConfig, NormalizationStats, OfflineDataset,
+                          get_task)
+from comopt.trainer import TrainerConfig
 
 
 def identity_stats(dim):

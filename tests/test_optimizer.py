@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from comopt import net
-from comopt.baselines import Ensemble
-from comopt.net import (GradientError, GradientPlan, build_model, forward_batch,
-                        input_gradient_batch)
+from comopt.net import (Ensemble, GradientError, GradientPlan, build_model,
+                        forward_batch, input_gradient_batch)
 from comopt.optimizer import (CandidateSet, ascend, predict_batch,
                               produce_candidates, read_candidates,
                               select_initializations, write_candidates)
-from comopt.tasks import decode_sequences, encode_sequences
-from comopt.trainer import OfflineDataset, fit_normalization
+from comopt.tasks import (OfflineDataset, decode_sequences, encode_sequences,
+                          fit_normalization)
 from conftest import QuadraticStub, linear_model
 
 

@@ -3,7 +3,8 @@ non-dunder method defined in `src/comopt` is used somewhere other than at
 its definition, in `src/comopt` or in perfbench's non-test modules. Tests
 check the code the system runs, so a name only the tests call is dead code
 or a test-only copy of a real path. No import hides inside a function
-but the deliberate ones."""
+but the deliberate ones, and the module-level imports go down the layers
+of the pipeline."""
 import ast
 from pathlib import Path
 
@@ -53,9 +54,8 @@ def test_every_src_definition_is_used_outside_the_tests():
 
 # The deliberate function-level imports, as (module, function): the process
 # machinery of `worker_pool`, which keeps a one-trial run from loading
-# multiprocessing, and the `baselines` import of `load_surrogate`, which
-# breaks the cycle fileio -> baselines -> trainer -> fileio.
-DEFERRED_IMPORTS = {("harness", "worker_pool"), ("fileio", "load_surrogate")}
+# multiprocessing.
+DEFERRED_IMPORTS = {("harness", "worker_pool")}
 
 
 def test_no_function_level_import_but_the_deliberate_ones():
@@ -68,3 +68,41 @@ def test_no_function_level_import_but_the_deliberate_ones():
               if isinstance(node, (ast.Import, ast.ImportFrom))
               and (path.stem, func.name) not in DEFERRED_IMPORTS]
     assert hidden == []
+
+
+# comopt's modules in pipeline order: the surrogate, file formats, tasks
+# and their datasets, search, training, baselines, the protocol, the
+# acceptance suite and the command line.
+LAYERS = ("net", "fileio", "tasks", "optimizer", "trainer", "baselines",
+          "harness", "acceptance", "cli")
+
+
+def _module_level_imports(tree):
+    """(line, module) for each comopt module that a relative import outside
+    a function names, also under `if` or `try`: `from .x import y` and
+    `from . import x` both name x."""
+    scopes = [tree]
+    while scopes:
+        for node in ast.iter_child_nodes(scopes.pop()):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = ([node.module] if node.module
+                         else [alias.name for alias in node.names])
+                yield from ((node.lineno, name.split(".")[0])
+                            for name in names)
+            elif not isinstance(node, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                scopes.append(node)
+
+
+def test_every_module_has_a_layer():
+    modules = {path.stem for path in SRC.glob("*.py")}
+    assert modules - {"__init__", "__main__"} == set(LAYERS)
+
+
+def test_module_level_imports_go_down_the_layers():
+    upward = [f"{path.stem} line {line} imports {name}"
+              for path in sorted(SRC.glob("*.py")) if path.stem in LAYERS
+              for line, name in _module_level_imports(
+                  ast.parse(path.read_text(), str(path)))
+              if name not in LAYERS[:LAYERS.index(path.stem)]]
+    assert upward == []

@@ -10,8 +10,9 @@ from comopt import net, trainer
 from comopt.acceptance import _fd_gradient, _plain_regression
 from comopt.net import DenseLayer, ObjectiveModel, build_model
 from comopt.optimizer import ascend
-from comopt.trainer import (OfflineDataset, TrainerConfig, _mine_endpoints,
-                            com_loss, dual_update, fit_normalization, train)
+from comopt.tasks import OfflineDataset, fit_normalization
+from comopt.trainer import (TrainerConfig, _mine_endpoints, com_loss,
+                            dual_update, train)
 from conftest import QuadraticStub, linear_model
 
 
