@@ -53,20 +53,24 @@ TAU_TRIALS = 4
 PWM_EPOCHS = 100
 
 
-def _fd_param_gradients(loss_fn, model):
-    """Central differences of a scalar loss over every entry of `params`,
-    perturbing one copy of the model in place; each entry is restored
-    before the next one moves."""
+def _fd_param_gradients(predict, model, losses):
+    """Central differences over every entry of `params` of each scalar
+    loss in `losses`, a function of the prediction `predict(model)`: one
+    row per loss. One copy of the model is perturbed in place, each entry
+    restored before the next one moves, and `predict` runs twice per entry
+    for all the losses together."""
     m = model.copy()
     params = m.params
-    out = np.zeros_like(params)
-    for i in range(out.size):
+    out = np.zeros((len(losses), params.size))
+    for i in range(params.size):
         saved = params[i]
         params[i] += FD_STEP
-        hi = loss_fn(m)
+        hi = predict(m)
         params[i] -= 2 * FD_STEP
-        out[i] = (hi - loss_fn(m)) / (2 * FD_STEP)
+        lo = predict(m)
         params[i] = saved
+        for k, loss in enumerate(losses):
+            out[k, i] = (loss(hi) - loss(lo)) / (2 * FD_STEP)
     return out
 
 
@@ -112,15 +116,13 @@ def criterion_1_gradients(runs, fast=False):
         for _ in range(pairs):
             model, x = _smooth_case(rng, input_dim, hidden)
             target = float(rng.normal())
-            # (dloss/dprediction, loss) for a linear and a squared-error loss
-            cases = [
-                ([1.0], lambda m: f(m, x)),
-                ([f(model, x) - target],
-                 lambda m: 0.5 * (f(m, x) - target) ** 2),
-            ]
-            for g, loss_fn in cases:
+            # dloss/dprediction and the loss of a prediction, for a linear
+            # and a squared-error loss
+            grads = [[1.0], [f(model, x) - target]]
+            losses = [lambda p: p, lambda p: 0.5 * (p - target) ** 2]
+            wants = _fd_param_gradients(lambda m: f(m, x), model, losses)
+            for g, want in zip(grads, wants):
                 got = net.loss_gradients(model, x[None, :], g)
-                want = _fd_param_gradients(loss_fn, model)
                 worst = max(worst, _rel_err(got, want).max())
             gi = net.input_gradient_batch(model, x[None])[0]
             fd = _fd_gradient(lambda v: f(model, v), x)
@@ -199,8 +201,7 @@ def _plain_regression(dataset, config):
     """Supervised regression written out independently of `train`: the
     same seeded init, shuffles and Adam steps on 0.5 * MSE, no mining."""
     rng = np.random.default_rng(config.seed)
-    model = net.build_model(dataset.input_dim, config.hidden, config.leak,
-                            rng=rng)
+    model = net.build_model(dataset.input_dim, config.hidden, rng=rng)
     adam = net.init_adam(model, config.adam_lr)
     for _ in range(config.epochs):
         order = rng.permutation(len(dataset))

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .net import DenseLayer, Ensemble, ObjectiveModel
+from .net import LEAK, DenseLayer, Ensemble, ObjectiveModel
 
 
 def write_rows(path, header, rows) -> None:
@@ -70,12 +70,11 @@ def _layer_arrays(model: ObjectiveModel, prefix: str = "") -> dict:
 def save_surrogate(model, path) -> None:
     """Save an ObjectiveModel or an Ensemble of them as an .npz archive."""
     if isinstance(model, ObjectiveModel):
-        arrays = {"leak": np.array(model.leak), **_layer_arrays(model)}
+        arrays = _layer_arrays(model)
     else:
         arrays = {
             "n_members": np.array(len(model.members)),
             "aggregate": np.array(model.aggregate),
-            "leak": np.array(model.members[0].leak),
         }
         for m, member in enumerate(model.members):
             arrays.update(_layer_arrays(member, f"m{m}_"))
@@ -85,9 +84,10 @@ def save_surrogate(model, path) -> None:
 def load_surrogate(path):
     """Load what `save_surrogate` wrote: an ObjectiveModel, or an Ensemble
     when the archive holds members. A missing array, a count that is not
-    stored as an integer, a count or leak that is not a number, a
-    non-finite weight and arrays that the model's own checks reject are
-    errors that name the file."""
+    stored as an integer, a count or stored `leak` (older archives hold
+    one) that is not a number, a `leak` other than `LEAK`, a non-finite
+    weight and arrays that the model's own checks reject are errors that
+    name the file."""
     with np.load(path) as data:
         def scalar(key, kind):
             array = data[key]
@@ -102,12 +102,16 @@ def load_surrogate(path):
             n_layers = scalar(f"{prefix}n_layers", int)
             model = ObjectiveModel(
                 [DenseLayer(data[f"{prefix}w{k}"], data[f"{prefix}b{k}"])
-                 for k in range(n_layers)], scalar("leak", float))
+                 for k in range(n_layers)])
             if not np.isfinite(model.params).all():
                 raise ValueError("non-finite weight in surrogate archive")
             return model
 
         try:
+            leak = scalar("leak", float) if "leak" in data else LEAK
+            if leak != LEAK:
+                raise ValueError(f"leak {leak!r} is not the slope every "
+                                 f"model uses ({LEAK!r})")
             if "n_members" not in data:
                 return member()
             return Ensemble([member(f"m{m}_")

@@ -167,7 +167,6 @@ DEFAULT_CONFIG = {
     "alpha_lr": 0.01,
     "alpha_init": 0.0,
     "hidden": "64,64",
-    "leak": 0.3,
     "ensemble_size": 5,
     "stability_steps": 0,
     "budgets": "",
@@ -267,7 +266,6 @@ def trainer_config_from(cfg: dict, seed: int) -> TrainerConfig:
         alpha_lr=cfg["alpha_lr"],
         alpha_init=cfg["alpha_init"],
         hidden=tuple(int_list(cfg, "hidden")),
-        leak=cfg["leak"],
     )
 
 

@@ -15,6 +15,10 @@ class GradientError(ValueError):
     """Raised on non-finite gradients or gradient/parameter shape mismatch."""
 
 
+# The negative-side slope of every model's leaky ReLU.
+LEAK = 0.3
+
+
 def _slope(z: np.ndarray, leak: float) -> np.ndarray:
     """Exactly 1.0 where z >= 0, else leak: leak + fl(1 - leak) is 1.0."""
     s = (z >= 0.0) * (1.0 - leak)
@@ -50,22 +54,19 @@ class DenseLayer:
 class ObjectiveModel:
     """Feed-forward surrogate: affine layers with leaky-ReLU between them.
 
-    The final layer maps to a single scalar prediction; `leak` is the
-    negative-side slope of the activation (0.3 by default). Construction
-    copies every layer's weights and bias, in layer order, into one
-    contiguous float64 vector `params`; the model's layers hold views into
-    it, so a write through either is seen by both.
+    The final layer maps to a single scalar prediction; the activation's
+    negative-side slope is `LEAK`. Construction copies every layer's
+    weights and bias, in layer order, into one contiguous float64 vector
+    `params`; the model's layers hold views into it, so a write through
+    either is seen by both.
     """
 
     layers: list[DenseLayer]
-    leak: float = 0.3
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("model needs at least one layer")
-        if not 0.0 < self.leak < 1.0:
-            raise ValueError("leak must lie in (0, 1)")
         for prev, nxt in zip(self.layers[:-1], self.layers[1:]):
             if nxt.fan_in != prev.fan_out:
                 raise ValueError("layer fan_in must match previous fan_out")
@@ -84,7 +85,7 @@ class ObjectiveModel:
     def __reduce__(self):
         # Pickling and deepcopy rebuild through the constructor, so the
         # layers of the result are views into its own `params`.
-        return ObjectiveModel, (self.layers, self.leak)
+        return ObjectiveModel, (self.layers,)
 
     @property
     def input_dim(self) -> int:
@@ -92,7 +93,7 @@ class ObjectiveModel:
 
     def copy(self) -> "ObjectiveModel":
         """An independent model with equal parameters (construction copies)."""
-        return ObjectiveModel(self.layers, self.leak)
+        return ObjectiveModel(self.layers)
 
 
 @dataclass
@@ -130,7 +131,7 @@ class Ensemble:
         return np.stack(grads)[active, np.arange(X.shape[0])]
 
 
-def build_model(input_dim: int, hidden=(64, 64), leak: float = 0.3, *,
+def build_model(input_dim: int, hidden, *,
                 rng: np.random.Generator) -> ObjectiveModel:
     """He-style uniform init: W ~ U(-sqrt(6/fan_in), +sqrt(6/fan_in)), b = 0."""
     dims = [int(input_dim), *[int(h) for h in hidden], 1]
@@ -139,7 +140,7 @@ def build_model(input_dim: int, hidden=(64, 64), leak: float = 0.3, *,
         bound = np.sqrt(6.0 / fan_in)
         weights = rng.uniform(-bound, bound, size=(fan_out, fan_in))
         layers.append(DenseLayer(weights, np.zeros(fan_out)))
-    return ObjectiveModel(layers, leak)
+    return ObjectiveModel(layers)
 
 
 def _as_batch(model: ObjectiveModel, X) -> np.ndarray:
@@ -150,21 +151,20 @@ def _as_batch(model: ObjectiveModel, X) -> np.ndarray:
     return X
 
 
-def _affine_slope(a: np.ndarray, weights_t: np.ndarray, bias: np.ndarray,
-                  leak: float):
+def _affine_slope(a: np.ndarray, weights_t: np.ndarray, bias: np.ndarray):
     """One hidden layer: the pre-activation z = a @ W.T + b and its slope.
     `bias` is the layer's (fan_out,) vector or that row repeated over a's
     rows; the add gives the same bits either way."""
     z = a @ weights_t
     z += bias
-    return z, _slope(z, leak)
+    return z, _slope(z, LEAK)
 
 
 def _hidden_pass(model: ObjectiveModel, X: np.ndarray):
     """Hidden layers' pre-activations, activations (from X on) and slopes."""
     pres, acts, slopes = [], [X], []
     for lyr in model.layers[:-1]:
-        z, s = _affine_slope(acts[-1], lyr.weights.T, lyr.bias, model.leak)
+        z, s = _affine_slope(acts[-1], lyr.weights.T, lyr.bias)
         pres.append(z)
         slopes.append(s)
         acts.append(z * s)
@@ -241,7 +241,7 @@ class GradientPlan:
         slopes = []
         for wt, b in zip(self.weights_t, self.biases):
             a = z * slopes[-1] if slopes else X
-            z, s = _affine_slope(a, wt, b, self.model.leak)
+            z, s = _affine_slope(a, wt, b)
             slopes.append(s)
         return slopes
 

@@ -62,7 +62,6 @@ class TrainerConfig:
     alpha_lr: float = 0.01
     alpha_init: float = 0.0
     hidden: tuple = (64, 64)
-    leak: float = 0.3
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -85,8 +84,6 @@ class TrainerConfig:
             raise ValueError("adam_lr must be positive")
         if self.alpha_init < 0.0 or self.alpha_lr < 0.0:
             raise ValueError("alpha_init and alpha_lr must be >= 0")
-        if not 0.0 < self.leak < 1.0:
-            raise ValueError("leak must lie in (0, 1)")
 
     def resolved_eta(self, dataset) -> float:
         """Step size; `dataset` is an OfflineDataset or its TaskSpec."""
@@ -145,7 +142,7 @@ def train(dataset: OfflineDataset, config: TrainerConfig):
     eta = config.resolved_eta(dataset)
     tau = config.resolved_tau(dataset)
     rng = np.random.default_rng(config.seed)
-    model = net.build_model(dataset.input_dim, config.hidden, config.leak, rng=rng)
+    model = net.build_model(dataset.input_dim, config.hidden, rng=rng)
     adam = net.init_adam(model, config.adam_lr)
     alpha = config.alpha_init
     conservative = not (config.alpha_init == 0.0 and config.alpha_lr == 0.0)

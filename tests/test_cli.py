@@ -362,12 +362,13 @@ def test_a_mistyped_value_fails_alike_from_a_flag_and_a_config_file(
 
 
 def test_a_flag_value_cannot_set_another_key(tmp_path, curated, capsys):
-    # `leak` has no flag; written into a config line, this value would set it
+    # `train` has no `trials` flag; written into a config line, this value
+    # would set it
     out = tmp_path / "m.npz"
     assert cli.main(["train", "--data", str(curated), "--hidden",
-                     "8\nleak = 0.9", "--out-model", str(out)]) == 1
+                     "8\ntrials = 9", "--out-model", str(out)]) == 1
     assert capsys.readouterr().err == ("error: hidden must be comma-separated "
-                                       "integers, got '8\\nleak = 0.9'\n")
+                                       "integers, got '8\\ntrials = 9'\n")
     assert not out.exists()
 
 

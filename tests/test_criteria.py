@@ -336,6 +336,10 @@ def _fd_per_copy(loss_fn, model):
     return out
 
 
+# criterion 1's losses, each a function of the prediction
+FD_LOSSES = [lambda p: p, lambda p: 0.5 * (p - 0.3) ** 2]
+
+
 @pytest.mark.parametrize("input_dim, hidden", [(3, ()), (5, (8,)),
                                                (8, (16, 16))])
 def test_fd_gradients_in_place_equal_a_copy_per_entry(input_dim, hidden):
@@ -343,9 +347,35 @@ def test_fd_gradients_in_place_equal_a_copy_per_entry(input_dim, hidden):
     model, x = acceptance._smooth_case(rng, input_dim, hidden)
     before = model.params.tobytes()
 
-    def loss(m):
-        return 0.5 * (net.forward_batch(m, x[None])[0] - 0.3) ** 2
+    def predict(m):
+        return net.forward_batch(m, x[None])[0]
 
-    got = acceptance._fd_param_gradients(loss, model)
+    got = acceptance._fd_param_gradients(predict, model, FD_LOSSES)
     assert model.params.tobytes() == before
-    assert got.tobytes() == _fd_per_copy(loss, model).tobytes()
+    assert got.shape == (2, model.params.size)
+    for row, loss in zip(got, FD_LOSSES):
+        want = _fd_per_copy(lambda m: loss(predict(m)), model)
+        assert row.tobytes() == want.tobytes()
+
+
+def test_criterion_1_predicts_twice_per_parameter_for_both_losses(
+        monkeypatch):
+    # per case: one prediction for the squared loss's dloss/dprediction,
+    # two per parameter for both losses' differences together, two per
+    # input entry for the input gradient's
+    smooth_case, forward_batch = acceptance._smooth_case, net.forward_batch
+    expected, calls = [], []
+
+    def recorded_case(rng, input_dim, hidden):
+        model, x = smooth_case(rng, input_dim, hidden)
+        expected.append(1 + 2 * model.params.size + 2 * input_dim)
+        return model, x
+
+    def counted(m, X):
+        calls.append(len(X))
+        return forward_batch(m, X)
+
+    monkeypatch.setattr(acceptance, "_smooth_case", recorded_case)
+    monkeypatch.setattr(net, "forward_batch", counted)
+    assert acceptance.criterion_1_gradients([], fast=True)["passed"]
+    assert calls == [1] * sum(expected)

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from comopt.fileio import load_surrogate, read_rows, save_surrogate, write_rows
-from comopt.net import Ensemble, build_model
+from comopt.net import LEAK, Ensemble, build_model
 from comopt.optimizer import CandidateSet, read_candidates, write_candidates
 from comopt.tasks import CurationConfig, curate_dataset, get_task, write_dataset
 
 
 def assert_same_net(a, b):
-    assert a.leak == b.leak
     assert len(a.layers) == len(b.layers)
     for la, lb in zip(a.layers, b.layers):
         assert la.weights.dtype == lb.weights.dtype == np.float64
@@ -22,7 +21,7 @@ class TestSurrogateIO:
     @pytest.mark.parametrize("aggregate", ["min", "mean"])
     def test_ensemble_round_trip_is_bitwise(self, tmp_path, aggregate):
         rng = np.random.default_rng(3)
-        members = [build_model(4, (6, 3), leak=0.2, rng=rng) for _ in range(3)]
+        members = [build_model(4, (6, 3), rng=rng) for _ in range(3)]
         path = tmp_path / "ens.npz"
         save_surrogate(Ensemble(members, aggregate), path)
         loaded = load_surrogate(path)
@@ -33,9 +32,9 @@ class TestSurrogateIO:
             assert_same_net(got, want)
 
     def test_single_model_archive_layout_loads(self, tmp_path):
-        model = build_model(3, (5,), leak=0.1, rng=np.random.default_rng(4))
+        model = build_model(3, (5,), rng=np.random.default_rng(4))
         path = tmp_path / "single.npz"
-        np.savez(path, leak=np.array(0.1), n_layers=np.array(2),
+        np.savez(path, n_layers=np.array(2),
                  w0=model.layers[0].weights, b0=model.layers[0].bias,
                  w1=model.layers[1].weights, b1=model.layers[1].bias)
         assert_same_net(load_surrogate(path), model)
@@ -44,7 +43,7 @@ class TestSurrogateIO:
         rng = np.random.default_rng(5)
         members = [build_model(2, (), rng=rng) for _ in range(2)]
         arrays = {"n_members": np.array(2), "aggregate": np.array("min"),
-                  "leak": np.array(0.3)}
+                  "leak": np.array(LEAK)}
         for m, member in enumerate(members):
             arrays[f"m{m}_n_layers"] = np.array(1)
             arrays[f"m{m}_w0"] = member.layers[0].weights
@@ -95,8 +94,6 @@ class TestSurrogateIO:
     @pytest.mark.parametrize("key, value, message", [
         ("n_layers", 1, "final layer must produce a single scalar"),
         ("n_layers", 0, "model needs at least one layer"),
-        ("leak", True, "leak must lie in (0, 1)"),
-        ("leak", 0.0, "leak must lie in (0, 1)"),
         ("aggregate", "max", "aggregate must be 'min' or 'mean'"),
         ("n_members", 0, "ensemble needs at least one member")])
     def test_a_model_the_arrays_cannot_build_is_an_error_naming_the_file(
@@ -106,6 +103,42 @@ class TestSurrogateIO:
                            match=re.escape(f"{path}: {message}") + "$"):
             load_surrogate(path)
 
+    @staticmethod
+    def archive_storing(tmp_path, leak, ensemble):
+        """A saved archive of one 2 -> 3 -> 1 net, or of a min ensemble of
+        two, with the slope `leak` added as archives written before the
+        slope became `net.LEAK` store it; and the saved nets."""
+        rng = np.random.default_rng(8)
+        members = [build_model(2, (3,), rng=rng) for _ in range(2)]
+        path = tmp_path / "old.npz"
+        save_surrogate(Ensemble(members, "min") if ensemble else members[0],
+                       path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        assert "leak" not in arrays
+        np.savez(path, **arrays, leak=np.array(leak))
+        return path, members if ensemble else members[:1]
+
+    @pytest.mark.parametrize("ensemble", [False, True],
+                             ids=["single", "ensemble"])
+    def test_an_archive_storing_the_slope_loads_bitwise(self, tmp_path,
+                                                        ensemble):
+        path, saved = self.archive_storing(tmp_path, 0.3, ensemble)
+        loaded = load_surrogate(path)
+        for got, want in zip(loaded.members if ensemble else [loaded], saved,
+                             strict=True):
+            assert_same_net(got, want)
+
+    @pytest.mark.parametrize("ensemble", [False, True],
+                             ids=["single", "ensemble"])
+    def test_another_stored_slope_is_an_error_naming_the_file(self, tmp_path,
+                                                              ensemble):
+        # loaded, the nets would compute another function than they stored
+        path, _ = self.archive_storing(tmp_path, 0.2, ensemble)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: leak 0.2 is not the slope every model uses (0.3)")
+                + "$"):
+            load_surrogate(path)
 
 class TestWriteRows:
     def test_floats_use_repr_and_crlf(self, tmp_path):

@@ -268,7 +268,7 @@ class TestRunTrials:
                    "epochs": 10, "batch_size": 64, "mining_steps": 10,
                    "ascent_rate": 0.1, "adam_lr": 0.01, "tau": 1.0,
                    "alpha_lr": 0.1, "alpha_init": 1.0, "hidden": "32",
-                   "leak": 0.2, "ensemble_size": 3, "stability_steps": 5,
+                   "ensemble_size": 3, "stability_steps": 5,
                    "budgets": "1,2"}
         assert set(changed) == set(DEFAULT_CONFIG) - {"trials"}
         key = _trial_key(base, 0)
@@ -352,7 +352,6 @@ class TestParseConfig:
         ("keep_percentile = 0\n", "keep_percentile must lie in"),
         ("tau = -1\n", "tau must be positive"),
         ("adam_lr = -1\n", "adam_lr must be positive"),
-        ("leak = 1.5\n", r"leak must lie in \(0, 1\)"),
         ("ensemble_size = 0\n", "ensemble_size must be >= 1"),
         ("method = grad-min\nensemble_size = 0\n",
          "ensemble_size must be >= 1"),
@@ -371,7 +370,7 @@ class TestParseConfig:
         ("hidden = -3\n", "hidden widths must be >= 1"),
     ], ids=["trials", "budget", "stability_steps", "hidden", "budgets",
             "budgets_range", "task", "epochs", "keep_percentile", "tau",
-            "adam_lr", "leak", "ensemble_size", "ensemble_size_grad_min",
+            "adam_lr", "ensemble_size", "ensemble_size_grad_min",
             "base_seed", "ascent_rate_nan", "ascent_rate_inf", "tau_nan",
             "tau_minus_inf", "adam_lr_inf", "alpha_lr_nan", "alpha_init_inf",
             "alpha_init_negative", "alpha_lr_negative", "hidden_zero",
@@ -385,12 +384,17 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown config keys: widget"):
             config_from({"widget": 3})
 
+    def test_leak_is_not_a_config_key(self):
+        # every model uses net.LEAK; a config cannot set another slope
+        with pytest.raises(ValueError, match="^unknown config keys: leak$"):
+            config_from({"leak": 0.3})
+
     @pytest.mark.parametrize("key, value, message", [
         ("budget", "4\nleak = 0.9", "budget must be an integer"),
         ("hidden", "8#x", "hidden must be comma-separated integers")])
     def test_dict_value_cannot_add_a_key_or_cut_itself_short(self, key,
                                                              value, message):
-        # as a config file's line, "4\nleak = 0.9" would also set leak and
+        # as a config file's line, "4\nleak = 0.9" would also add a key and
         # "8#x" would read 8; a dict value is the whole text of its line
         with pytest.raises(ValueError, match=message):
             config_from({key: value})

@@ -11,8 +11,8 @@ from comopt import net
 from comopt.acceptance import (_fd_gradient, _fd_param_gradients, _rel_err,
                                _smooth_case)
 from comopt.fileio import load_surrogate, save_surrogate
-from comopt.net import (DenseLayer, GradientError, ObjectiveModel, adam_step,
-                        build_model, forward_batch, init_adam,
+from comopt.net import (LEAK, DenseLayer, GradientError, ObjectiveModel,
+                        adam_step, build_model, forward_batch, init_adam,
                         input_gradient_batch, loss_gradients)
 from comopt.trainer import com_loss
 from conftest import linear_model
@@ -92,8 +92,8 @@ class TestForward:
         model = ObjectiveModel([
             DenseLayer(np.array([[1.0]]), np.array([0.0])),
             DenseLayer(np.array([[1.0]]), np.array([0.0])),
-        ], leak=0.3)
-        assert forward_batch(model, [[-2.0]])[0] == pytest.approx(-0.6)
+        ])
+        assert forward_batch(model, [[-2.0]])[0] == -2.0 * LEAK
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(3)
@@ -129,14 +129,6 @@ class TestModelInvariants:
                 DenseLayer(np.zeros((1, 5)), np.zeros(1)),
             ])
 
-    def test_leak_range(self):
-        with pytest.raises(ValueError):
-            ObjectiveModel([DenseLayer(np.zeros((1, 1)), np.zeros(1))], leak=1.5)
-
-    def test_default_leak(self):
-        model = build_model(3, (4,), rng=np.random.default_rng(0))
-        assert model.leak == 0.3
-
 
 class TestParamGradients:
     """Parameter gradients through `net.loss_gradients`, the backprop path
@@ -153,7 +145,8 @@ class TestParamGradients:
         model = build_model(3, (6,), rng=rng)
         x = rng.normal(size=3)
         grad = loss_gradients(model, x[None, :], [1.0])
-        fd = _fd_param_gradients(lambda m: forward_batch(m, x[None])[0], model)
+        [fd] = _fd_param_gradients(lambda m: forward_batch(m, x[None])[0],
+                                   model, [lambda p: p])
         assert grad.shape == model.params.shape
         assert _rel_err(grad, fd).max() < 1e-4
 
@@ -165,8 +158,9 @@ class TestParamGradients:
         y = rng.normal(size=2)
         _, _, g, _ = com_loss(forward_batch(model, X), y, None, 0.0)
         grad = loss_gradients(model, X, g)
-        fd = _fd_param_gradients(
-            lambda m: 0.5 * float(np.mean((forward_batch(m, X) - y) ** 2)), model)
+        [fd] = _fd_param_gradients(
+            lambda m: forward_batch(m, X), model,
+            [lambda p: 0.5 * float(np.mean((p - y) ** 2))])
         assert _rel_err(grad, fd).max() < 1e-4
 
     def test_empty_batch_rejected(self):
@@ -313,11 +307,10 @@ class TestAdam:
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
-        model = build_model(5, (8, 4), leak=0.2, rng=rng)
+        model = build_model(5, (8, 4), rng=rng)
         path = tmp_path / "model.npz"
         save_surrogate(model, path)
         loaded = load_surrogate(path)
-        assert loaded.leak == 0.2
         X = rng.normal(size=(3, 5))
         npt.assert_array_equal(forward_batch(loaded, X), forward_batch(model, X))
 
