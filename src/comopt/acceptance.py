@@ -86,10 +86,13 @@ def _fd_gradient(fn, x):
 
 
 def _smooth_case(rng, input_dim, hidden):
-    """Draw a (model, input) pair whose pre-activations sit away from the
-    activation kink, so the net is exactly linear inside the FD stencil."""
+    """Draw a (model, input) pair, with standard normal biases, whose
+    pre-activations sit away from the activation kink, so the net is
+    exactly linear inside the FD stencil."""
     for _ in range(500):
         model = net.build_model(input_dim, hidden, rng=rng)
+        for lyr in model.layers:
+            lyr.bias[:] = rng.normal(size=lyr.fan_out)
         x = rng.normal(size=input_dim)
         pres, _, _ = net._hidden_pass(model, x[None, :])
         if all(np.min(np.abs(p)) > KINK_MARGIN for p in pres):
@@ -102,7 +105,9 @@ def _rel_err(a, b):
 
 
 def criterion_1_gradients(runs, fast=False):
-    """Backprop vs central finite differences on random models and inputs."""
+    """Backprop vs central finite differences on random models and inputs:
+    parameter gradients, and input gradients both from a hidden pass and
+    through the `net.GradientPlan` that ascent steps on."""
     t0 = time.monotonic()
     rng = np.random.default_rng(12345)
     architectures = [(3, ()), (5, (8,)), (8, (16, 16))]
@@ -124,9 +129,10 @@ def criterion_1_gradients(runs, fast=False):
             for g, want in zip(grads, wants):
                 got = net.loss_gradients(model, x[None, :], g)
                 worst = max(worst, _rel_err(got, want).max())
-            gi = net.input_gradient_batch(model, x[None])[0]
             fd = _fd_gradient(lambda v: f(model, v), x)
-            worst = max(worst, _rel_err(gi, fd).max())
+            for gi in (net.input_gradient_batch(model, x[None]),
+                       net.GradientPlan(model, 1).input_grad_batch(x[None])):
+                worst = max(worst, _rel_err(gi[0], fd).max())
     elapsed = time.monotonic() - t0
     passed = worst <= GRADIENT_TOL and elapsed < 10.0
     return {
@@ -135,7 +141,7 @@ def criterion_1_gradients(runs, fast=False):
         "passed": bool(passed),
         "detail": (f"max relative error {worst:.3e} over "
                    f"{pairs} pairs x {len(architectures)} architectures "
-                   f"(tol {GRADIENT_TOL:.0e}), {elapsed:.1f}s (< 10s)"),
+                   f"(tol {GRADIENT_TOL:.0e}), time limit 10s"),
         "metrics": {"max_relative_error": float(worst),
                     "tolerance": GRADIENT_TOL, "pairs": pairs,
                     "architectures": len(architectures),
@@ -335,8 +341,7 @@ def criterion_4_stability(runs, fast=False):
         "id": 4,
         "name": "stability separation",
         "passed": bool(passed),
-        "detail": (f"{trial_seconds:.0f}s of trial time (< 300s). "
-                   + " | ".join(details)),
+        "detail": "trial time limit 300s. " + " | ".join(details),
         "metrics": {"trial_seconds": trial_seconds, "tasks": per_task},
         "curves": curves,
     }

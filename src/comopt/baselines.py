@@ -1,5 +1,5 @@
-"""Gradient-ascent baselines: a naive supervised surrogate and ensembles
-aggregated by min or mean (`net.Ensemble`). All of them reuse the trainer
+"""Gradient-ascent baselines: a naive supervised surrogate and a min
+ensemble of them (`net.Ensemble`). All of them reuse the trainer
 (with the conservative term pinned off) and the same design optimizer."""
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ def member_seed(base_seed: int, index: int) -> int:
 
 
 def train_ensemble(dataset: OfflineDataset, config: TrainerConfig,
-                   size: int, aggregate: str):
+                   size: int):
     """Train `size` naive members differing only by seed."""
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
@@ -38,4 +38,4 @@ def train_ensemble(dataset: OfflineDataset, config: TrainerConfig,
         model, log = train(dataset, cfg)
         members.append(model)
         logs.append(log)
-    return Ensemble(members, aggregate), logs
+    return Ensemble(members), logs

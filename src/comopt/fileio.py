@@ -72,10 +72,7 @@ def save_surrogate(model, path) -> None:
     if isinstance(model, ObjectiveModel):
         arrays = _layer_arrays(model)
     else:
-        arrays = {
-            "n_members": np.array(len(model.members)),
-            "aggregate": np.array(model.aggregate),
-        }
+        arrays = {"n_members": np.array(len(model.members))}
         for m, member in enumerate(model.members):
             arrays.update(_layer_arrays(member, f"m{m}_"))
     np.savez(path, **arrays)
@@ -83,11 +80,12 @@ def save_surrogate(model, path) -> None:
 
 def load_surrogate(path):
     """Load what `save_surrogate` wrote: an ObjectiveModel, or an Ensemble
-    when the archive holds members. A missing array, a count that is not
-    stored as an integer, a count or stored `leak` (older archives hold
-    one) that is not a number, a `leak` other than `LEAK`, a non-finite
-    weight and arrays that the model's own checks reject are errors that
-    name the file."""
+    when the archive holds members. Older archives also store `leak`, and
+    older ensembles `aggregate`. A missing array, a count that is not
+    stored as an integer, a count or `leak` that is not a number, a `leak`
+    other than `LEAK`, an `aggregate` other than "min", a non-finite weight
+    and arrays that the model's own checks reject are errors that name the
+    file."""
     with np.load(path) as data:
         def scalar(key, kind):
             array = data[key]
@@ -112,11 +110,14 @@ def load_surrogate(path):
             if leak != LEAK:
                 raise ValueError(f"leak {leak!r} is not the slope every "
                                  f"model uses ({LEAK!r})")
+            aggregate = str(data["aggregate"]) if "aggregate" in data else "min"
+            if aggregate != "min":
+                raise ValueError(f"aggregate {aggregate!r} is not the rule "
+                                 f"every ensemble uses ('min')")
             if "n_members" not in data:
                 return member()
             return Ensemble([member(f"m{m}_")
-                             for m in range(scalar("n_members", int))],
-                            str(data["aggregate"]))
+                             for m in range(scalar("n_members", int))])
         except KeyError as exc:
             raise ValueError(f"{path}: incomplete surrogate archive "
                              f"({exc.args[0]})") from None

@@ -38,10 +38,7 @@ def _one(result):
 METHODS = {
     "coms": lambda data, config, size: _one(train(data, config)),
     "grad-naive": lambda data, config, size: _one(train_naive(data, config)),
-    "grad-min": lambda data, config, size: train_ensemble(data, config, size,
-                                                          "min"),
-    "grad-mean": lambda data, config, size: train_ensemble(data, config, size,
-                                                           "mean"),
+    "grad-min": train_ensemble,
 }
 
 

@@ -98,35 +98,30 @@ class ObjectiveModel:
 
 @dataclass
 class Ensemble:
-    """Independently seeded surrogates aggregated by min or mean."""
+    """Independently seeded surrogates whose prediction is their pointwise
+    minimum."""
 
     members: list[ObjectiveModel]
-    aggregate: str
 
     def __post_init__(self):
         if not self.members:
             raise ValueError("ensemble needs at least one member")
-        if self.aggregate not in ("min", "mean"):
-            raise ValueError("aggregate must be 'min' or 'mean'")
         dims = {m.input_dim for m in self.members}
         if len(dims) != 1:
             raise ValueError("all members must share input_dim")
 
     def predict_batch(self, X) -> np.ndarray:
-        preds = np.stack([forward_batch(m, X) for m in self.members])
-        return preds.min(axis=0) if self.aggregate == "min" else preds.mean(axis=0)
+        return np.stack([forward_batch(m, X) for m in self.members]).min(axis=0)
 
     def input_grad_batch(self, X) -> np.ndarray:
         # One hidden pass per member yields its prediction and its gradient.
-        # Min mode: subgradient of the pointwise minimum is the gradient of
-        # the active member; argmin breaks ties toward the lowest index.
+        # The subgradient of the pointwise minimum is the gradient of the
+        # active member; argmin breaks ties toward the lowest index.
         preds, grads = [], []
         for m in self.members:
             p, cache = forward_with_cache(m, X)
             preds.append(p)
             grads.append(input_gradient_batch(m, X, cache))
-        if self.aggregate == "mean":
-            return np.stack(grads).mean(axis=0)
         active = np.stack(preds).argmin(axis=0)
         return np.stack(grads)[active, np.arange(X.shape[0])]
 

@@ -39,92 +39,74 @@ def toy_dataset(n=24, dim=2, seed=0):
 class TestEnsembleForward:
     def test_single_member_equals_member(self):
         member = linear_model([2.0], bias=1.0)
-        ens = Ensemble([member], "mean")
+        ens = Ensemble([member])
         x = np.array([3.0])
         assert predict_one(ens, x) == predict_one(member, x)
 
     def test_min_and_mean_of_constant_members(self):
         members = [linear_model([0.0], bias=1.0), linear_model([0.0], bias=3.0)]
         x = np.array([0.0])
-        assert predict_one(Ensemble(members, "min"), x) == 1.0
-        assert predict_one(Ensemble(members, "mean"), x) == 2.0
+        assert predict_one(Ensemble(members), x) == 1.0
+        assert np.mean([predict_one(m, x) for m in members]) == 2.0
 
     def test_min_never_exceeds_mean(self):
         rng = np.random.default_rng(1)
         members = [build_model(3, (6,), rng=rng) for _ in range(4)]
         for _ in range(20):
             x = rng.normal(size=3)
-            assert (predict_one(Ensemble(members, "min"), x)
-                    <= predict_one(Ensemble(members, "mean"), x))
-
-    def test_mean_is_arithmetic_mean(self):
-        rng = np.random.default_rng(2)
-        members = [build_model(2, (4,), rng=rng) for _ in range(3)]
-        x = rng.normal(size=2)
-        expect = np.mean([predict_one(m, x) for m in members])
-        assert predict_one(Ensemble(members, "mean"), x) == pytest.approx(
-            expect, rel=1e-15)
+            assert (predict_one(Ensemble(members), x)
+                    <= np.mean([predict_one(m, x) for m in members]))
 
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_min_below_mean_property(self, size, seed):
         rng = np.random.default_rng(seed)
         members = [build_model(2, (4,), rng=rng) for _ in range(size)]
         x = rng.normal(size=2)
-        assert (predict_one(Ensemble(members, "min"), x)
-                <= predict_one(Ensemble(members, "mean"), x) + 1e-12)
+        assert (predict_one(Ensemble(members), x)
+                <= np.mean([predict_one(m, x) for m in members]) + 1e-12)
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
-            Ensemble([], "mean")
+            Ensemble([])
 
     def test_mismatched_input_dims_rejected(self):
         with pytest.raises(ValueError):
-            Ensemble([linear_model([1.0]), linear_model([1.0, 2.0])], "mean")
+            Ensemble([linear_model([1.0]), linear_model([1.0, 2.0])])
 
 
 class TestEnsembleInputGradient:
     def test_single_member_gradient(self):
         member = linear_model([2.0, -3.0])
-        ens = Ensemble([member], "min")
+        ens = Ensemble([member])
         npt.assert_allclose(gradient_one(ens, np.zeros(2)), [2.0, -3.0])
-
-    def test_mean_mode_averages_linear_members(self):
-        ens = Ensemble([linear_model([1.0, 0.0]), linear_model([3.0, 2.0])],
-                       "mean")
-        npt.assert_allclose(gradient_one(ens, np.zeros(2)), [2.0, 1.0])
 
     def test_min_mode_uses_strictly_lowest_member(self):
         low = linear_model([5.0], bias=-10.0)
         high = linear_model([-1.0], bias=10.0)
-        ens = Ensemble([high, low], "min")
+        ens = Ensemble([high, low])
         npt.assert_allclose(gradient_one(ens, np.zeros(1)), [5.0])
 
     def test_min_mode_tie_goes_to_lowest_index(self):
         a = linear_model([1.0], bias=0.0)
         b = linear_model([-7.0], bias=0.0)
-        ens = Ensemble([a, b], "min")
+        ens = Ensemble([a, b])
         npt.assert_allclose(gradient_one(ens, np.zeros(1)), [1.0])
 
-    def test_mean_gradient_matches_finite_differences(self):
+    def test_min_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         members = [build_model(3, (8,), rng=rng) for _ in range(3)]
-        ens = Ensemble(members, "mean")
+        ens = Ensemble(members)
         x = rng.normal(size=3)
+        # away from a tie the minimum is one member's smooth prediction
+        preds = np.sort(member_predictions(ens, x[None, :])[:, 0])
+        assert preds[1] - preds[0] > 1e-3
         fd = _fd_gradient(lambda v: predict_one(ens, v), x)
         npt.assert_allclose(gradient_one(ens, x), fd, rtol=1e-4, atol=1e-6)
-
-    def test_mean_gradient_is_mean_of_member_gradients(self):
-        rng = np.random.default_rng(4)
-        members = [build_model(2, (4,), rng=rng) for _ in range(5)]
-        ens = Ensemble(members, "mean")
-        x = rng.normal(size=2)
-        expect = np.mean([gradient_one(m, x) for m in members], axis=0)
-        npt.assert_allclose(gradient_one(ens, x), expect, rtol=1e-12)
 
     def test_min_mode_batch_rows_use_their_own_active_member(self):
         rng = np.random.default_rng(5)
         members = [build_model(2, (8,), rng=rng) for _ in range(4)]
-        ens = Ensemble(members, "min")
+        ens = Ensemble(members)
         X = rng.normal(size=(40, 2)) * 3.0
         active = member_predictions(ens, X).argmin(axis=0)
         assert len(set(active)) > 1
@@ -135,18 +117,14 @@ class TestEnsembleInputGradient:
             npt.assert_allclose(G[i], gradient_one(members[active[i]], x),
                                 rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("aggregate", ["min", "mean"])
-    def test_one_hidden_pass_per_member_per_ascent_step(self, monkeypatch,
-                                                        aggregate):
+    def test_one_hidden_pass_per_member_per_ascent_step(self, monkeypatch):
         rng = np.random.default_rng(6)
-        ens = Ensemble([build_model(2, (8,), rng=rng) for _ in range(3)],
-                       aggregate)
+        ens = Ensemble([build_model(2, (8,), rng=rng) for _ in range(3)])
         X = rng.normal(size=(5, 2))
         grads = np.stack([net.input_gradient_batch(m, X) for m in ens.members])
-        want = (grads[member_predictions(ens, X).argmin(axis=0), np.arange(5)]
-                if aggregate == "min" else grads.mean(axis=0))
+        want = grads[member_predictions(ens, X).argmin(axis=0), np.arange(5)]
         assert ens.input_grad_batch(X).tobytes() == want.tobytes()
-        # both modes take each member's pass from `forward_with_cache`
+        # each member's pass comes from `forward_with_cache`
         calls = []
         real_pass, real_slopes = net._hidden_pass, net.GradientPlan.slopes
 
@@ -198,7 +176,7 @@ class TestTrainEnsemble:
     def test_members_differ_only_by_seed(self):
         ds = toy_dataset()
         cfg = TrainerConfig(epochs=2, batch_size=8, hidden=(8,), seed=3)
-        ens, logs = train_ensemble(ds, cfg, size=3, aggregate="mean")
+        ens, logs = train_ensemble(ds, cfg, size=3)
         assert len(ens.members) == 3
         assert len(logs) == 3
         w0 = ens.members[0].layers[0].weights
@@ -208,12 +186,11 @@ class TestTrainEnsemble:
     def test_deterministic(self):
         ds = toy_dataset()
         cfg = TrainerConfig(epochs=2, batch_size=8, hidden=(8,), seed=3)
-        e1, _ = train_ensemble(ds, cfg, size=2, aggregate="mean")
-        e2, _ = train_ensemble(ds, cfg, size=2, aggregate="mean")
+        e1, _ = train_ensemble(ds, cfg, size=2)
+        e2, _ = train_ensemble(ds, cfg, size=2)
         for a, b in zip(e1.members, e2.members):
             npt.assert_array_equal(a.layers[0].weights, b.layers[0].weights)
 
     def test_size_validated(self):
         with pytest.raises(ValueError):
-            train_ensemble(toy_dataset(), TrainerConfig(), size=0,
-                           aggregate="mean")
+            train_ensemble(toy_dataset(), TrainerConfig(), size=0)

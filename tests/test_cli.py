@@ -121,7 +121,7 @@ def test_abbreviated_flags_are_rejected(argv):
 
 
 def test_train_naive_and_ensemble(tmp_path, curated):
-    for method in ("grad-naive", "grad-mean"):
+    for method in ("grad-naive", "grad-min"):
         model = tmp_path / f"{method}.npz"
         assert cli.main(["train", "--data", str(curated), "--method", method,
                          "--ensemble-size", "2", "--out-model", str(model),
@@ -373,13 +373,21 @@ def test_a_flag_value_cannot_set_another_key(tmp_path, curated, capsys):
 
 
 def test_an_unknown_method_lists_the_methods(tmp_path, curated, capsys):
+    # Design-Bench's Grad Mean is not a method: every ensemble takes the
+    # minimum of its members
     out = tmp_path / "m.npz"
+    config = tmp_path / "cfg.txt"
     capsys.readouterr()
-    assert cli.main(["train", "--data", str(curated), "--method", "bogus",
-                     "--out-model", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: unknown method 'bogus'; choose from ('coms',")
-    assert not out.exists()
+    for method in ("bogus", "grad-mean"):
+        config.write_text(f"task = bowl\nmethod = {method}\n")
+        for args in (["train", "--data", str(curated), "--method", method,
+                      "--out-model", str(out)],
+                     ["run", "--config", str(config), "--out", str(out)]):
+            assert cli.main(args) == 1
+            assert capsys.readouterr().err == (
+                f"error: unknown method {method!r}; choose from "
+                "('coms', 'grad-naive', 'grad-min')\n")
+            assert not out.exists()
 
 
 def test_readme_lists_each_commands_config_flags():

@@ -58,10 +58,26 @@ def test_criterion_1_reports_its_worst_error_tolerance_pairs_and_time():
     assert 0.0 <= metrics["max_relative_error"] <= acceptance.GRADIENT_TOL
     assert 0.0 < metrics["elapsed_seconds"] < 10.0
     assert record["passed"] is True
-    assert record["detail"].startswith(
+    assert record["detail"] == (
         f"max relative error {metrics['max_relative_error']:.3e} over 5 pairs"
-        " x 3 architectures")
+        " x 3 architectures (tol 1e-04), time limit 10s")
     json.dumps(metrics)
+
+
+def test_criterion_1_rejects_a_gradient_plan_that_drops_its_biases(
+        monkeypatch):
+    # ascent steps on a `net.GradientPlan`; one whose repeated bias rows
+    # are zero computes the wrong slopes wherever a model has a bias
+    real_init = net.GradientPlan.__init__
+
+    def init_without_bias(plan, model, n):
+        real_init(plan, model, n)
+        plan.biases = [np.zeros_like(b) for b in plan.biases]
+
+    monkeypatch.setattr(net.GradientPlan, "__init__", init_without_bias)
+    record = acceptance.criterion_1_gradients([], fast=True)
+    assert record["passed"] is False
+    assert record["metrics"]["max_relative_error"] > 1.0
 
 
 @pytest.mark.parametrize("shift, same", [(0.0, True), (1e-300, False)])
@@ -91,7 +107,7 @@ def test_criterion_4_gates_on_the_sum_of_its_trial_seconds(total, passed):
     assert (gate["wins"], gate["naive_falls"]) == (8, 8)
     assert record["metrics"]["trial_seconds"] == pytest.approx(total)
     assert record["passed"] is passed
-    assert record["detail"].startswith(f"{total:.0f}s of trial time (< 300s)")
+    assert record["detail"].startswith("trial time limit 300s. edge (gated)")
 
 
 def test_criterion_4_reports_each_task_exactly():
@@ -142,7 +158,7 @@ def test_criterion_4_reports_each_task_exactly():
                   "coms_falls": 0, "trials": cliff}}}
     assert json.dumps(record["metrics"]) == json.dumps(want)
     assert record["detail"] == (
-        "8s of trial time (< 300s). edge (gated): coms beats naive at t=200 "
+        "trial time limit 300s. edge (gated): coms beats naive at t=200 "
         "in 8/8 (need >= 7/8); naive fell below -50 in 8/8 (need >= 1); "
         "coms fell below -50 in 1/8. t0: coms 3.0 (crossed at step 1) vs "
         "naive -60.0 (crossed at step 2), "

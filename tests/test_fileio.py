@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from comopt.fileio import load_surrogate, read_rows, save_surrogate, write_rows
-from comopt.net import LEAK, Ensemble, build_model
+from comopt.net import Ensemble, build_model
 from comopt.optimizer import CandidateSet, read_candidates, write_candidates
 from comopt.tasks import CurationConfig, curate_dataset, get_task, write_dataset
 
@@ -18,18 +18,35 @@ def assert_same_net(a, b):
 
 
 class TestSurrogateIO:
-    @pytest.mark.parametrize("aggregate", ["min", "mean"])
+    @pytest.mark.parametrize("aggregate", [None, "min"])
     def test_ensemble_round_trip_is_bitwise(self, tmp_path, aggregate):
+        # archives written before every ensemble took the minimum also
+        # store `aggregate = "min"`
         rng = np.random.default_rng(3)
         members = [build_model(4, (6, 3), rng=rng) for _ in range(3)]
         path = tmp_path / "ens.npz"
-        save_surrogate(Ensemble(members, aggregate), path)
+        save_surrogate(Ensemble(members), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        assert "aggregate" not in arrays
+        if aggregate is not None:
+            np.savez(path, **arrays, aggregate=np.array(aggregate))
         loaded = load_surrogate(path)
         assert isinstance(loaded, Ensemble)
-        assert loaded.aggregate == aggregate
         assert len(loaded.members) == 3
         for got, want in zip(loaded.members, members):
             assert_same_net(got, want)
+
+    @pytest.mark.parametrize("aggregate", ["mean", "max"])
+    def test_another_stored_aggregate_is_an_error_naming_the_file(
+            self, tmp_path, aggregate):
+        # loaded as a min ensemble, the archive would predict another
+        # function than the one it was saved for
+        path = self.archive_with(tmp_path, "aggregate", aggregate)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: aggregate {aggregate!r} is not the rule every "
+                "ensemble uses ('min')") + "$"):
+            load_surrogate(path)
 
     def test_single_model_archive_layout_loads(self, tmp_path):
         model = build_model(3, (5,), rng=np.random.default_rng(4))
@@ -42,8 +59,7 @@ class TestSurrogateIO:
     def test_ensemble_archive_layout_loads(self, tmp_path):
         rng = np.random.default_rng(5)
         members = [build_model(2, (), rng=rng) for _ in range(2)]
-        arrays = {"n_members": np.array(2), "aggregate": np.array("min"),
-                  "leak": np.array(LEAK)}
+        arrays = {"n_members": np.array(2)}
         for m, member in enumerate(members):
             arrays[f"m{m}_n_layers"] = np.array(1)
             arrays[f"m{m}_w0"] = member.layers[0].weights
@@ -51,18 +67,18 @@ class TestSurrogateIO:
         path = tmp_path / "ens.npz"
         np.savez(path, **arrays)
         loaded = load_surrogate(path)
-        assert loaded.aggregate == "min"
-        for got, want in zip(loaded.members, members):
+        assert isinstance(loaded, Ensemble)
+        for got, want in zip(loaded.members, members, strict=True):
             assert_same_net(got, want)
 
     @staticmethod
     def archive_with(tmp_path, key, value):
         """A saved surrogate archive of 2 -> 3 -> 1 nets, an ensemble when
-        `key` is n_members or aggregate, with the array `key` rewritten to
+        `key` is n_members or aggregate, with the array `key` set to
         `value`."""
         rng = np.random.default_rng(7)
         members = [build_model(2, (3,), rng=rng) for _ in range(2)]
-        model = (Ensemble(members, "min") if key in ("n_members", "aggregate")
+        model = (Ensemble(members) if key in ("n_members", "aggregate")
                  else members[0])
         path = tmp_path / "bad.npz"
         save_surrogate(model, path)
@@ -94,7 +110,6 @@ class TestSurrogateIO:
     @pytest.mark.parametrize("key, value, message", [
         ("n_layers", 1, "final layer must produce a single scalar"),
         ("n_layers", 0, "model needs at least one layer"),
-        ("aggregate", "max", "aggregate must be 'min' or 'mean'"),
         ("n_members", 0, "ensemble needs at least one member")])
     def test_a_model_the_arrays_cannot_build_is_an_error_naming_the_file(
             self, tmp_path, key, value, message):
@@ -105,14 +120,13 @@ class TestSurrogateIO:
 
     @staticmethod
     def archive_storing(tmp_path, leak, ensemble):
-        """A saved archive of one 2 -> 3 -> 1 net, or of a min ensemble of
+        """A saved archive of one 2 -> 3 -> 1 net, or of an ensemble of
         two, with the slope `leak` added as archives written before the
         slope became `net.LEAK` store it; and the saved nets."""
         rng = np.random.default_rng(8)
         members = [build_model(2, (3,), rng=rng) for _ in range(2)]
         path = tmp_path / "old.npz"
-        save_surrogate(Ensemble(members, "min") if ensemble else members[0],
-                       path)
+        save_surrogate(Ensemble(members) if ensemble else members[0], path)
         with np.load(path) as data:
             arrays = dict(data)
         assert "leak" not in arrays

@@ -197,8 +197,7 @@ class TestBlockedAscent:
 
     def test_min_ensemble_ascends_in_blocks_like_one_pass(self):
         rng = np.random.default_rng(12)
-        ens = Ensemble([build_model(8, (64, 64), rng=rng) for _ in range(3)],
-                       "min")
+        ens = Ensemble([build_model(8, (64, 64), rng=rng) for _ in range(3)])
         X = rng.normal(size=(256, 8))
         want = X
         for _ in range(3):
@@ -265,7 +264,7 @@ class TestProduceCandidates:
         rng = np.random.default_rng(5)
         ds = dataset_from(rng.uniform(-2, 2, size=(64, 4)), rng.normal(size=64))
         members = [build_model(4, (16, 16), rng=rng) for _ in range(3)]
-        model = members[0] if kind == "net" else Ensemble(members, "min")
+        model = members[0] if kind == "net" else Ensemble(members)
         cands = produce_candidates(model, ds, 32, 0.2, 20)
         seeds = ds.designs[select_initializations(ds, 32)]
         ref = np.stack([ascend(model, x0[None, :], 0.2, 20)[0] for x0 in seeds])

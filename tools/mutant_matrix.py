@@ -12,7 +12,7 @@ must live in files, not in a patched module. Before running anything the
 script exits 1 unless every mutant's anchor occurs exactly once in
 `src/comopt`. It prints one PASS/FAIL row per criterion and one column per
 mutant, read from each run's acceptance.json, and writes nothing under the
-repository. On two cores a mutant's reproduce takes about 95 s, or about
+repository. On two cores a mutant's reproduce takes about 80 s, or about
 10 s for the two that leave `train` without mining.
 """
 from __future__ import annotations
@@ -28,8 +28,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# name -> (exact source text, its replacement); each switches off or
-# inverts one part of COMs' conservatism.
+# name -> (exact source text, its replacement). The first four each switch
+# off or invert one part of COMs' conservatism; the last breaks the
+# gradient that ascent steps on.
 MUTANTS = {
     # `dual_update` returns alpha, so alpha stays at its initial 0
     "no-dual": ("    return max(0.0, alpha + alpha_lr * (gap - tau))\n",
@@ -44,6 +45,10 @@ MUTANTS = {
     # the "coms" method trains the naive baseline
     "coms-is-naive": ('"coms": lambda data, config, size: _one(train(',
                       '"coms": lambda data, config, size: _one(train_naive('),
+    # `net.GradientPlan` repeats zero biases, so ascent steps on the slopes
+    # of a bias-free net
+    "plan-no-bias": ("np.tile(lyr.bias, (n, 1))",
+                     "np.tile(0.0 * lyr.bias, (n, 1))"),
 }
 
 
