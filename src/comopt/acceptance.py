@@ -21,7 +21,7 @@ from . import net
 from .baselines import train_naive
 from .fileio import write_json, write_rows
 from .harness import config_from, monotone, normalized_score, run_experiment, \
-    run_trials, submit_trials, tau_jobs, trainer_config_from, worker_pool
+    run_trials, submit_trials, tau_jobs, trial_of, worker_pool
 from .tasks import CLIFF_PENALTY, PWM_ALPHABET, PWM_LENGTH, CurationConfig, \
     all_sequences, curate_dataset, get_task, sequence_scores, task_names
 from .trainer import TrainerConfig, _mine_endpoints
@@ -150,7 +150,7 @@ def criterion_1_gradients(runs, fast=False):
 
 
 def _conservatism_jobs(fast=False):
-    """Criterion 2's (fixed large alpha, dual) job pairs. The dual trials
+    """Criterion 2's (fixed large alpha, dual) trial pairs. The dual trials
     take the shape of criterion 4's cliff trial and of the discrete trial
     of criteria 5, 6 and 8, which they equal, so each runs once. Only the
     model and dataset of a fixed-alpha trial are read, so it searches one
@@ -158,7 +158,7 @@ def _conservatism_jobs(fast=False):
     duals = [_stability_config("cliff", 4 if fast else 50)]
     if not fast:
         duals.append(_pwm_config())
-    return [(cfg, 0) for dual in duals
+    return [trial_of(cfg, 0) for dual in duals
             for cfg in ({**dual, "alpha_init": 10.0, "alpha_lr": 0.0,
                          "budget": 1, "stability_steps": 0, "budgets": ""},
                         dual)]
@@ -173,26 +173,24 @@ def criterion_2_conservatism(runs, fast=False):
     details = []
     per_task = {}
     passed = True
-    for (dual, _), fixed, dual_run in zip(_conservatism_jobs(fast)[1::2],
-                                          runs[::2], runs[1::2]):
-        tcfg = trainer_config_from(dual, dual["base_seed"])
+    for fixed, dual in zip(runs[::2], runs[1::2]):
         model, designs = fixed.model, fixed.dataset.designs
-        mined = _mine_endpoints(model, designs, tcfg.resolved_eta(fixed.dataset),
-                                tcfg.mining_steps)
+        mined = _mine_endpoints(model, designs, dual.trial.trainer.ascent_rate,
+                                dual.trial.trainer.mining_steps)
         preds_mined = net.forward_batch(model, mined)
         gap = float(preds_mined.mean() - net.forward_batch(model, designs).mean())
-        final = dual_run.logs[0][-1]
-        bound = tcfg.resolved_tau(dual_run.dataset) + DUAL_GAP_SLACK
+        final = dual.logs[0][-1]
+        bound = dual.trial.trainer.tau + DUAL_GAP_SLACK
         ok = gap <= CONSERVATISM_GAP_TOL and final["gap"] <= bound
         passed = passed and ok
         displacement = np.linalg.norm(mined - designs, axis=1).mean()
-        per_task[dual["task"]] = {
+        per_task[dual.trial.task] = {
             "fixed_alpha_gap": gap, "dual_final_gap": final["gap"],
             "dual_gap_bound": bound, "dual_final_mse": final["mse"],
             "dual_final_alpha": final["alpha"],
             "mined_displacement": float(displacement),
             "mined_max_abs_prediction": float(np.abs(preds_mined).max())}
-        details.append(f"{dual['task']}: fixed-alpha gap {gap:.3f} (<= 0.1), "
+        details.append(f"{dual.trial.task}: fixed-alpha gap {gap:.3f} (<= 0.1), "
                        f"dual final gap {final['gap']:.3f} (<= {bound:.2f})")
     return {
         "id": 2,
@@ -257,14 +255,14 @@ _STABILITY_METHODS = {"coms": "coms", "naive": "grad-naive"}
 
 
 def _stability_jobs(fast=False):
-    """Criterion 4's jobs, task by task: each trial's COMs job, then its
+    """Criterion 4's trials, task by task: each trial's COMs run, then its
     naive one."""
     trials = 2 if fast else STABILITY_TRIALS
     tasks = (STABILITY_TASK,) if fast else (STABILITY_TASK,
                                             *STABILITY_DIAGNOSTIC_TASKS)
-    return [({**_stability_config(name, 4 if fast else 50), "method": method},
-             trial)
-            for name in tasks for trial in range(trials)
+    return [trial_of({**_stability_config(name, 4 if fast else 50),
+                      "method": method}, k)
+            for name in tasks for k in range(trials)
             for method in _STABILITY_METHODS.values()]
 
 
@@ -274,13 +272,11 @@ def _stability_task(name, runs):
     COMs vs naive ascent from the best dataset design, and the counts), its
     detail text and the (header, rows) of its curves."""
     gated = name == STABILITY_TASK
-    trial_runs = iter(runs)
     rows, texts, curve_rows = [], [], []
-    for trial in range(len(runs) // len(_STABILITY_METHODS)):
+    for trial, pair in enumerate(zip(runs[::2], runs[1::2])):
         row = {"trial": trial}
         finals = []
-        for label, method in _STABILITY_METHODS.items():
-            run = next(trial_runs)
+        for label, run in zip(_STABILITY_METHODS, pair):
             curve = run.stability
             step = _first_crossing(curve)
             row[f"{label}_final"] = float(curve[-1])
@@ -289,7 +285,7 @@ def _stability_task(name, runs):
             row[f"{label}_final_mse"] = run.logs[0][-1]["mse"]
             crossed = "" if step is None else f" (crossed at step {step})"
             finals.append(f"{label} {row[f'{label}_final']:.1f}{crossed}")
-            curve_rows.extend([trial, method, t, score]
+            curve_rows.extend([trial, run.trial.method, t, score]
                               for t, score in enumerate(curve))
         rows.append(row)
         texts.append(f"t{trial}: " + " vs ".join(finals))
@@ -325,13 +321,10 @@ def criterion_4_stability(runs, fast=False):
     step are reported per task and trial in `metrics`, including COMs' own
     crossings past its trained horizon. Its trials' own `seconds` must sum
     to under 300 s, so waiting for a worker does not count."""
-    by_task = {}
-    for (cfg, _), run in zip(_stability_jobs(fast), runs):
-        by_task.setdefault(cfg["task"], []).append(run)
     per_task, details, curves = {}, [], {}
-    for name, task_runs in by_task.items():
+    for name in dict.fromkeys(run.trial.task for run in runs):
         per_task[name], detail, curves[f"{name}_stability.csv"] = \
-            _stability_task(name, task_runs)
+            _stability_task(name, [r for r in runs if r.trial.task == name])
         details.append(detail)
     gate = per_task[STABILITY_TASK]
     trial_seconds = sum(run.seconds for run in runs)
@@ -357,8 +350,8 @@ def _pwm_config(fast=False):
 
 def _pwm_jobs(fast=False):
     """The discrete trials of criteria 5, 6 and 8."""
-    return [(_pwm_config(fast), trial)
-            for trial in range(2 if fast else DISCRETE_TRIALS)]
+    return [trial_of(_pwm_config(fast), k)
+            for k in range(2 if fast else DISCRETE_TRIALS)]
 
 
 def criterion_5_discrete(runs, fast=False):
@@ -416,9 +409,9 @@ def criterion_6_budget_resilience(runs, fast=False):
 def _tau_jobs(fast=False):
     """Criterion 7's tau sweeps, trial by trial."""
     cfg = config_from({"task": "cliff", "epochs": 4 if fast else 50})
-    return [job for trial in range(1 if fast else TAU_TRIALS)
-            for job in tau_jobs(cfg, trial, TAU_LIST[:2] if fast else TAU_LIST,
-                                STABILITY_T_MAX)]
+    return [trial for k in range(1 if fast else TAU_TRIALS)
+            for trial in tau_jobs(cfg, k, TAU_LIST[:2] if fast else TAU_LIST,
+                                  STABILITY_T_MAX)]
 
 
 def criterion_7_tau_ordering(runs, fast=False):
@@ -426,8 +419,9 @@ def criterion_7_tau_ordering(runs, fast=False):
     conservative setting on the cliff task, averaged over trials; a tie,
     which every tau gives when conservatism is switched off, fails."""
     finals = {}
-    for (cfg, _), run in zip(_tau_jobs(fast), runs):
-        finals.setdefault(cfg["tau"], []).append(float(run.stability[-1]))
+    for run in runs:
+        finals.setdefault(run.trial.trainer.tau, []).append(
+            float(run.stability[-1]))
     trials = len(runs) // len(finals)
     means = {tau: float(np.mean(values)) for tau, values in finals.items()}
     lo, hi = min(finals), max(finals)
@@ -499,8 +493,8 @@ CRITERIA = (
     criterion_8_protocol,
 )
 
-# The job list of each criterion that reads trials, by criterion id; each
-# criterion is the judge of its list's `TrialResult`s, in job order. The
+# The trial list of each criterion that reads trials, by criterion id; each
+# criterion is the judge of its list's `TrialResult`s, in order. The
 # lists queue in this order, so each criterion waits only for the trials
 # queued up to its own, and criterion 2 checks its trials while the rest
 # are still training, not with every result held in memory.
@@ -513,19 +507,19 @@ def run_all(out_dir, fast=False) -> dict:
     write acceptance.json, with each criterion's wall `seconds`, plus the
     desk-scale ablation curves each criterion returns under `curves` (file
     name -> header, rows). `run_all` builds each distinct list of `JOBS`
-    once to run and collect its trials; criteria 2, 4 and 7 build theirs
-    again to read each job's config. All the trials are queued on one
-    `worker_pool` as it opens, before criterion 1, so the workers start
-    while criterion 1 runs and each criterion waits only for its own
-    trials. With no pool open they run in this process, each when `run_all`
-    collects that criterion's trials."""
+    once, and each criterion reads what it needs of a trial from its
+    result's `trial`. All the trials are queued on one `worker_pool` as it
+    opens, before criterion 1, so the workers start while criterion 1 runs
+    and each criterion waits only for its own trials. With no pool open
+    they run in this process, each when `run_all` collects that
+    criterion's trials."""
     os.makedirs(os.path.join(out_dir, "curves"), exist_ok=True)
     lists = {make: make(fast) for make in JOBS.values()}
     memo: dict = {}  # runs each distinct trial of `lists` once
     results = []
     t0 = time.monotonic()
     with worker_pool():
-        submit_trials([job for jobs in lists.values() for job in jobs], memo)
+        submit_trials(sum(lists.values(), []), memo)
         for k, crit in enumerate(CRITERIA, 1):
             start = time.monotonic()
             runs = run_trials(lists[JOBS[k]], memo) if k in JOBS else []

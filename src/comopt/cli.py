@@ -16,10 +16,10 @@ from dataclasses import asdict
 from . import acceptance
 from .fileio import load_surrogate, save_surrogate, write_json, write_rows
 from .harness import (DEFAULT_CONFIG, METHODS, InvariantViolation,
-                      budget_sweep, config_from, curation_config_from,
-                      evaluate_budget, int_list, monotone, normalized_score,
-                      run_experiment, stability_sweep, tau_sweep,
-                      trainer_config_from, typed, worker_pool)
+                      budget_sweep, config_from, evaluate_budget, int_list,
+                      monotone, normalized_score, run_experiment,
+                      stability_sweep, tau_sweep, trainer_config_from,
+                      trial_of, typed, worker_pool)
 from .optimizer import produce_candidates, read_candidates, write_candidates
 from .tasks import (curate_dataset, get_task, read_dataset, task_names,
                     write_dataset)
@@ -60,7 +60,7 @@ def _config(args) -> dict:
 def cmd_curate(args) -> int:
     cfg = _config(args)
     task = get_task(cfg["task"])
-    dataset = curate_dataset(task, curation_config_from(cfg, cfg["base_seed"]))
+    dataset = curate_dataset(task, trial_of(cfg, 0).curation)
     dataset.validate()
     if dataset.raw_scores().max() >= task.y_max:
         raise InvariantViolation("curated dataset should leave headroom")

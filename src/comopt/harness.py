@@ -120,8 +120,8 @@ def monotone(curve) -> bool:
     return all(a <= b + 1e-12 for a, b in zip(curve, curve[1:]))
 
 
-def tau_jobs(cfg: dict, trial: int, taus, t_max: int) -> list:
-    """The (cfg, trial) job of `tau_sweep` for each distinct tau, in order;
+def tau_jobs(cfg: dict, k: int, taus, t_max: int) -> list:
+    """Trial k of `cfg` at each distinct tau of `tau_sweep`, in order;
     every tau is checked here, and blank entries of `taus` are skipped.
     Only the curve is kept, so each trial searches a single candidate."""
     if t_max < 1:
@@ -133,18 +133,17 @@ def tau_jobs(cfg: dict, trial: int, taus, t_max: int) -> list:
                          f"{','.join(map(str, taus))!r}") from None
     if not values:
         raise ValueError("taus must list at least one tau")
-    return [(config_from({**cfg, "tau": tau, "stability_steps": t_max,
-                          "budget": 1, "budgets": ""}), trial)
+    return [trial_of(config_from({**cfg, "tau": tau, "stability_steps": t_max,
+                                  "budget": 1, "budgets": ""}), k)
             for tau in dict.fromkeys(values)]
 
 
-def tau_sweep(cfg: dict, trial: int, taus, t_max: int) -> dict:
-    """The trial's t_max-step stability curve per distinct tau of
+def tau_sweep(cfg: dict, k: int, taus, t_max: int) -> dict:
+    """Trial k's t_max-step stability curve per distinct tau of
     `tau_jobs`, keyed by tau. Every tau is checked before the first
     training."""
-    jobs = tau_jobs(cfg, trial, taus, t_max)
-    return {tau_cfg["tau"]: run.stability
-            for (tau_cfg, _), run in zip(jobs, run_trials(jobs))}
+    return {run.trial.trainer.tau: run.stability
+            for run in run_trials(tau_jobs(cfg, k, taus, t_max))}
 
 
 DEFAULT_CONFIG = {
@@ -228,8 +227,9 @@ def config_from(values: dict) -> dict:
             raise ValueError(f"{key} must be >= 0")
     if any(b < 1 or b > cfg["budget"] for b in int_list(cfg, "budgets")):
         raise ValueError("budgets must lie in [1, budget]")
-    curation_config_from(cfg, cfg["base_seed"]).validate()
-    trainer_config_from(cfg, cfg["base_seed"]).validate()
+    trial = trial_of(cfg, 0)
+    trial.curation.validate()
+    trial.trainer.validate()
     return cfg
 
 
@@ -246,11 +246,6 @@ def dump_config(cfg: dict) -> str:
     return "".join(f"{key} = {value}\n" for key, value in cfg.items())
 
 
-def curation_config_from(cfg: dict, seed: int) -> CurationConfig:
-    return CurationConfig(n_raw_samples=cfg["n_raw"],
-                          keep_percentile=cfg["keep_percentile"], seed=seed)
-
-
 def trainer_config_from(cfg: dict, seed: int) -> TrainerConfig:
     return TrainerConfig(
         epochs=cfg["epochs"],
@@ -264,6 +259,37 @@ def trainer_config_from(cfg: dict, seed: int) -> TrainerConfig:
         alpha_init=cfg["alpha_init"],
         hidden=tuple(int_list(cfg, "hidden")),
     )
+
+
+@dataclass(frozen=True)
+class Trial:
+    """All that one trial of the protocol reads, at the trial's seed. Its
+    memo key is `repr(trial)`: `==` would merge `alpha_init = -0.0` with
+    `0.0`, which need not train alike."""
+
+    task: str
+    method: str
+    ensemble_size: int
+    curation: CurationConfig
+    trainer: TrainerConfig
+    budget: int
+    stability_steps: int
+    budgets: tuple
+
+
+def trial_of(cfg: dict, k: int) -> Trial:
+    """Trial k of a checked config, at seed `base_seed + k`, with the
+    trainer's step size and tau resolved, so "auto" and the task's default
+    are one trial."""
+    seed = cfg["base_seed"] + k
+    task = get_task(cfg["task"])
+    tcfg = trainer_config_from(cfg, seed)
+    return Trial(cfg["task"], cfg["method"], cfg["ensemble_size"],
+                 CurationConfig(cfg["n_raw"], cfg["keep_percentile"], seed),
+                 replace(tcfg, ascent_rate=tcfg.resolved_eta(task),
+                         tau=tcfg.resolved_tau(task)),
+                 cfg["budget"], cfg["stability_steps"],
+                 tuple(int_list(cfg, "budgets")))
 
 
 _BLAS_ENV = "OPENBLAS_NUM_THREADS"
@@ -316,11 +342,11 @@ def worker_pool():
 
 @dataclass
 class TrialResult:
-    """What one trial of the protocol produced; `stability` and `budget`
-    are None unless the config asks for those sweeps. `seconds` is the
-    trial's own wall time, curation through sweeps, in the process that
-    ran it."""
+    """What `trial` produced; `stability` and `budget` are None unless it
+    asks for those sweeps. `seconds` is the trial's own wall time, curation
+    through sweeps, in the process that ran it."""
 
+    trial: Trial
     dataset: OfflineDataset
     model: object
     logs: list
@@ -331,72 +357,53 @@ class TrialResult:
     seconds: float
 
 
-def run_trial(cfg: dict, trial: int) -> TrialResult:
-    """One trial at seed `base_seed + trial`: curate the task's dataset,
-    train `cfg["method"]` on it, ascend to `cfg["budget"]` candidates at the
-    trainer's step size and score them with the oracle; then the stability
-    sweep when `stability_steps` > 0 and the budget sweep over `budgets`
-    when it lists any."""
+def run_trial(trial: Trial) -> TrialResult:
+    """Curate the trial's dataset, train its method on it, ascend to
+    `budget` candidates at the trainer's step size and score them with the
+    oracle; then the stability sweep when `stability_steps` > 0 and the
+    budget sweep over `budgets` when it lists any."""
     start = time.monotonic()
-    seed = cfg["base_seed"] + trial
-    task = get_task(cfg["task"])
-    dataset = curate_dataset(task, curation_config_from(cfg, seed))
-    tcfg = trainer_config_from(cfg, seed)
-    model, logs = METHODS[cfg["method"]](dataset, tcfg, cfg["ensemble_size"])
-    eta = tcfg.resolved_eta(dataset)
-    candidates = produce_candidates(model, dataset, cfg["budget"], eta,
+    task, tcfg = get_task(trial.task), trial.trainer
+    dataset = curate_dataset(task, trial.curation)
+    model, logs = METHODS[trial.method](dataset, tcfg, trial.ensemble_size)
+    eta, steps, budgets = tcfg.ascent_rate, trial.stability_steps, trial.budgets
+    candidates = produce_candidates(model, dataset, trial.budget, eta,
                                     tcfg.mining_steps)
-    steps, budgets = cfg["stability_steps"], int_list(cfg, "budgets")
     return TrialResult(
-        dataset, model, logs, candidates,
-        evaluate_budget(candidates, task, cfg["budget"]),
+        trial, dataset, model, logs, candidates,
+        evaluate_budget(candidates, task, trial.budget),
         stability_sweep(model, task, dataset, eta, steps) if steps else None,
         budget_sweep(candidates, task, budgets) if budgets else None,
         time.monotonic() - start)  # read last: arguments run in order
 
 
-def _trial_key(cfg: dict, trial: int) -> str:
-    """Everything `run_trial(cfg, trial)` depends on, read without curating:
-    the curation and trainer configs at seed `base_seed + trial`, with step
-    size and tau resolved so "auto" matches the task default, and every
-    other setting the trial reads."""
-    seed = cfg["base_seed"] + trial
-    task = get_task(cfg["task"])
-    tcfg = trainer_config_from(cfg, seed)
-    resolved = replace(tcfg, ascent_rate=tcfg.resolved_eta(task),
-                       tau=tcfg.resolved_tau(task))
-    return repr((cfg["task"], cfg["method"], cfg["ensemble_size"],
-                 curation_config_from(cfg, seed), resolved, cfg["budget"],
-                 cfg["stability_steps"], int_list(cfg, "budgets")))
-
-
-def submit_trials(jobs, memo: dict) -> None:
-    """Queue every (cfg, trial) in `jobs` that `memo` lacks on the open
-    `worker_pool`, in job order, and return at once; the memo keeps each
-    trial's future under its key. Does nothing with no pool open."""
+def submit_trials(trials, memo: dict) -> None:
+    """Queue every `Trial` in `trials` that `memo` lacks on the open
+    `worker_pool`, in order, and return at once; the memo keeps each
+    trial's future under its `repr`. Does nothing with no pool open."""
     if _pool is None:
         return
-    for cfg, trial in jobs:
-        key = _trial_key(cfg, trial)
-        if key not in memo:
-            memo[key] = _pool.submit(run_trial, cfg, trial)
+    for trial in trials:
+        if repr(trial) not in memo:
+            memo[repr(trial)] = _pool.submit(run_trial, trial)
 
 
-def run_trials(jobs, memo: dict | None = None) -> list:
-    """The `TrialResult` of each (cfg, trial) in the list `jobs`, in order,
+def run_trials(trials, memo: dict | None = None) -> list:
+    """The `TrialResult` of each `Trial` in the list `trials`, in order,
     each distinct trial run once per `memo`; do not mutate the results.
     `submit_trials` queues the missing ones on an open `worker_pool`; a
-    trial still missing then runs in this process. The memo maps a key to
-    its result, or to the future of a trial still queued. A pooled trial's
-    exception is raised here; leaving the `worker_pool` block stops the pool
-    and turns a dead worker's BrokenProcessPool into ChildProcessError."""
+    trial still missing then runs in this process. The memo maps a trial's
+    `repr` to its result, or to the future of a trial still queued. A
+    pooled trial's exception is raised here; leaving the `worker_pool`
+    block stops the pool and turns a dead worker's BrokenProcessPool into
+    ChildProcessError."""
     memo = {} if memo is None else memo
-    submit_trials(jobs, memo)
+    submit_trials(trials, memo)
     results = []
-    for cfg, trial in jobs:
-        key = _trial_key(cfg, trial)
+    for trial in trials:
+        key = repr(trial)
         if key not in memo:
-            memo[key] = run_trial(cfg, trial)
+            memo[key] = run_trial(trial)
         elif not isinstance(memo[key], TrialResult):
             memo[key] = memo[key].result()
         results.append(memo[key])
@@ -412,10 +419,9 @@ def run_experiment(config, out_dir) -> dict:
     cfg = config_from(config) if isinstance(config, dict) else parse_config(str(config))
     os.makedirs(out_dir, exist_ok=True)
     task = get_task(cfg["task"])
-    budgets = int_list(cfg, "budgets")
 
     with worker_pool() if cfg["trials"] > 1 else contextlib.nullcontext():
-        results = run_trials([(cfg, trial) for trial in range(cfg["trials"])])
+        results = run_trials([trial_of(cfg, k) for k in range(cfg["trials"])])
     per_trial, logs_all, log_trials = [], [], []
     candidate_rows, stability_rows, budget_rows = [], [], []
     for trial, result in enumerate(results):
@@ -430,7 +436,7 @@ def run_experiment(config, out_dir) -> dict:
         if result.budget is not None:
             budget_rows.extend(
                 (trial, b, p, normalized_score(task, p))
-                for b, p in zip(budgets, result.budget))
+                for b, p in zip(result.trial.budgets, result.budget))
 
     write_training_log(os.path.join(out_dir, "training_log.csv"), logs_all,
                        log_trials)

@@ -53,7 +53,7 @@ def test_acceptance_mines_through_the_trainer():
 
 
 def test_criteria_are_a_flat_tuple_named_in_id_order_with_their_job_lists():
-    from comopt import acceptance
+    from comopt import acceptance, harness
 
     assert type(acceptance.CRITERIA) is tuple
     assert len(acceptance.CRITERIA) == 8
@@ -66,8 +66,7 @@ def test_criteria_are_a_flat_tuple_named_in_id_order_with_their_job_lists():
         for fast in (True, False):
             jobs = make(fast)
             assert type(jobs) is list and jobs
-            assert all(type(cfg) is dict and type(trial) is int
-                       for cfg, trial in jobs)
+            assert all(type(trial) is harness.Trial for trial in jobs)
 
 
 def test_ascent_on_one_net_takes_one_planned_input_gradient_per_step(
@@ -118,10 +117,12 @@ def test_fit_memo_shares_an_entry_exactly_when_train_keys_match(monkeypatch):
     settings = [{"tau": tau} for tau in ("auto", 0.5, 2.0)]
     settings += [{"ascent_rate": 0.05 * math.sqrt(8)},
                  {"alpha_init": 10.0, "alpha_lr": 0.0},
-                 {"alpha_init": 10.0, "alpha_lr": 0.0, "tau": 0.5}]
+                 {"alpha_init": 10.0, "alpha_lr": 0.0, "tau": 0.5},
+                 # equal as numbers, but two training keys: two trials
+                 {"alpha_init": -0.0}, {"alpha_init": 0.0}]
     # every run has one shape: the default budget and no sweeps
-    runs = [(harness.config_from({**base, **setting}), trial)
-            for setting, trial in itertools.product(settings, (0, 1))]
+    runs = [harness.trial_of(harness.config_from({**base, **setting}), k)
+            for setting, k in itertools.product(settings, (0, 1))]
 
     for job in runs:
         harness.run_trials([job])

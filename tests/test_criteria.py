@@ -3,18 +3,19 @@ results so that nothing trains, and criterion 1's finite-difference
 reference."""
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from comopt import acceptance, net
-from comopt.harness import (TrialEvaluation, TrialResult, curation_config_from,
-                            trainer_config_from)
+from comopt.harness import TrialEvaluation, TrialResult
 from comopt.tasks import NormalizationStats, OfflineDataset
 
 
-def _stub_trial(sweep=None, curve=None, seconds=0.0, mse=0.0):
-    return TrialResult(dataset=None, model=None, logs=[[{"mse": mse}]],
+def _stub_trial(sweep=None, curve=None, seconds=0.0, mse=0.0, trial=None):
+    return TrialResult(trial=trial, dataset=None, model=None,
+                       logs=[[{"mse": mse}]],
                        candidates=None,
                        evaluation=TrialEvaluation(1.0, 0.5, 1.0, 0.5),
                        stability=curve, budget=sweep, seconds=seconds)
@@ -100,8 +101,9 @@ def test_criterion_4_gates_on_the_sum_of_its_trial_seconds(total, passed):
     curves = {"coms": np.array([0.0, 1.0]),  # coms wins every trial
               "grad-naive": np.array([0.0, -60.0])}  # naive always falls
     record = acceptance.criterion_4_stability([
-        _stub_trial(curve=curves[cfg["method"]], seconds=total / len(jobs))
-        for cfg, _ in jobs])
+        _stub_trial(curve=curves[trial.method], seconds=total / len(jobs),
+                    trial=trial)
+        for trial in jobs])
     assert list(record["metrics"]["tasks"]) == ["edge", "cliff"]
     gate = record["metrics"]["tasks"][acceptance.STABILITY_TASK]
     assert (gate["wins"], gate["naive_falls"]) == (8, 8)
@@ -126,15 +128,15 @@ def test_criterion_4_reports_each_task_exactly():
     # plus the trial, plus 10 on cliff
     final_mse = {"edge": 0.0, "cliff": 10.0, "coms": 0.5, "grad-naive": 0.25}
 
-    def curve(cfg, trial):
-        key = (cfg["task"], cfg["method"])
-        return np.array(curves.get((*key, trial), curves[key]))
+    def curve(trial):
+        key = (trial.task, trial.method)
+        return np.array(curves.get((*key, trial.trainer.seed), curves[key]))
 
     record = acceptance.criterion_4_stability([
-        _stub_trial(curve=curve(cfg, trial), seconds=0.25,
-                    mse=final_mse[cfg["task"]] + final_mse[cfg["method"]]
-                    + trial)
-        for cfg, trial in acceptance._stability_jobs()])
+        _stub_trial(curve=curve(trial), seconds=0.25,
+                    mse=final_mse[trial.task] + final_mse[trial.method]
+                    + trial.trainer.seed, trial=trial)
+        for trial in acceptance._stability_jobs()])
 
     def row(trial, coms, naive, task="edge"):
         out = {"trial": trial}
@@ -191,15 +193,14 @@ def _dataset(d, best=0.0, discrete=False):
 
 def test_criterion_2_fixed_alpha_trials_train_like_their_dual_and_search_once():
     jobs = acceptance._conservatism_jobs()
-    assert [cfg["task"] for cfg, _ in jobs] == ["cliff", "cliff", "pwm", "pwm"]
-    for (fixed, trial), (dual, dual_trial) in zip(jobs[::2], jobs[1::2]):
-        assert trial == dual_trial == 0
-        assert (fixed["budget"], fixed["stability_steps"], fixed["budgets"]) \
-            == (1, 0, "")
-        want = trainer_config_from(dual, 0)
-        want.alpha_init, want.alpha_lr = 10.0, 0.0
-        assert trainer_config_from(fixed, 0) == want
-        assert curation_config_from(fixed, 0) == curation_config_from(dual, 0)
+    assert [trial.task for trial in jobs] == ["cliff", "cliff", "pwm", "pwm"]
+    for fixed, dual in zip(jobs[::2], jobs[1::2]):
+        assert fixed.trainer.seed == dual.trainer.seed == 0
+        assert (fixed.budget, fixed.stability_steps, fixed.budgets) \
+            == (1, 0, ())
+        assert fixed.trainer == replace(dual.trainer, alpha_init=10.0,
+                                        alpha_lr=0.0)
+        assert fixed.curation == dual.curation
 
 
 def test_criterion_2_reports_its_gaps_per_task(monkeypatch):
@@ -209,12 +210,12 @@ def test_criterion_2_reports_its_gaps_per_task(monkeypatch):
     final_rows = {"cliff": {"gap": 0.6, "mse": 0.382, "alpha": 0.087},
                   "pwm": {"gap": -88.0, "mse": 2.749, "alpha": 0.0}}
     runs = []
-    for cfg, _ in acceptance._conservatism_jobs():
-        d = 24 if cfg["task"] == "pwm" else 8
+    for trial in acceptance._conservatism_jobs():
+        d = 24 if trial.task == "pwm" else 8
         model = net.ObjectiveModel([net.DenseLayer(np.full((1, d), 0.01),
                                                    np.zeros(1))])
-        runs.append(TrialResult(_dataset(d, discrete=cfg["task"] == "pwm"),
-                                model, [[final_rows[cfg["task"]]]],
+        runs.append(TrialResult(trial, _dataset(d, trial.task == "pwm"),
+                                model, [[final_rows[trial.task]]],
                                 None, None, None, None, 0.0))
     monkeypatch.setattr(acceptance, "_mine_endpoints",
                         lambda model, X, eta, steps: X + 1.0)
@@ -249,13 +250,13 @@ def test_criterion_2_passes_a_diverged_mining_vacuously(monkeypatch):
     may move or how badly the conservative surrogate may fit its data has
     a test to turn into a FAIL."""
     runs = []
-    for cfg, _ in acceptance._conservatism_jobs():
-        d = 24 if cfg["task"] == "pwm" else 8
+    for trial in acceptance._conservatism_jobs():
+        d = 24 if trial.task == "pwm" else 8
         weights = np.zeros((1, d))
         weights[0, 0] = -3e5
         model = net.ObjectiveModel([net.DenseLayer(weights, np.zeros(1))])
         runs.append(TrialResult(
-            _dataset(d, discrete=cfg["task"] == "pwm"), model,
+            trial, _dataset(d, discrete=trial.task == "pwm"), model,
             [[{"gap": -88.0, "mse": 2.749, "alpha": 0.0}]],
             None, None, None, None, 0.0))
 
@@ -283,7 +284,7 @@ def test_criterion_5_reports_ranks_hits_and_beats():
     # (best candidate's true score, best training score) per trial
     trials = [(top + 1.0, top + 2.0), (top, bottom), (bottom - 1.0, bottom - 2.0)]
     record = acceptance.criterion_5_discrete([
-        TrialResult(_dataset(24, best), None, [], None,
+        TrialResult(None, _dataset(24, best), None, [], None,
                     TrialEvaluation(p100, p100, 1.0, 1.0), None, None, 0.0)
         for p100, best in trials])
     rank_cut = int(acceptance.DISCRETE_TOP_FRACTION * len(scores))
@@ -318,8 +319,9 @@ def test_criterion_6_reports_its_curve_target_and_reach():
 def test_criterion_7_reports_each_taus_finals_and_mean():
     # trial t at tau ends at 10 * tau + t
     record = acceptance.criterion_7_tau_ordering([
-        _stub_trial(curve=np.array([0.0, 10.0 * cfg["tau"] + trial]))
-        for cfg, trial in acceptance._tau_jobs()])
+        _stub_trial(curve=np.array([0.0, 10.0 * trial.trainer.tau
+                                    + trial.trainer.seed]), trial=trial)
+        for trial in acceptance._tau_jobs()])
     assert record["metrics"] == {"taus": [
         {"tau": tau, "finals": [10.0 * tau + t for t in range(4)],
          "mean": 10.0 * tau + 1.5} for tau in acceptance.TAU_LIST]}
@@ -332,7 +334,8 @@ def test_criterion_7_rejects_a_tie():
     # the finals tie exactly; larger tau must end strictly above
     jobs = acceptance._tau_jobs(fast=True)
     record = acceptance.criterion_7_tau_ordering(
-        [_stub_trial(curve=np.array([0.0, -0.55])) for _ in jobs], fast=True)
+        [_stub_trial(curve=np.array([0.0, -0.55]), trial=trial)
+         for trial in jobs], fast=True)
     assert [t["mean"] for t in record["metrics"]["taus"]] == [-0.55, -0.55]
     assert record["passed"] is False
     assert "tau=0.5 mean -0.55 > tau=0.05 mean -0.55: False" in \

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from comopt.harness import (DEFAULT_CONFIG, InvariantViolation,
-                            TrialEvaluation, _trial_key,
-                            budget_sweep, config_from, curation_config_from,
+                            TrialEvaluation, budget_sweep, config_from,
                             evaluate_budget, normalized_score, parse_config,
                             run_experiment, run_trial, run_trials,
-                            stability_sweep, tau_sweep, trainer_config_from)
+                            stability_sweep, tau_sweep, trainer_config_from,
+                            trial_of)
 from comopt.fileio import write_rows
 from comopt.net import build_model
 from comopt.optimizer import CandidateSet, candidate_table
@@ -203,8 +203,8 @@ class TestRunTrial:
         cfg = config_from({**TINY, "epochs": 1, "budget": 4})
         memo = {}
         plain, swept = run_trials(
-            [(cfg, 0), (config_from({**cfg, "stability_steps": 3,
-                                     "budgets": "1,4"}), 0)], memo)
+            [trial_of(cfg, 0), trial_of(config_from(
+                {**cfg, "stability_steps": 3, "budgets": "1,4"}), 0)], memo)
         assert plain.stability is None and plain.budget is None
         assert len(plain.candidates) == 4
         assert len(memo) == len(train_spy) == 2  # two shapes, two trials
@@ -215,7 +215,7 @@ class TestRunTrial:
     def test_trials_match_the_run_experiment_report(self, tmp_path):
         cfg = config_from({**TINY, "epochs": 1, "trials": 2, "budget": 4})
         report = run_experiment(cfg, tmp_path / "run")
-        results = [run_trial(cfg, trial) for trial in range(2)]
+        results = [run_trial(trial_of(cfg, k)) for k in range(2)]
         assert report["per_trial"] == [asdict(r.evaluation) for r in results]
         tables = [candidate_table(r.candidates) for r in results]
         write_rows(tmp_path / "want.csv", ["trial"] + tables[0][0],
@@ -230,35 +230,39 @@ class TestRunTrials:
         base = config_from({**TINY, "epochs": 1})
         memo = {}
         for tau in ("auto", 0.5):  # 0.5 is the continuous default
-            run_trials([(config_from({**base, "tau": tau}), 0)], memo)
+            run_trials([trial_of(config_from({**base, "tau": tau}), 0)], memo)
         assert len(train_spy) == 1
         variants = [{"trial": 1}, {"method": "grad-naive"},
                     {"ensemble_size": 3}, {"n_raw": 120}]
         for variant in variants:
-            trial = variant.pop("trial", 0)
-            run_trials([(config_from({**base, **variant}), trial)], memo)
+            k = variant.pop("trial", 0)
+            run_trials([trial_of(config_from({**base, **variant}), k)], memo)
         assert len(train_spy) == 1 + len(variants)
         assert train_spy[1].seed == 1
 
     def test_memo_returns_the_stored_trial(self):
         cfg = config_from({**TINY, "epochs": 1})
         memo = {}
-        first, again = run_trials([(cfg, 0), (cfg, 0)], memo)
+        first, again = run_trials([trial_of(cfg, 0), trial_of(cfg, 0)], memo)
         assert again is first
-        assert run_trials([(cfg, 0)], memo)[0] is first
+        assert run_trials([trial_of(cfg, 0)], memo)[0] is first
 
     def test_without_memo_every_call_trains(self, train_spy):
         cfg = config_from({**TINY, "epochs": 1})
-        run_trials([(cfg, 0)])
-        run_trials([(cfg, 0)])
+        run_trials([trial_of(cfg, 0)])
+        run_trials([trial_of(cfg, 0)])
         assert len(train_spy) == 2
 
     def test_seed_is_base_seed_plus_trial(self, train_spy):
         cfg = config_from({**TINY, "epochs": 1, "base_seed": 5})
-        result = run_trials([(cfg, 2)])[0]
-        assert train_spy == [trainer_config_from(cfg, 7)]
-        expected = run_trials([(config_from({**cfg, "base_seed": 7}), 0)])[0]
-        assert np.array_equal(result.dataset.designs, expected.dataset.designs)
+        result = run_trials([trial_of(cfg, 2)])[0]
+        assert [config.seed for config in train_spy] == [7]
+        assert result.trial.curation.seed == 7
+        expected = trial_of(config_from({**cfg, "base_seed": 7}), 0)
+        assert repr(result.trial) == repr(expected)
+        assert train_spy == [expected.trainer]
+        assert np.array_equal(result.dataset.designs,
+                              run_trial(expected).dataset.designs)
 
     def test_every_setting_of_a_trial_is_in_its_key(self):
         # a setting missing from the key would merge two different trials
@@ -271,13 +275,13 @@ class TestRunTrials:
                    "ensemble_size": 3, "stability_steps": 5,
                    "budgets": "1,2"}
         assert set(changed) == set(DEFAULT_CONFIG) - {"trials"}
-        key = _trial_key(base, 0)
+        key = repr(trial_of(base, 0))
         for name, value in changed.items():
-            assert _trial_key(config_from({**base, name: value}), 0) != key, \
-                name
-        assert _trial_key(config_from({**base, "trials": 3}), 0) == key
-        assert (_trial_key(config_from({**base, "base_seed": 3}), 1)
-                == _trial_key(config_from({**base, "base_seed": 4}), 0))
+            assert repr(trial_of(config_from({**base, name: value}), 0)) \
+                != key, name
+        assert repr(trial_of(config_from({**base, "trials": 3}), 0)) == key
+        assert (repr(trial_of(config_from({**base, "base_seed": 3}), 1))
+                == repr(trial_of(config_from({**base, "base_seed": 4}), 0)))
 
 
 class TestReportAggregation:
@@ -306,7 +310,7 @@ class TestParseConfig:
         cfg = parse_config("")
         assert cfg == DEFAULT_CONFIG
         assert trainer_config_from(cfg, cfg["base_seed"]) == TrainerConfig()
-        assert curation_config_from(cfg, cfg["base_seed"]) == CurationConfig()
+        assert trial_of(cfg, 0).curation == CurationConfig()
 
     def test_defaults_fill_missing(self):
         cfg = parse_config("task = bowl\n")

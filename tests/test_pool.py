@@ -18,7 +18,7 @@ import pytest
 from comopt import acceptance, cli, harness
 from comopt.fileio import write_rows
 from comopt.harness import (config_from, run_experiment, run_trials,
-                            tau_sweep, worker_pool)
+                            tau_sweep, trial_of, worker_pool)
 from comopt.trainer import TrainingError
 
 SRC = Path(harness.__file__).resolve().parent.parent
@@ -58,7 +58,7 @@ def _bits(result):
 
 def _start_both_workers(memo):
     """Two trials keep both workers busy, so both have started for sure."""
-    run_trials([(config_from(TINY), trial) for trial in (0, 1)], memo)
+    run_trials([trial_of(config_from(TINY), k) for k in (0, 1)], memo)
 
 
 def _files(root):
@@ -73,9 +73,9 @@ def _run_config(tmp_path, text, name="cfg.txt"):
 
 
 def test_pool_trials_equal_in_process_trials_bitwise(monkeypatch):
-    jobs = [(config_from({**TINY, "method": method, "budget": 4,
-                          "stability_steps": 5, "budgets": "1,2,4"}), trial)
-            for method in ("coms", "grad-min") for trial in (0, 1)]
+    jobs = [trial_of(config_from({**TINY, "method": method, "budget": 4,
+                                  "stability_steps": 5, "budgets": "1,2,4"}), k)
+            for method in ("coms", "grad-min") for k in (0, 1)]
     memo = {}
     with worker_pool():
         _forbid_training_here(monkeypatch)
@@ -91,12 +91,12 @@ def test_run_trials_without_a_pool_runs_in_process(monkeypatch):
     _forbid_training_here(monkeypatch)
     cfg = config_from(TINY)
     with pytest.raises(AssertionError, match="trained in the parent process"):
-        run_trials([(cfg, 0), (cfg, 1)])
+        run_trials([trial_of(cfg, 0), trial_of(cfg, 1)])
 
 
 def test_a_single_miss_trains_on_an_open_pool(monkeypatch):
-    job = (config_from({**TINY, "budget": 4, "stability_steps": 5,
-                        "budgets": "1,2,4"}), 0)
+    job = trial_of(config_from({**TINY, "budget": 4, "stability_steps": 5,
+                                "budgets": "1,2,4"}), 0)
     with worker_pool():
         _forbid_training_here(monkeypatch)
         pooled = run_trials([job])[0]
@@ -142,7 +142,7 @@ def test_a_failed_job_raises_and_stops_the_pool(tmp_path):
     diverging = config_from({**TINY, "task": "bowl", "adam_lr": 1e300})
     with pytest.raises(TrainingError, match="non-finite loss at epoch"):
         with worker_pool():
-            run_trials([(diverging, 0), (diverging, 1)])
+            run_trials([trial_of(diverging, 0), trial_of(diverging, 1)])
     assert multiprocessing.active_children() == []
 
 
@@ -150,7 +150,7 @@ def test_a_failed_job_raises_and_stops_the_pool(tmp_path):
 def test_a_dead_worker_raises_instead_of_hanging(when):
     long = config_from({**TINY, "n_raw": 1000, "epochs": 500,
                         "hidden": "64,64", "mining_steps": 10})  # ~7 s each
-    jobs = [(long, trial) for trial in (0, 1)]
+    jobs = [trial_of(long, k) for k in (0, 1)]
     with pytest.raises(ChildProcessError, match="a pool worker died"):
         with worker_pool():
             _start_both_workers({})
@@ -308,7 +308,7 @@ def test_run_all_queues_every_trial_up_front(tmp_path, monkeypatch):
 
     def run_trials_spy(jobs, memo=None):
         missing = [job for job in jobs if memo is None
-                   or harness._trial_key(*job) not in memo]
+                   or repr(job) not in memo]
         events.append(("run_trials", len(missing)))
         return harness.run_trials(jobs, memo)
 
@@ -345,18 +345,18 @@ def test_run_all_queues_the_same_trials_in_the_same_order(tmp_path,
     jobs = _jobs_queued_by_run_all(tmp_path, monkeypatch, fast=True)
     distinct = {}
     for job in jobs:
-        distinct.setdefault(harness._trial_key(*job), job)
+        distinct.setdefault(repr(job), job)
     assert len(jobs) == 10
-    assert [(cfg["task"], cfg["method"], cfg["tau"], cfg["alpha_init"], trial)
-            for cfg, trial in distinct.values()] == [
-        ("cliff", "coms", "auto", 10.0, 0), ("cliff", "coms", "auto", 0.0, 0),
-        ("edge", "coms", "auto", 0.0, 0), ("edge", "grad-naive", "auto", 0.0, 0),
-        ("edge", "coms", "auto", 0.0, 1), ("edge", "grad-naive", "auto", 0.0, 1),
-        ("pwm", "coms", "auto", 0.0, 0), ("pwm", "coms", "auto", 0.0, 1),
+    assert [(t.task, t.method, t.trainer.tau, t.trainer.alpha_init,
+             t.trainer.seed) for t in distinct.values()] == [
+        ("cliff", "coms", 0.5, 10.0, 0), ("cliff", "coms", 0.5, 0.0, 0),
+        ("edge", "coms", 0.5, 0.0, 0), ("edge", "grad-naive", 0.5, 0.0, 0),
+        ("edge", "coms", 0.5, 0.0, 1), ("edge", "grad-naive", 0.5, 0.0, 1),
+        ("pwm", "coms", 2.0, 0.0, 0), ("pwm", "coms", 2.0, 0.0, 1),
         ("cliff", "coms", 0.05, 0.0, 0)]
     jobs = _jobs_queued_by_run_all(tmp_path, monkeypatch, fast=False)
     assert len(jobs) == 56
-    assert len({harness._trial_key(*job) for job in jobs}) == 50
+    assert len({repr(job) for job in jobs}) == 50
     assert multiprocessing.active_children() == []
 
 
@@ -371,7 +371,8 @@ def test_a_queued_trial_that_raises_fails_run_all_from_its_criterion(
                 "detail": ""}
 
     monkeypatch.setitem(acceptance.JOBS, 2,
-                        lambda fast: [(diverging, 0), (diverging, 1)])
+                        lambda fast: [trial_of(diverging, 0),
+                                      trial_of(diverging, 1)])
     monkeypatch.setattr(acceptance, "CRITERIA", (criterion,) * 3)
     with pytest.raises(TrainingError, match="non-finite loss"):
         acceptance.run_all(str(tmp_path), fast=True)
