@@ -78,7 +78,7 @@ def cmd_train(args) -> int:
     model, logs = METHODS[cfg["method"]](dataset, config, cfg["ensemble_size"])
     save_surrogate(model, args.out_model)
     if args.log:
-        write_training_log(args.log, logs)
+        write_training_log(args.log, [logs])
     final = logs[0][-1]
     print(f"trained {cfg['method']}: final mse {final['mse']:.4f}, "
           f"gap {final['gap']:.4f}, alpha {final['alpha']:.4f}")

@@ -422,11 +422,8 @@ def run_experiment(config, out_dir) -> dict:
 
     with worker_pool() if cfg["trials"] > 1 else contextlib.nullcontext():
         results = run_trials([trial_of(cfg, k) for k in range(cfg["trials"])])
-    per_trial, logs_all, log_trials = [], [], []
-    candidate_rows, stability_rows, budget_rows = [], [], []
+    per_trial, candidate_rows, stability_rows, budget_rows = [], [], [], []
     for trial, result in enumerate(results):
-        logs_all.extend(result.logs)
-        log_trials.extend([trial] * len(result.logs))
         candidate_header, rows = candidate_table(result.candidates)
         candidate_rows.extend([trial, *row] for row in rows)
         per_trial.append(asdict(result.evaluation))
@@ -438,8 +435,8 @@ def run_experiment(config, out_dir) -> dict:
                 (trial, b, p, normalized_score(task, p))
                 for b, p in zip(result.trial.budgets, result.budget))
 
-    write_training_log(os.path.join(out_dir, "training_log.csv"), logs_all,
-                       log_trials)
+    write_training_log(os.path.join(out_dir, "training_log.csv"),
+                       [r.logs for r in results], range(len(results)))
     write_rows(os.path.join(out_dir, "candidates.csv"),
                ["trial"] + candidate_header, candidate_rows)
     aggregates = {}

@@ -193,14 +193,18 @@ def train(dataset: OfflineDataset, config: TrainerConfig):
     return model, log
 
 
-def write_training_log(path, logs, trials=None) -> None:
-    """Per-epoch training logs as one CSV. `trials`, one label per log, adds
-    a leading trial column so several trials and ensemble members can share
-    the file."""
-    header = list(TRAINING_LOG_COLUMNS)
+def write_training_log(path, surrogates, trials=None) -> None:
+    """Per-epoch training logs as one CSV. `surrogates` holds each trained
+    surrogate's logs, one per network, and a `member` column numbers the
+    networks of each (0 for a single net). `trials`, one label per
+    surrogate, adds a leading trial column so several trials can share the
+    file."""
+    header = ["member", *TRAINING_LOG_COLUMNS]
     rows = []
-    for i, log in enumerate(logs):
+    for i, logs in enumerate(surrogates):
         lead = [] if trials is None else [trials[i]]
-        rows.extend(lead + [row["epoch"]] + [float(row[c]) for c in header[1:]]
-                    for row in log)
+        for member, log in enumerate(logs):
+            rows.extend(lead + [member, row["epoch"]]
+                        + [float(row[c]) for c in TRAINING_LOG_COLUMNS[1:]]
+                        for row in log)
     write_rows(path, header if trials is None else ["trial"] + header, rows)

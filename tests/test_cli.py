@@ -49,7 +49,7 @@ def test_train_optimize_evaluate_pipeline(tmp_path, curated, capsys):
                      *TRAIN_FLAGS]) == 0
     assert model.exists()
     assert log.read_text().splitlines()[0] == \
-        "epoch,mse,gap,alpha,mean_pred_data,mean_pred_mined"
+        "member,epoch,mse,gap,alpha,mean_pred_data,mean_pred_mined"
 
     cands = tmp_path / "cands.csv"
     assert cli.main(["optimize", "--model", str(model), "--data", str(curated),
@@ -91,9 +91,12 @@ def test_train_log_holds_every_ensemble_member(tmp_path, curated):
                      str(tmp_path / "m.npz"), "--log", str(log),
                      *TRAIN_FLAGS]) == 0
     rows = log.read_text().splitlines()
-    assert rows[0] == "epoch,mse,gap,alpha,mean_pred_data,mean_pred_mined"
-    # epochs restart per member, as in a run directory's training log
-    assert [row.split(",")[0] for row in rows[1:]] == ["1", "2"] * 3
+    assert rows[0] == \
+        "member,epoch,mse,gap,alpha,mean_pred_data,mean_pred_mined"
+    # each member's epochs under its own label, as in a run directory's
+    # training log
+    assert [row.split(",")[:2] for row in rows[1:]] == [
+        [str(member), str(epoch)] for member in range(3) for epoch in (1, 2)]
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -446,7 +446,7 @@ class TestRunExperiment:
         out = tmp_path / "naive"
         run_experiment(cfg, out)
         rows = (out / "training_log.csv").read_text().splitlines()[1:]
-        alphas = {row.split(",")[4] for row in rows}
+        alphas = {row.split(",")[5] for row in rows}
         assert alphas == {"0.0"}
 
     def test_coms_logs_nonzero_alpha_on_active_constraint(self, tmp_path):
@@ -455,7 +455,7 @@ class TestRunExperiment:
         out = tmp_path / "coms"
         run_experiment(cfg, out)
         rows = (out / "training_log.csv").read_text().splitlines()[1:]
-        alphas = [float(row.split(",")[4]) for row in rows]
+        alphas = [float(row.split(",")[5]) for row in rows]
         assert any(a > 0 for a in alphas)
 
     def test_report_json_contents(self, tmp_path):
@@ -476,3 +476,16 @@ class TestRunExperiment:
                       .replace("trials = 2", "trials = 1") + "ensemble_size = 2\n"
         report = run_experiment(cfg, tmp_path / "ens")
         assert report["n_trials"] == len(report["per_trial"]) == 1
+
+    def test_training_log_labels_each_ensemble_member(self, tmp_path):
+        # without a member column, two trials of a 3-member ensemble would
+        # write repeated (trial, epoch) rows
+        cfg = FAST_RUN.replace("method = coms", "method = grad-min") \
+            + "ensemble_size = 3\n"
+        run_experiment(cfg, tmp_path / "ens")
+        rows = (tmp_path / "ens" / "training_log.csv").read_text().splitlines()
+        assert rows[0] == ("trial,member,epoch,mse,gap,alpha,mean_pred_data,"
+                           "mean_pred_mined")
+        assert [row.split(",")[:3] for row in rows[1:]] == [
+            [str(trial), str(member), str(epoch)] for trial in range(2)
+            for member in range(3) for epoch in (1, 2)]
