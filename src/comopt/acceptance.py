@@ -519,7 +519,7 @@ def run_all(out_dir, fast=False) -> dict:
     results = []
     t0 = time.monotonic()
     with worker_pool():
-        submit_trials(sum(lists.values(), []), memo)
+        submit_trials([t for trials in lists.values() for t in trials], memo)
         for k, crit in enumerate(CRITERIA, 1):
             start = time.monotonic()
             runs = run_trials(lists[JOBS[k]], memo) if k in JOBS else []
